@@ -30,6 +30,10 @@ class UnknownAlgebra(KeyError):
     pass
 
 
+class UnknownMember(KeyError):
+    """An algebra has no family or representative of the given name."""
+
+
 class DomainViolation(ValueError):
     """A parameter assignment violates a family's domain predicate."""
 
@@ -230,13 +234,13 @@ class AlgebraEntry:
         for f in self.families:
             if f.name == name:
                 return f
-        raise KeyError(f"{self.name}: no family {name!r}")
+        raise UnknownMember(f"{self.name}: no family {name!r}")
 
     def representative(self, name: str) -> Representative:
         for r in self.representatives:
             if r.name == name:
                 return r
-        raise KeyError(f"{self.name}: no representative {name!r}")
+        raise UnknownMember(f"{self.name}: no representative {name!r}")
 
 
 def _norm(name: str) -> str:

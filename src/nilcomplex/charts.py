@@ -18,7 +18,7 @@ from . import group
 from .acs import AlmostComplexStructure
 from .catalogue import AlgebraEntry, Representative
 from .exactnum import GaussianRational, MultiPoly
-from .expr import evaluate
+from .expr import ExprError, evaluate
 
 COORD_PAIRS = (("x1", "y1"), ("x2", "y2"), ("x3", "y3"))
 
@@ -237,7 +237,7 @@ def chi_corrections(rep: Representative, values: Mapping[str, Fraction],
     for nm, e in chart.defs:
         try:
             env[nm] = evaluate(e, env)
-        except Exception:
+        except ExprError:
             continue  # coordinate-dependent defs are not needed for chi
     for k in range(3):
         env[f"f{k+1}a"] = phi_a[k]
@@ -314,8 +314,8 @@ def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]
     for nm, e in chart.defs:
         try:
             env[nm] = evaluate(e, env)
-        except Exception:
-            continue
+        except ExprError:
+            continue  # coordinate-dependent defs are not needed for chi
     i_unit = GaussianRational(0, 1)
     pairs = []
     for k in range(1, 4):

@@ -12,8 +12,12 @@ from fractions import Fraction
 
 from . import catalogue, charts, group, moduli, orbits
 from .acs import AlmostComplexStructure, classify_m, is_integrable
-from .catalogue import DomainViolation, SamplingExhausted, UnknownAlgebra
+from .catalogue import DomainViolation, SamplingExhausted, UnknownAlgebra, UnknownMember
 from .exactnum import rational_str
+
+
+class UsageError(Exception):
+    """Bad input from the command line or an input file (exit code 2)."""
 
 
 def _fail(msg: str, code: int = 1):
@@ -21,19 +25,38 @@ def _fail(msg: str, code: int = 1):
     raise SystemExit(code)
 
 
+def _rational(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise UsageError(f"{what}: expected a rational string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{what}: {value!r} is not a rational") from None
+
+
 def _params_from_args(pairs):
     out = {}
     for p in pairs or ():
-        if "=" not in p:
-            raise SystemExit(2)
-        k, v = p.split("=", 1)
-        out[k.strip()] = Fraction(v)
+        k, eq, v = p.partition("=")
+        if not eq:
+            raise UsageError(f"--param expects K=V, got {p!r}")
+        out[k.strip()] = _rational(v, f"--param {k.strip()}")
     return out
 
 
 def _load_matrix(path):
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as ex:
+            raise UsageError(f"{path}: malformed JSON ({ex})") from None
+
+
+def _load_coords(path):
+    doc = _load_matrix(path)
+    if not isinstance(doc, list):
+        raise UsageError(f"{path}: expected an array of rational strings")
+    return [_rational(c, path) for c in doc]
 
 
 def _emit(args, payload, text):
@@ -131,7 +154,9 @@ def cmd_verify(args):
                 if not is_integrable(e.algebra, J):
                     bad += 1
             results.append({"family": fam.name, "samples": args.samples, "failures": bad})
-            print(f"{e.name}/{fam.name}: {args.samples - bad}/{args.samples} integrable")
+        _emit(args, {"algebra": e.name, "results": results},
+              "\n".join(f"{e.name}/{r['family']}: {r['samples'] - r['failures']}/"
+                        f"{r['samples']} integrable" for r in results))
         total_bad = sum(r["failures"] for r in results)
         return 0 if total_bad == 0 else 1
     except DomainViolation as ex:
@@ -157,7 +182,7 @@ def cmd_classify_m(args):
 def cmd_act(args):
     e = catalogue.get(args.algebra)
     J = AlmostComplexStructure.from_json(_load_matrix(args.j))
-    phi = [[Fraction(x) for x in row] for row in _load_matrix(args.phi)]
+    phi = [[_rational(x, args.phi) for x in row] for row in _load_matrix(args.phi)]
     try:
         out = orbits.act(e.algebra, phi, J)
     except orbits.NotAutomorphism as ex:
@@ -176,7 +201,7 @@ def cmd_verify_witness(args):
                                                      attempts=args.search)
         print(f"randomized search: {found['status']}")
         return 0 if found["status"] == "equivalent" else 1
-    phi = [[Fraction(x) for x in row] for row in doc["phi"]]
+    phi = [[_rational(x, args.file) for x in row] for row in doc["phi"]]
     ok = orbits.verify_witness(e.algebra, J1, J2, phi)
     print(f"witness {'accepted' if ok else 'REJECTED'} for {e.name}")
     return 0 if ok else 1
@@ -184,9 +209,11 @@ def cmd_verify_witness(args):
 
 def cmd_mul(args):
     e = catalogue.get(args.algebra)
-    a = [Fraction(x) for x in _load_matrix(args.a)]
-    x = [Fraction(x) for x in _load_matrix(args.x)]
-    prod = group.multiply(e.algebra, a, x)
+    a, x = _load_coords(args.a), _load_coords(args.x)
+    try:
+        prod = group.multiply(e.algebra, a, x)
+    except ValueError as ex:  # coordinate vectors of the wrong length
+        raise UsageError(str(ex)) from None
     print(json.dumps([rational_str(c) for c in prod]))
     return 0
 
@@ -237,7 +264,6 @@ def cmd_moduli_dim(args):
     fam = e.family(args.family) if args.family else None
     rep = moduli.dimension_report(e, family=fam, samples=args.samples,
                                   tol=args.tol, seed=args.seed)
-    ok = rep["agree"] >= rep["tangent_dims"].count(rep["expected_dim"])
     verdict = "pass" if rep["agree"] == len(rep["tangent_dims"]) else "FAIL"
     if args.json:
         print(json.dumps(rep, indent=1, sort_keys=True))
@@ -452,7 +478,10 @@ def main(argv=None) -> int:
     except (UnknownAlgebra, DomainViolation, SamplingExhausted) as ex:
         print(f"FAIL: {type(ex).__name__}: {ex}")
         return 1
-    except FileNotFoundError as ex:
+    except UnknownMember as ex:
+        print(f"error: {ex.args[0]}")
+        return 2
+    except (UsageError, FileNotFoundError) as ex:
         print(f"error: {ex}")
         return 2
 

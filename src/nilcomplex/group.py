@@ -1,6 +1,10 @@
 """The simply connected group in second-kind canonical coordinates.
 
-Multiplication is normal ordering: a product of exponentials is rewritten
+Every group-level fact is a polynomial map, derived once per algebra and
+then only evaluated (P. Hall's group law; Leedham-Green & Soicher,
+"Symbolic collection using Deep Thought", LMS J. Comput. Math. 1, 1998).
+
+The derivation is normal ordering: a product of exponentials is rewritten
 into the canonical form exp(c1 x_1) ... exp(c6 x_6) by repeatedly applying
 the swap rule
 
@@ -13,9 +17,14 @@ triangular basis (brackets raise the basis index) whose tail span(x_3..x_6)
 is abelian, so every swap correction splits exactly into single-generator
 factors and the bubbling terminates.
 
-Coordinates may be Fractions or MultiPoly values; the left-invariant
-fields are obtained by multiplying with a formal exp(t x_j) and taking the
-exact t-linear part.
+Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
+from it, without further collection: the inverse (mu(a, x) = 0 solved by
+back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
+the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
+sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled into
+straight-line exact rational arithmetic, cached on the LieAlgebra, and
+takes Fraction or MultiPoly coordinates.  `collect` stays as the
+derivation and the test oracle.
 """
 
 from __future__ import annotations
@@ -53,27 +62,13 @@ def _check_class(L: LieAlgebra) -> None:
 
 
 def _abelian_tail_start(L: LieAlgebra) -> int:
-    """Smallest t with span(x_t .. x_dim) abelian (cached)."""
-    t = getattr(L, "_abelian_tail", None)
-    if t is None:
-        t = 1
-        for (i, j) in L.table:
-            t = max(t, i + 1)
-        # no bracket has both entries >= t, so span(x_t..x_6) is abelian
-        for (i, j) in L.table:
-            assert not (i >= t and j >= t)
-        L._abelian_tail = t
-    return t
+    """Smallest t with span(x_t .. x_dim) abelian: no bracket has both i, j >= t."""
+    return max((i + 1 for (i, j) in L.table), default=1)
 
 
 def _triangular_check(L: LieAlgebra) -> None:
-    if getattr(L, "_triangular_ok", False):
-        return
-    for (i, j), row in L.table.items():
-        for k in row:
-            if k <= j:
-                raise ValueError("basis is not triangular; normal ordering unsupported")
-    L._triangular_ok = True
+    if any(k <= j for (i, j), row in L.table.items() for k in row):
+        raise ValueError("basis is not triangular; normal ordering unsupported")
 
 
 def commutator_correction(L: LieAlgebra, X: Sequence, Y: Sequence) -> List:
@@ -95,7 +90,7 @@ def commutator_correction(L: LieAlgebra, X: Sequence, Y: Sequence) -> List:
 
 
 def _basis_vector(L: LieAlgebra, g: int, c):
-    v = [c * 0] * L.dim
+    v = [Fraction(0)] * L.dim
     v[g - 1] = c
     return v
 
@@ -120,86 +115,138 @@ def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
         _push_vector(L, C, coords, start=k)
 
 
-def _push_vector(L: LieAlgebra, v: Sequence, coords: list, start: int = 1) -> None:
+def _push_vector(L: LieAlgebra, v: Sequence, coords: list, start: int) -> None:
     support = [m + 1 for m in range(L.dim) if not _is_zero(v[m])]
-    if not support:
-        return
-    if len(support) == 1:
-        g = support[0]
+    # a correction is one generator or lies in the abelian tail, so e^v
+    # splits exactly into single-generator factors
+    assert len(support) <= 1 or min(support) >= _abelian_tail_start(L)
+    for g in reversed(support):
         _push_single(L, g, v[g - 1], coords, start)
-        return
-    if min(support) >= _abelian_tail_start(L):
-        # commuting components: e^v splits exactly into single factors
-        for g in sorted(support, reverse=True):
-            _push_single(L, g, v[g - 1], coords, start)
-        return
-    # general element: convert to second-kind coordinates first
-    for g, c in zip(range(L.dim, 0, -1), reversed(exp_coords(L, v))):
-        _push_single(L, g, c, coords, start)
 
 
-def normal_order(L: LieAlgebra, word: Sequence[Sequence]) -> List:
-    """Second-kind coordinates of the product of exponentials exp(v) in word."""
+def collect(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
+    """Product a*x by normal ordering: the derivation of the law and its oracle."""
     _check_class(L)
     _triangular_check(L)
-    zero = Fraction(0)
-    for v in word:
-        for c in v:
-            zero = c * 0
-            break
-        break
-    coords = [zero] * L.dim
-    for v in reversed(list(word)):
-        _push_vector(L, v, coords)
-    return coords
-
-
-def multiply(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
-    """Product a*x in second-kind coordinates."""
-    _check_class(L)
-    _triangular_check(L)
-    if len(a) != L.dim or len(x) != L.dim:
-        raise ValueError("coordinate tuples must match the algebra dimension")
     coords = list(x)
     for g in range(L.dim, 0, -1):
         _push_single(L, g, a[g - 1], coords, start=1)
     return coords
 
 
+# -- the laws: derived once per algebra, then only evaluated ----------------
+
+
+def _formal(prefix: str, n: int) -> List[MultiPoly]:
+    return [MultiPoly.var(f"{prefix}{i}") for i in range(n)]
+
+
+def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
+    """Straight-line evaluator of polys at values for names (Fractions or
+    MultiPoly), with the exact rational coefficients bound as constants."""
+    consts = {}
+    rows = []
+    for p in polys:
+        terms = []
+        for e, c in sorted(p.terms.items()):
+            if not c.is_real():
+                raise ValueError("group law coefficients must be rational")
+            mono = "".join(f"*{v}" * x for v, x in zip(p.vars, e))
+            if c.re != 1 or not mono:
+                consts[f"k{len(consts)}"] = c.re
+                mono = f"*k{len(consts) - 1}{mono}"
+            terms.append(mono[1:])
+        rows.append(" + ".join(terms) or "0")
+    return eval(f"lambda {', '.join(names)}: [{', '.join(rows)}]", consts)
+
+
+def _derive_mul(L: LieAlgebra):
+    a, b = _formal("a", L.dim), _formal("b", L.dim)
+    mu = [MultiPoly.coerce(p) for p in collect(L, a, b)]
+    for m in range(L.dim):
+        assert (mu[m] - a[m] - b[m]).used_vars() <= {f"{s}{i}" for s in "ab" for i in range(m)}
+    return mu, [p.vars[0] for p in a + b]
+
+
+def _derive_inv(L: LieAlgebra):
+    """Solve mu(a, x) = 0 for x by back-substitution, coordinate by coordinate."""
+    mu = _law(L, "mul")[0]
+    a, b = _formal("a", L.dim), _formal("b", L.dim)
+    env = {p.vars[0]: p for p in a}
+    for m in range(L.dim):
+        env[f"b{m}"] = -a[m] - MultiPoly.coerce((mu[m] - a[m] - b[m]).eval(env))
+    return [env[f"b{m}"] for m in range(L.dim)], [p.vars[0] for p in a]
+
+
+def _derive_exp(L: LieAlgebra):
+    """Solve the flow c'(t) = sum_k v_k X_k(c(t)), c(0) = 0 exactly in Q[t, v]
+    and set t = 1; the triangular fields make it solvable coordinate by
+    coordinate."""
+    fields = left_invariant_fields(L)
+    v = _formal("v", L.dim)
+    sol: List[MultiPoly] = []
+    for m in range(L.dim):
+        env = {COORDS[j]: sol[j] for j in range(m)}
+        rhs = MultiPoly.const(0)
+        for k in range(L.dim):
+            assert fields[k][m].used_vars() <= set(COORDS[:m])
+            rhs = rhs + MultiPoly.coerce(fields[k][m].eval(env)) * v[k]
+        sol.append(_integrate_t(rhs))
+    at_one = {"t": 1, **{p.vars[0]: p for p in v}}
+    return [MultiPoly.coerce(p.eval(at_one)) for p in sol], [p.vars[0] for p in v]
+
+
+_DERIVE = {"mul": _derive_mul, "inv": _derive_inv, "exp": _derive_exp}
+
+
+def _law(L: LieAlgebra, name: str):
+    """(polynomials, compiled map) of the law `name` of L, built on first use."""
+    laws = L.__dict__.setdefault("_group_laws", {})
+    if name not in laws:
+        polys, names = _DERIVE[name](L)
+        laws[name] = (polys, _compile(polys, names))
+    return laws[name]
+
+
+def multiply(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
+    """Product a*x in second-kind coordinates."""
+    if len(a) != L.dim or len(x) != L.dim:
+        raise ValueError("coordinate tuples must match the algebra dimension")
+    return _law(L, "mul")[1](*a, *x)
+
+
 def inverse(L: LieAlgebra, a: Sequence) -> List:
-    """Coordinates of a^{-1}: normal ordering of exp(-c6 x6)...exp(-c1 x1)."""
-    word = []
-    for g in range(L.dim, 0, -1):
-        word.append(_basis_vector(L, g, -a[g - 1]))
-    return normal_order(L, word)
+    """Coordinates of a^{-1}."""
+    return _law(L, "inv")[1](*a)
+
+
+def exp_coords(L: LieAlgebra, v: Sequence) -> List:
+    """Second-kind coordinates of exp(v) for a general Lie algebra element."""
+    return _law(L, "exp")[1](*v)
+
+
+def normal_order(L: LieAlgebra, word: Sequence[Sequence]) -> List:
+    """Second-kind coordinates of the product of exponentials exp(v) in word."""
+    mul = _law(L, "mul")[1]
+    out = [Fraction(0)] * L.dim
+    for v in word:
+        out = mul(*out, *exp_coords(L, v))
+    return out
 
 
 def left_invariant_fields(L: LieAlgebra) -> List[List[MultiPoly]]:
-    """fields[j-1][m] = coefficient polynomial of d/d(coord_m) in X_j (cached)."""
+    """fields[j-1][m] = coefficient polynomial of d/d(coord_m) in X_j (cached):
+    the derivative of mu_m(a, b) in b_j at b = 0, with a the coordinates."""
     cached = getattr(L, "_liv_fields", None)
     if cached is not None:
         return cached
-    _check_class(L)
-    formal = [MultiPoly.var(c) for c in COORDS]
-    t = MultiPoly.var("t")
-    fields = []
-    for j in range(1, L.dim + 1):
-        x = [MultiPoly.const(0)] * L.dim
-        x[j - 1] = t
-        prod = multiply(L, formal, x)
-        row = []
-        for m in range(L.dim):
-            p = MultiPoly.coerce(prod[m])
-            # sanity: setting t = 0 must give back the base point
-            assert p.coefficient_of("t", 0) == formal[m]
-            row.append(p.coefficient_of("t", 1))
-        fields.append(row)
+    mu = _law(L, "mul")[0]
+    env = {f"a{i}": MultiPoly.var(c) for i, c in enumerate(COORDS[:L.dim])}
+    env.update({f"b{i}": 0 for i in range(L.dim)})
+    fields = [[MultiPoly.coerce(p.partial(f"b{j}").eval(env)) for p in mu]
+              for j in range(L.dim)]
     L._liv_fields = fields
     return fields
-
-
-def left_invariant_field(L: LieAlgebra, j: int) -> List[MultiPoly]:
-    return left_invariant_fields(L)[j - 1]
 
 
 def _integrate_t(p: MultiPoly) -> MultiPoly:
@@ -214,33 +261,6 @@ def _integrate_t(p: MultiPoly) -> MultiPoly:
         ee[ti] = n + 1
         terms[tuple(ee)] = c * Fraction(1, n + 1)
     return MultiPoly(p.vars, terms)
-
-
-def exp_coords(L: LieAlgebra, v: Sequence) -> List:
-    """Second-kind coordinates of exp(v) for a general Lie algebra element.
-
-    Solves the flow c'(t) = sum_k v_k X_k(c(t)), c(0) = 0 exactly in Q[t];
-    the triangular basis makes the system solvable coordinate by coordinate.
-    """
-    fields = left_invariant_fields(L)
-    sol: List[MultiPoly] = []
-    for m in range(L.dim):
-        rhs = MultiPoly.const(0)
-        env = {COORDS[j]: sol[j] for j in range(m)}
-        for k in range(L.dim):
-            if _is_zero(v[k]):
-                continue
-            p = fields[k][m]
-            if not p.used_vars() - {"t"} <= set(COORDS[:m]):
-                raise ValueError("field coefficients are not triangular")
-            rhs = rhs + MultiPoly.coerce(p.eval(env)) * v[k]
-        sol.append(_integrate_t(MultiPoly.coerce(rhs)))
-    one = {"t": Fraction(1)}
-    out = []
-    for m in range(L.dim):
-        val = sol[m].eval(one)
-        out.append(val)
-    return out
 
 
 # -- M5: natural coordinates on the complex Heisenberg group ---------------

@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .acs import AlmostComplexStructure, classify_m, is_integrable
-from .catalogue import AlgebraEntry, DomainViolation
+from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted
 from .expr import evaluate
 from .liecore import LieAlgebra
 
@@ -177,7 +177,7 @@ def randomized_equivalence_search(entry: AlgebraEntry,
         for _ in range(attempts):
             try:
                 values = fam.random_admissible(rng)
-            except Exception:
+            except SamplingExhausted:
                 break
             phi = fam.instantiate_matrix(values)
             if act(L, phi, J1) == J2:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -132,3 +133,20 @@ def test_real_jacobian_nonzero_at_origin():
     phis = charts.chart_polys(rep, {"j36": Fraction(1)})
     origin = {c: Fraction(0) for c in group.COORDS}
     assert charts.real_jacobian_det(phis, origin) != 0
+
+
+def test_chi_skips_only_coordinate_dependent_defs():
+    # a def that needs the coordinates is skipped; any other error is a bug
+    # in the data and must surface instead of silently dropping the def
+    rep = catalogue.get("G6,3").representative("J0")
+    values = {}
+    phis = charts.chart_polys(rep, values)
+    fa = charts._phi_values(phis, [Fraction(1)] * 6)
+    fx = charts._phi_values(phis, [Fraction(2)] * 6)
+    assert set(charts.chi_corrections(rep, values, fa, fx)) == {2, 3}
+    broken = dataclasses.replace(rep, chart=dataclasses.replace(
+        rep.chart, defs=rep.chart.defs + (("broken", "1/0"),)))
+    with pytest.raises(ZeroDivisionError):
+        charts.chi_corrections(broken, values, fa, fx)
+    with pytest.raises(ZeroDivisionError):
+        charts.chi_depends_on_conjugate(broken, values)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nilcomplex import cli
 
 
@@ -29,6 +31,28 @@ def test_verify_representative(capsys):
 def test_verify_family_sweep(capsys):
     code, out = run(capsys, "verify", "--algebra", "M14+1", "--samples", "3")
     assert code == 0 and "3/3 integrable" in out
+
+
+def test_verify_family_sweep_json(capsys):
+    code, out = run(capsys, "verify", "--algebra", "M10", "--samples", "1", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["algebra"] == "M10"
+    assert doc["results"] and all(r == {"family": r["family"], "samples": 1, "failures": 0}
+                                  for r in doc["results"])
+
+
+def assert_usage_error(code, out):
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+
+
+@pytest.mark.parametrize("params", [
+    ["--rep", "1", "--param", "alpha=abc"],   # not a rational
+    ["--rep", "J_alpha", "--param", "alpha"],  # no value
+    ["--rep", "nope"],                         # unknown representative
+], ids=["not-rational", "no-value", "unknown-rep"])
+def test_verify_param_and_rep_usage_errors(capsys, params):
+    assert_usage_error(*run(capsys, "verify", "--algebra", "M10", *params))
 
 
 def test_sample_json_deterministic(capsys):
@@ -86,6 +110,19 @@ def test_mul(tmp_path, capsys):
     code, out = run(capsys, "mul", "G6,3", str(a), str(x))
     assert code == 0
     assert json.loads(out) == ["1", "1", "0", "-1", "0", "0"]
+
+
+@pytest.mark.parametrize("text", [
+    '["0", "1", "0"',                             # malformed JSON
+    '["0", "1", "0", "x", "0", "0"]',             # non-rational entry
+    '["0", "1", "0", "0", "0"]',                  # five coordinates
+], ids=["malformed-json", "non-rational", "wrong-length"])
+def test_mul_usage_errors(tmp_path, capsys, text):
+    a = tmp_path / "a.json"
+    x = tmp_path / "x.json"
+    a.write_text(text)
+    x.write_text(json.dumps(["1", "0", "0", "0", "0", "0"]))
+    assert_usage_error(*run(capsys, "mul", "G6,3", str(a), str(x)))
 
 
 def test_nonexistence_check(capsys):

@@ -87,6 +87,10 @@ class TestMultiply:
         assert group.multiply(L, [0] * 6, a) == a
         assert group.multiply(L, a, [0] * 6) == a
 
+    def test_wrong_length(self):
+        with pytest.raises(ValueError):
+            group.multiply(brackets_of("G6,6"), [0] * 5, [0] * 6)
+
     @settings(max_examples=20, deadline=None)
     @given(coords, coords, coords)
     def test_associativity(self, a, b, c):
@@ -177,3 +181,75 @@ class TestM5Model:
         rhs = group.normal_order(
             L, group.m5_natural_to_word(group.m5_matrix_multiply(a, x)))
         assert lhs == rhs
+
+
+# -- the compiled laws against the normal-ordering collector -----------------
+
+ALGEBRAS = [e.name for e in catalogue.entries()]
+A = [MultiPoly.var(f"a{i}") for i in range(6)]
+B = [MultiPoly.var(f"b{i}") for i in range(6)]
+V = [MultiPoly.var(f"v{i}") for i in range(6)]
+LAW_ARGS = {"mul": A + B, "inv": A, "exp": V}
+
+
+def mul_matches_collector(L):
+    return group.multiply(L, A, B) == group.collect(L, A, B)
+
+
+def inverse_is_formal_inverse(L):
+    return group.multiply(L, group.inverse(L, A), A) == [0] * 6
+
+
+def collector_fields(L):
+    """The t-linear part of a * exp(t x_j), collected on a formal base point."""
+    base = [MultiPoly.var(c) for c in group.COORDS]
+    t = MultiPoly.var("t")
+    fields = []
+    for j in range(6):
+        x = [MultiPoly.const(0)] * 6
+        x[j] = t
+        fields.append([MultiPoly.coerce(p).coefficient_of("t", 1)
+                       for p in group.collect(L, base, x)])
+    return fields
+
+
+def exp_solves_flow(L, fields):
+    """c(t) = exp(t v) has c(0) = 0 and c'(t) = sum_k v_k X_k(c(t)) exactly,
+    which determines it."""
+    t = MultiPoly.var("t")
+    c = [MultiPoly.coerce(p) for p in group.exp_coords(L, [t * v for v in V])]
+    env = dict(zip(group.COORDS, c))
+    for m in range(6):
+        rhs = MultiPoly.const(0)
+        for k in range(6):
+            rhs = rhs + MultiPoly.coerce(fields[k][m].eval(env)) * V[k]
+        if c[m].coefficient_of("t", 0) != 0 or c[m].partial("t") != rhs:
+            return False
+    return True
+
+
+ORACLES = {"mul": mul_matches_collector, "inv": inverse_is_formal_inverse,
+           "exp": lambda L: exp_solves_flow(L, collector_fields(L))}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_laws_match_collector(name):
+    L = brackets_of(name)
+    assert mul_matches_collector(L)
+    assert inverse_is_formal_inverse(L)
+    fields = collector_fields(L)
+    assert group.left_invariant_fields(L) == fields
+    assert exp_solves_flow(L, fields)
+
+
+@pytest.mark.parametrize("law", sorted(ORACLES))
+def test_perturbed_law_fails_its_oracle(monkeypatch, law):
+    L = brackets_of("M18+1")
+    polys, _ = group._law(L, law)
+    p = polys[-1]
+    e, c = max(p.terms.items())
+    bad = polys[:-1] + [MultiPoly(p.vars, {**p.terms, e: c + 1})]
+    names = [q.vars[0] for q in LAW_ARGS[law]]
+    assert ORACLES[law](L)
+    monkeypatch.setitem(L._group_laws, law, (bad, group._compile(bad, names)))
+    assert not ORACLES[law](L)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from nilcomplex import catalogue, linalg, orbits
 from nilcomplex.catalogue import DomainViolation
+from nilcomplex.expr import ExprError
 
 G63_WITNESS_M = [
     [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0],
@@ -173,3 +175,15 @@ def test_randomized_search():
     J3 = e7.representative("J_alpha").instantiate({"alpha": Fraction(3)})
     assert orbits.randomized_equivalence_search(
         e7, J2, J3, seed=0, attempts=60)["status"] == "inconclusive"
+
+
+def test_randomized_search_propagates_non_domain_errors():
+    # an exhausted sampler ends the search as "inconclusive", but a broken
+    # family (here a condition with an unbound symbol) is a bug, not a verdict
+    e = catalogue.get("G6,3")
+    J0 = e.representative("J0").instantiate({})
+    fam = e.automorphisms[0]
+    broken = dataclasses.replace(fam, conditions=fam.conditions + ("no_such_symbol",))
+    with pytest.raises(ExprError):
+        orbits.randomized_equivalence_search(
+            dataclasses.replace(e, automorphisms=(broken,)), J0, -J0, attempts=5)
