@@ -6,7 +6,7 @@ arithmetic (rank decisions excepted)."""
 from .exactnum import GaussianRational, MultiPoly, Rational
 from .liecore import LieAlgebra
 from .acs import (AlmostComplexStructure, classify_m, is_integrable,
-                  m_subalgebra, nijenhuis, square_check)
+                  m_subalgebra, nijenhuis)
 
 __all__ = [
     "AlmostComplexStructure",
@@ -18,7 +18,6 @@ __all__ = [
     "is_integrable",
     "m_subalgebra",
     "nijenhuis",
-    "square_check",
 ]
 
 __version__ = "0.1.0"

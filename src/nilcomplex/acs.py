@@ -82,10 +82,6 @@ class AlmostComplexStructure:
         return "ACS(" + "; ".join(" ".join(rational_str(x) for x in row) for row in self.m) + ")"
 
 
-def square_check(J: AlmostComplexStructure) -> bool:
-    return J.square_check()
-
-
 def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[Fraction]:
     """Torsion vector N(x_i, x_j); its x_k component is the scalar equation ij|k."""
     ei = [Fraction(1) if t == i - 1 else Fraction(0) for t in range(L.dim)]

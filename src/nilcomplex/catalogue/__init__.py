@@ -12,7 +12,6 @@ and admissible sampling happen here.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,9 +90,12 @@ class MatrixFamily:
     def continuous_params(self) -> List[str]:
         return [p.name for p in self.params if p.kind != "pm_one"]
 
-    def _env(self, values: Mapping[str, Fraction],
-             extra_conditions: Sequence[str] = ()) -> Dict[str, Fraction]:
-        """Kind checks, dependent definitions, then domain conditions."""
+    def check_domain(self, values: Mapping[str, Fraction],
+                     extra_conditions: Sequence[str] = ()) -> Dict[str, Fraction]:
+        """Kind checks, dependent definitions, then domain conditions.
+
+        Returns the validated scope: the parameters and the defs.
+        """
         missing = [p.name for p in self.params if p.name not in values]
         if missing:
             raise DomainViolation(f"{self.name}: unassigned parameters {missing}")
@@ -130,12 +132,8 @@ class MatrixFamily:
             check(cond)
         return env
 
-    def check_domain(self, values: Mapping[str, Fraction],
-                     extra_conditions: Sequence[str] = ()) -> None:
-        self._env(values, extra_conditions)
-
-    def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
-        env = self._env(values)
+    def _matrix(self, env: Mapping[str, Fraction]) -> AlmostComplexStructure:
+        """The entries evaluated in a scope that check_domain returned."""
         rows = []
         for row in self.entries:
             out = []
@@ -146,6 +144,9 @@ class MatrixFamily:
                     raise DomainViolation(f"{self.name}: entry {cell} undefined here") from None
             rows.append(out)
         return AlmostComplexStructure(rows)
+
+    def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
+        return self._matrix(self.check_domain(values))
 
     def instantiate_matrix(self, values: Mapping[str, Fraction]) -> List[List[Fraction]]:
         return self.instantiate(values).m
@@ -158,8 +159,7 @@ class MatrixFamily:
         for _ in range(attempts):
             values = {p.name: p.sample(rng) for p in self.params}
             try:
-                self.check_domain(values, extra_conditions)
-                self.instantiate(values)
+                self._matrix(self.check_domain(values, extra_conditions))
             except DomainViolation:
                 continue
             return values
@@ -213,8 +213,18 @@ class Representative(MatrixFamily):
     recognize: Tuple[Tuple[str, Tuple[int, int, Optional[str]]], ...] = ()
     notes: str = ""
 
-    def m_table_dict(self):
-        return {pair: dict(co) for pair, co in self.m_table}
+    def claimed_m_table(self, values: Mapping[str, Fraction]
+                        ) -> Dict[Tuple[int, int], List[GaussianRational]]:
+        """The catalogued bracket table of m at a parameter point, in the
+        form acs.check_m_table takes: pair -> coefficients of x~_1..x~_n."""
+        env = self.check_domain(values)
+        out = {}
+        for pair, co in self.m_table:
+            coeffs = [GaussianRational(0)] * len(self.entries)
+            for k, ce in co:
+                coeffs[k - 1] = GaussianRational.coerce(evaluate(ce, env))
+            out[pair] = coeffs
+        return out
 
 
 @dataclass(frozen=True)
@@ -274,16 +284,6 @@ def get(name: str) -> AlgebraEntry:
 
 def entries() -> List[AlgebraEntry]:
     return list(_REGISTRY.values())
-
-
-# convenience wrappers matching the operation names used elsewhere
-
-def sample_family(family: JFamily, params: Mapping[str, Fraction]) -> AlmostComplexStructure:
-    return family.instantiate(params)
-
-
-def random_admissible(family: MatrixFamily, rng) -> Dict[str, Fraction]:
-    return family.random_admissible(rng)
 
 
 # -- nonexistence spot-check targets ---------------------------------------
@@ -359,10 +359,6 @@ def dump_json() -> dict:
             "automorphisms": [fam(a) for a in e.automorphisms],
         })
     return out
-
-
-def dump_json_str() -> str:
-    return json.dumps(dump_json(), indent=1, sort_keys=True)
 
 
 def load_json(doc: dict) -> List[AlgebraEntry]:

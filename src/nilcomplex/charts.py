@@ -20,9 +20,6 @@ from .catalogue import AlgebraEntry, Representative
 from .exactnum import GaussianRational, MultiPoly
 from .expr import ExprError, evaluate
 
-COORD_PAIRS = (("x1", "y1"), ("x2", "y2"), ("x3", "y3"))
-
-
 class NotAnnihilated(AssertionError):
     def __init__(self, j, k, residual):
         super().__init__(f"X~_{j}^- phi^{k} != 0 (residual {residual!r})")
@@ -48,24 +45,6 @@ def fields_for(entry: AlgebraEntry) -> List[List[MultiPoly]]:
     if entry.natural_chart:
         return group.m5_natural_fields()
     return group.left_invariant_fields(entry.algebra)
-
-
-def check_fields_display(entry: AlgebraEntry) -> bool:
-    """Engine-derived fields equal the catalogued displays exactly."""
-    fields = fields_for(entry)
-    env = {c: MultiPoly.var(c) for c in group.COORDS}
-    displayed = dict(entry.fields_display)
-    for j in range(1, 7):
-        if j in displayed:
-            claim = [MultiPoly.coerce(evaluate(e, env)) for e in displayed[j]]
-        elif not entry.natural_chart:
-            # the four standard coordinate derivations
-            claim = [MultiPoly.const(1 if m == j - 1 else 0) for m in range(6)]
-        else:
-            continue
-        if any(fields[j - 1][m] != claim[m] for m in range(6)):
-            return False
-    return True
 
 
 def apply_derivation(coeffs: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
@@ -115,6 +94,20 @@ def chart_env(rep: Representative, values: Mapping[str, Fraction]) -> Dict:
     return env
 
 
+def _chi_env(rep: Representative, values: Mapping[str, Fraction]) -> Dict:
+    """Parameters, representative defs and the chart defs that need no
+    coordinates: the scope of the chi corrections."""
+    env: Dict = {k: Fraction(v) for k, v in values.items()}
+    for nm, e in rep.defs:
+        env[nm] = evaluate(e, env)
+    for nm, e in rep.chart.defs:
+        try:
+            env[nm] = evaluate(e, env)
+        except ExprError:
+            continue  # coordinate-dependent defs are not needed for chi
+    return env
+
+
 def chart_polys(rep: Representative, values: Mapping[str, Fraction]
                 ) -> List[MultiPoly]:
     env = chart_env(rep, values)
@@ -128,13 +121,7 @@ def verify_relations(entry: AlgebraEntry, rep: Representative,
     if not chart.relations:
         return True
     J = rep.instantiate(values)
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    for nm, e in rep.defs:
-        env[nm] = evaluate(e, env)
-    for c in group.COORDS:
-        env[c] = MultiPoly.var(c)
-    for nm, e in chart.defs:
-        env[nm] = evaluate(e, env)
+    env = chart_env(rep, values)
     i_unit = GaussianRational(0, 1)
 
     def gen(j):
@@ -151,25 +138,6 @@ def verify_relations(entry: AlgebraEntry, rep: Representative,
         if any(a != b for a, b in zip(lhs, rhs)):
             return False
     return True
-
-
-def complex_jacobian(phis: Sequence[MultiPoly], point: Mapping[str, Fraction]
-                     ) -> List[List[GaussianRational]]:
-    """(d phi^k / d z^l) at a point, z^l = x^l + i y^l."""
-    rows = []
-    for p in phis:
-        row = []
-        for xv, yv in COORD_PAIRS:
-            d = p.on_vars(tuple(sorted(set(p.vars) | {xv, yv}))).wirtinger(xv, yv, False)
-            row.append(GaussianRational.coerce(d.eval(point)))
-        rows.append(row)
-    return rows
-
-
-def _det3(m) -> GaussianRational:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def real_jacobian_det(phis: Sequence[MultiPoly], point: Mapping[str, Fraction]
@@ -231,14 +199,7 @@ def chi_corrections(rep: Representative, values: Mapping[str, Fraction],
                     phi_a: Sequence[GaussianRational],
                     phi_x: Sequence[GaussianRational]) -> Dict[int, GaussianRational]:
     chart = rep.chart
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    for nm, e in rep.defs:
-        env[nm] = evaluate(e, env)
-    for nm, e in chart.defs:
-        try:
-            env[nm] = evaluate(e, env)
-        except ExprError:
-            continue  # coordinate-dependent defs are not needed for chi
+    env = _chi_env(rep, values)
     for k in range(3):
         env[f"f{k+1}a"] = phi_a[k]
         env[f"f{k+1}x"] = phi_x[k]
@@ -308,14 +269,7 @@ def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]
     """
     chart = rep.chart
     rng = random.Random(seed)
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    for nm, e in rep.defs:
-        env[nm] = evaluate(e, env)
-    for nm, e in chart.defs:
-        try:
-            env[nm] = evaluate(e, env)
-        except ExprError:
-            continue  # coordinate-dependent defs are not needed for chi
+    env = _chi_env(rep, values)
     i_unit = GaussianRational(0, 1)
     pairs = []
     for k in range(1, 4):

@@ -11,7 +11,8 @@ import json
 from fractions import Fraction
 
 from . import catalogue, charts, group, moduli, orbits
-from .acs import AlmostComplexStructure, classify_m, is_integrable
+from .acs import (AlmostComplexStructure, BadSquare, NotClosed, Unclassifiable,
+                  check_m_table, classify_m, is_integrable)
 from .catalogue import DomainViolation, SamplingExhausted, UnknownAlgebra, UnknownMember
 from .exactnum import rational_str
 
@@ -44,7 +45,7 @@ def _params_from_args(pairs):
     return out
 
 
-def _load_matrix(path):
+def _load_json(path):
     with open(path) as f:
         try:
             return json.load(f)
@@ -52,8 +53,16 @@ def _load_matrix(path):
             raise UsageError(f"{path}: malformed JSON ({ex})") from None
 
 
+def _matrix(doc, n: int, what: str):
+    """An n x n array of rational strings, else a UsageError."""
+    if not (isinstance(doc, list) and len(doc) == n
+            and all(isinstance(row, list) and len(row) == n for row in doc)):
+        raise UsageError(f"{what}: expected a {n}x{n} array of rational strings")
+    return [[_rational(x, what) for x in row] for row in doc]
+
+
 def _load_coords(path):
-    doc = _load_matrix(path)
+    doc = _load_json(path)
     if not isinstance(doc, list):
         raise UsageError(f"{path}: expected an array of rational strings")
     return [_rational(c, path) for c in doc]
@@ -107,7 +116,7 @@ def cmd_show(args):
 def _resolve_J(args, e):
     """J from --rep/--param, --family/--param, or --j FILE."""
     if args.j:
-        return AlmostComplexStructure.from_json(_load_matrix(args.j)), None
+        return AlmostComplexStructure(_matrix(_load_json(args.j), e.algebra.dim, args.j)), None
     params = _params_from_args(args.param)
     if args.rep:
         r = e.representative(args.rep)
@@ -166,23 +175,25 @@ def cmd_verify(args):
 def cmd_classify_m(args):
     e = catalogue.get(args.algebra)
     J, _ = _resolve_J(args, e)
-    kind = classify_m(e.algebra, J)
     try:
-        inv = orbits.orbit_invariants(e, J)
-        params = {k: rational_str(v) for k, v in inv.get("params", {}).items()}
-        text = f"m is {kind}; matches {inv['representative']} at {params}"
-        payload = {"m": kind, "representative": inv["representative"], "params": params}
-    except orbits.NotInRepresentativeForm:
-        text = f"m is {kind}"
-        payload = {"m": kind, "representative": None}
+        kind = classify_m(e.algebra, J)
+    except (BadSquare, NotClosed, Unclassifiable) as ex:
+        _fail(f"{type(ex).__name__}: {ex}")
+    inv = orbits.orbit_invariants_soft(e, J)
+    payload = {"m": kind, "representative": inv["representative"]}
+    text = f"m is {kind}"
+    if "params" in inv:
+        payload["params"] = {k: rational_str(v) for k, v in inv["params"].items()}
+        text += f"; matches {inv['representative']} at {payload['params']}"
     _emit(args, payload, text)
     return 0
 
 
 def cmd_act(args):
     e = catalogue.get(args.algebra)
-    J = AlmostComplexStructure.from_json(_load_matrix(args.j))
-    phi = [[_rational(x, args.phi) for x in row] for row in _load_matrix(args.phi)]
+    n = e.algebra.dim
+    J = AlmostComplexStructure(_matrix(_load_json(args.j), n, args.j))
+    phi = _matrix(_load_json(args.phi), n, args.phi)
     try:
         out = orbits.act(e.algebra, phi, J)
     except orbits.NotAutomorphism as ex:
@@ -192,16 +203,22 @@ def cmd_act(args):
 
 
 def cmd_verify_witness(args):
-    doc = _load_matrix(args.file)
-    e = catalogue.get(args.algebra or doc["algebra"])
-    J1 = AlmostComplexStructure.from_json(doc["J1"])
-    J2 = AlmostComplexStructure.from_json(doc["J2"])
+    doc = _load_json(args.file)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.file}: expected a JSON object")
+    name = args.algebra or doc.get("algebra")
+    if not isinstance(name, str):
+        raise UsageError(f"{args.file}: no algebra name (give --algebra)")
+    e = catalogue.get(name)
+    n = e.algebra.dim
+    J1 = AlmostComplexStructure(_matrix(doc.get("J1"), n, f"{args.file} J1"))
+    J2 = AlmostComplexStructure(_matrix(doc.get("J2"), n, f"{args.file} J2"))
     if "phi" not in doc and args.search:
         found = orbits.randomized_equivalence_search(e, J1, J2, seed=args.seed,
                                                      attempts=args.search)
         print(f"randomized search: {found['status']}")
         return 0 if found["status"] == "equivalent" else 1
-    phi = [[_rational(x, args.file) for x in row] for row in doc["phi"]]
+    phi = _matrix(doc.get("phi"), n, f"{args.file} phi")
     ok = orbits.verify_witness(e.algebra, J1, J2, phi)
     print(f"witness {'accepted' if ok else 'REJECTED'} for {e.name}")
     return 0 if ok else 1
@@ -318,9 +335,6 @@ def cmd_report(args):
                 assert is_integrable(e.algebra, J), fam.name
 
     def rep_tables():
-        from .exactnum import GaussianRational
-        from .expr import evaluate
-        from .acs import check_m_table
         for r in e.representatives:
             values = r.random_admissible(args.seed)
             J = r.instantiate(values)
@@ -328,14 +342,7 @@ def cmd_report(args):
             if r.expected_m:
                 assert classify_m(e.algebra, J) == r.expected_m, r.name
             if r.m_table:
-                env = dict(r._env(values))
-                claimed = {}
-                for pair, co in r.m_table:
-                    coeffs = [GaussianRational(0)] * 6
-                    for k, ce in co:
-                        coeffs[k - 1] = GaussianRational.coerce(evaluate(ce, env))
-                    claimed[pair] = coeffs
-                assert check_m_table(e.algebra, J, claimed), r.name
+                assert check_m_table(e.algebra, J, r.claimed_m_table(values)), r.name
 
     def automorphisms():
         for fam in e.automorphisms:

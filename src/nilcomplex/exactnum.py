@@ -22,10 +22,6 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class GaussianRational:
     """Exact complex number re + i*im with rational re, im."""
 
@@ -406,22 +402,3 @@ class MultiPoly:
         return MultiPoly(tuple(d["vars"]),
                          {tuple(e): GaussianRational.from_json(c) for e, c in d["terms"]})
 
-
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    """Ring operation dispatch ('add' | 'sub' | 'mul')."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial(p: MultiPoly, var: str) -> MultiPoly:
-    return p.partial(var)
-
-
-def wirtinger(p: MultiPoly, pair, conjugate: bool = False) -> MultiPoly:
-    x_var, y_var = pair
-    return p.wirtinger(x_var, y_var, conjugate)

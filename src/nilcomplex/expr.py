@@ -7,8 +7,7 @@ functions, multiplication corrections) are stored as strings like
     "conj(f1a)^2*(1 - i*alpha)/8"
 
 and parsed here into small ASTs that support exact evaluation over any of
-the package's scalar rings (Fraction, GaussianRational, MultiPoly) plus
-exact symbolic differentiation with respect to a named parameter.
+the package's scalar rings (Fraction, GaussianRational, MultiPoly).
 
 The only constant symbol is ``i`` (the imaginary unit); ``conj`` is
 coefficient conjugation.  ``^`` is integer exponentiation; ``/`` requires
@@ -215,33 +214,3 @@ def free_symbols(node) -> set:
         return free_symbols(node[1])
     return free_symbols(node[1]) | free_symbols(node[2])
 
-
-def diff(node, var: str):
-    """Exact symbolic d/d(var); parameters are treated as real symbols."""
-    if isinstance(node, str):
-        node = parse(node)
-    op = node[0]
-    if op in ("num", "i"):
-        return ("num", 0)
-    if op == "var":
-        return ("num", 1) if node[1] == var else ("num", 0)
-    if op == "neg":
-        return ("neg", diff(node[1], var))
-    if op == "conj":
-        return ("conj", diff(node[1], var))
-    if op == "pow":
-        base, n = node[1], node[2]
-        if n == 0:
-            return ("num", 0)
-        return ("mul", ("mul", ("num", n), ("pow", base, n - 1)), diff(base, var))
-    a, b = node[1], node[2]
-    if op == "add":
-        return ("add", diff(a, var), diff(b, var))
-    if op == "sub":
-        return ("sub", diff(a, var), diff(b, var))
-    if op == "mul":
-        return ("add", ("mul", diff(a, var), b), ("mul", a, diff(b, var)))
-    if op == "div":
-        num = ("sub", ("mul", diff(a, var), b), ("mul", a, diff(b, var)))
-        return ("div", num, ("pow", b, 2))
-    raise ExprError(f"unknown node {op!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exactnum import GaussianRational, rational_str
+from .exactnum import rational_str
 from . import linalg
 
 
@@ -126,13 +126,6 @@ class LieAlgebra:
         dims = self.central_series()
         return len(dims) - 1
 
-    def derived_member_indices(self) -> List[int]:
-        """Basis indices k such that x_k can appear in a bracket output."""
-        out = set()
-        for row in self.table.values():
-            out.update(row)
-        return sorted(out)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -153,10 +146,3 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"
 
-
-def jacobi_check(L: LieAlgebra) -> bool:
-    return L.jacobi_check()
-
-
-def complexify(v: Sequence[Fraction]) -> List[GaussianRational]:
-    return [GaussianRational(c) for c in v]

@@ -22,7 +22,7 @@ import numpy as np
 from .acs import AlmostComplexStructure
 from .catalogue import AlgebraEntry, JFamily
 from .exactnum import MultiPoly, rational_str
-from .expr import diff, evaluate, parse
+from .expr import evaluate
 from .liecore import LieAlgebra
 
 DEFAULT_TOL = 1e-9
@@ -150,38 +150,70 @@ def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure,
     return 36 - jacobian_rank(L, J, tol)
 
 
-def _inline_defs(family: JFamily) -> List[str]:
-    """Entry expressions with dependent definitions textually inlined."""
-    import re
-    defs = dict()
-    for nm, e in family.defs:
-        ee = e
-        for k, v in defs.items():
-            ee = re.sub(rf"\b{k}\b", f"({v})", ee)
-        defs[nm] = ee
-    out = []
-    for r in family.entries:
-        for cell in r:
-            ee = cell
-            for k, v in defs.items():
-                ee = re.sub(rf"\b{k}\b", f"({v})", ee)
-            out.append(ee)
-    return out
+class _Dual:
+    """Exact dual number: a Fraction value and its Fraction gradient over
+    the continuous parameters.  Supports what family entries use: + - * /,
+    unary minus and integer powers (negative ones included)."""
+
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val: Fraction, grad: List[Fraction]):
+        self.val, self.grad = val, grad
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.val + o.val, [a + b for a, b in zip(self.grad, o.grad)])
+        return _Dual(self.val + o, self.grad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.val, [-a for a in self.grad])
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.val * o.val,
+                         [a * o.val + self.val * b for a, b in zip(self.grad, o.grad)])
+        return _Dual(self.val * o, [a * o for a in self.grad])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return self * o ** -1
+
+    def __rtruediv__(self, o):
+        return self ** -1 * o
+
+    def __pow__(self, n: int):
+        d = n * self.val ** (n - 1) if n else 0
+        return _Dual(self.val ** n, [a * d for a in self.grad])
 
 
 def family_rank(family: JFamily, values: Mapping[str, Fraction],
                 tol: float = DEFAULT_TOL) -> int:
-    """Rank of d(entries)/d(params) at an admissible point (exact partials)."""
+    """Rank of d(entries)/d(params) at an admissible point.
+
+    The partials are exact: dual numbers seeded on the continuous parameters
+    are pushed through the family's defs, in order, and then its entries.
+    """
     params = family.continuous_params()
-    env = {k: Fraction(v) for k, v in values.items()}
+    env: Dict = {k: Fraction(v) for k, v in values.items()}
+    zero = [Fraction(0)] * len(params)
+    for i, p in enumerate(params):
+        env[p] = _Dual(env[p], zero[:i] + [Fraction(1)] + zero[i + 1:])
+    for nm, e in family.defs:
+        env[nm] = evaluate(e, env)
     rows = []
-    for cell in _inline_defs(family):
-        ast = parse(cell)
-        row = []
-        for p in params:
-            v = evaluate(diff(ast, p), env)
-            row.append(v.re if hasattr(v, "re") else Fraction(v))
-        rows.append(row)
+    for row in family.entries:
+        for cell in row:
+            v = evaluate(cell, env)
+            rows.append(v.grad if isinstance(v, _Dual) else zero)
     return _svd_rank(rows, tol)
 
 

@@ -7,9 +7,7 @@ from nilcomplex import catalogue, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, check_m_table, classify_m,
                             is_integrable, m_subalgebra, nijenhuis,
-                            square_check, torsion_report)
-from nilcomplex.exactnum import GaussianRational
-from nilcomplex.expr import evaluate
+                            torsion_report)
 from nilcomplex.liecore import LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
@@ -23,23 +21,12 @@ IDENTITY = AlmostComplexStructure(
     [[1 if i == j else 0 for j in range(6)] for i in range(6)])
 
 
-def claimed_table(rep, values):
-    env = dict(rep._env(values))
-    out = {}
-    for pair, co in rep.m_table:
-        coeffs = [GaussianRational(0)] * 6
-        for k, ce in co:
-            coeffs[k - 1] = GaussianRational.coerce(evaluate(ce, env))
-        out[pair] = coeffs
-    return out
-
-
 def test_square_check():
-    assert square_check(J0)
-    assert not square_check(IDENTITY)
+    assert J0.square_check()
+    assert not IDENTITY.square_check()
     e = catalogue.get("G6,7")
     Ja = e.representative("J_alpha").instantiate({"alpha": Fraction(2)})
-    assert square_check(Ja)
+    assert Ja.square_check()
 
 
 def test_nijenhuis_examples():
@@ -90,7 +77,7 @@ def test_m_subalgebra_j0():
     m = m_subalgebra(g63.algebra, J0)
     assert m.complex_dim() == 3
     rep = g63.representative("J0")
-    assert check_m_table(g63.algebra, J0, claimed_table(rep, {}))
+    assert check_m_table(g63.algebra, J0, rep.claimed_m_table({}))
 
 
 def test_m_subalgebra_abelian_example():
@@ -157,5 +144,5 @@ def test_all_representative_tables():
             if rep.expected_m:
                 assert classify_m(e.algebra, J) == rep.expected_m
             if rep.m_table:
-                assert check_m_table(e.algebra, J, claimed_table(rep, values)), \
+                assert check_m_table(e.algebra, J, rep.claimed_m_table(values)), \
                     (e.name, rep.name)

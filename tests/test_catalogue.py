@@ -34,7 +34,7 @@ def test_sample_family_g67():
     fam = e.families[0]
     values = {p: Fraction(0) for p in fam.param_names()}
     values.update({"j12": Fraction(1), "j34": Fraction(2)})
-    J = catalogue.sample_family(fam, values)
+    J = fam.instantiate(values)
     assert is_integrable(e.algebra, J)
 
 
@@ -122,3 +122,25 @@ def test_nonexistence_spotcheck():
     for _ in range(6):
         J = fam.instantiate(fam.random_admissible(rng))
         assert is_integrable(L, J)
+
+
+def test_random_admissible_validates_once_per_attempt(monkeypatch):
+    fam = JFamily(name="toy", params=(ParamSpec("a"), ParamSpec("s", "pm_one")),
+                  entries=(("a", "s / a"), ("1", "s")), conditions=("a",))
+    calls = []
+    check_domain = catalogue.MatrixFamily.check_domain
+
+    def counted(self, values, extra_conditions=()):
+        calls.append(dict(values))
+        return check_domain(self, values, extra_conditions)
+
+    monkeypatch.setattr(catalogue.MatrixFamily, "check_domain", counted)
+    # s + 1 != 0 rejects s = -1; every rejected draw is one attempt
+    values = fam.random_admissible(random.Random(5), extra_conditions=("s + 1",))
+    assert values["s"] == 1
+    assert calls[-1] == values
+    assert len(calls) > 1 and all(c["s"] == -1 or c["a"] == 0 for c in calls[:-1])
+    del calls[:]
+    with pytest.raises(SamplingExhausted):
+        fam.random_admissible(random.Random(5), attempts=7, extra_conditions=("a - a",))
+    assert len(calls) == 7

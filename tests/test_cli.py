@@ -148,3 +148,53 @@ def test_unknown_algebra_fails(capsys):
 def test_report_m14_minus(capsys):
     code, out = run(capsys, "report", "M14-1")
     assert code == 0 and "fail integrability" in out
+
+
+SIX = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_j_file_must_be_a_rational_matrix(tmp_path, capsys):
+    path = _write(tmp_path, "j.json", [["x", "0"]])
+    assert_usage_error(*run(capsys, "verify", "--algebra", "G6,3", "--j", path))
+    path = _write(tmp_path, "j.json", [row[:] for row in SIX[:-1]] + [["0"] * 5 + ["x"]])
+    assert_usage_error(*run(capsys, "classify-m", "--algebra", "G6,3", "--j", path))
+
+
+@pytest.mark.parametrize("bad", ["j", "phi"])
+def test_act_matrix_usage_errors(tmp_path, capsys, bad):
+    files = {"j": _write(tmp_path, "j.json", SIX), "phi": _write(tmp_path, "phi.json", SIX)}
+    files[bad] = _write(tmp_path, "bad.json", [["1"]])
+    assert_usage_error(*run(capsys, "act", "--algebra", "G6,3",
+                            "--j", files["j"], "--phi", files["phi"]))
+
+
+@pytest.mark.parametrize("edit", [
+    {"J1": [["0"]], "J2": [["0"]], "phi": [["1"]]},  # 1x1 matrices
+    {"J1": [["0", "-1"], ["1", "0"]]},              # J1 of the wrong size
+    {"phi": None},                                  # no phi and no --search
+    {"algebra": None},                              # no algebra and no --algebra
+], ids=["one-by-one", "small-J1", "no-phi", "no-algebra"])
+def test_witness_file_usage_errors(tmp_path, capsys, edit):
+    doc = {"algebra": "G6,3", "J1": SIX, "J2": SIX, "phi": SIX}
+    doc.update(edit)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    path = _write(tmp_path, "witness.json", doc)
+    assert_usage_error(*run(capsys, "verify-witness", path))
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (SIX, "BadSquare"),  # the identity: J^2 = +1
+    ([["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
+      ["0", "0", "0", "-1", "0", "0"], ["0", "0", "1", "0", "0", "0"],
+      ["0", "0", "0", "0", "0", "-1"], ["0", "0", "0", "0", "1", "0"]], "NotClosed"),
+], ids=["bad-square", "not-closed"])
+def test_classify_m_rejects_non_complex_structures(tmp_path, capsys, matrix, error):
+    path = _write(tmp_path, "j.json", matrix)
+    code, out = run(capsys, "classify-m", "--algebra", "G6,3", "--j", path)
+    assert code == 1 and out.startswith(f"FAIL: {error}: ") and out.count("\n") == 1, out

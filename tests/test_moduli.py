@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from nilcomplex import catalogue, moduli
 from nilcomplex.acs import AlmostComplexStructure
+from nilcomplex.catalogue import JFamily, ParamSpec
 from nilcomplex.liecore import LieAlgebra
 
 J0 = AlmostComplexStructure([
@@ -72,3 +74,43 @@ def test_strata_of_m10_have_expected_dims():
         # every smooth point of the moduli set has tangent dimension 10
         assert rep["tangent_dims"] == [10, 10]
         assert all(s["family_rank"] == expected_rank for s in rep["samples"])
+
+
+def _rank_rows(monkeypatch, family, values):
+    """family_rank's exact Jacobian rows (what it hands to the SVD)."""
+    seen = []
+    svd_rank = moduli._svd_rank
+
+    def spy(rows, tol):
+        seen.append([list(r) for r in rows])
+        return svd_rank(rows, tol)
+
+    monkeypatch.setattr(moduli, "_svd_rank", spy)
+    rank = moduli.family_rank(family, values)
+    return rank, seen[0]
+
+
+def test_family_rank_gradient_matches_hand_derivative(monkeypatch):
+    # d = a/b, e = d^-2 + s*b = b^2/a^2 + s*b; s is a sign, not differentiated
+    fam = JFamily(name="toy", params=(ParamSpec("a"), ParamSpec("b"),
+                                      ParamSpec("s", "pm_one")),
+                  defs=(("d", "a/b"), ("e", "d^-2 + s*b")),
+                  entries=(("e", "a*d", "1/e"), ("2", "s", "b")))
+    a, b, s = Fraction(2), Fraction(3), Fraction(-1)
+    rank, rows = _rank_rows(monkeypatch, fam, {"a": a, "b": b, "s": s})
+    e = b ** 2 / a ** 2 + s * b
+    de = [-2 * b ** 2 / a ** 3, 2 * b / a ** 2 + s]
+    assert rows == [de,
+                    [2 * a / b, -a ** 2 / b ** 2],
+                    [-de[0] / e ** 2, -de[1] / e ** 2],
+                    [0, 0], [0, 0], [0, 1]]
+    assert rows[2] == [4, Fraction(-8, 9)]
+    assert rank == 2
+
+
+def test_family_rank_counts_directions_not_parameters():
+    # the entries see a and b only through a + b: one direction, two parameters
+    fam = JFamily(name="sum", params=(ParamSpec("a"), ParamSpec("b")),
+                  defs=(("t", "a + b"),), entries=(("t", "t^2", "1/t", "t*t - t"),))
+    assert fam.continuous_params() == ["a", "b"]
+    assert moduli.family_rank(fam, {"a": Fraction(1), "b": Fraction(2)}) == 1
