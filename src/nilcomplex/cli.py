@@ -176,12 +176,11 @@ def cmd_classify_m(args):
     e = catalogue.get(args.algebra)
     J, _ = _resolve_J(args, e)
     try:
-        kind = classify_m(e.algebra, J)
+        inv = orbits.orbit_invariants_soft(e, J)
     except (BadSquare, NotClosed, Unclassifiable) as ex:
         _fail(f"{type(ex).__name__}: {ex}")
-    inv = orbits.orbit_invariants_soft(e, J)
-    payload = {"m": kind, "representative": inv["representative"]}
-    text = f"m is {kind}"
+    payload = {"m": inv["m"], "representative": inv["representative"]}
+    text = f"m is {inv['m']}"
     if "params" in inv:
         payload["params"] = {k: rational_str(v) for k, v in inv["params"].items()}
         text += f"; matches {inv['representative']} at {payload['params']}"
@@ -482,10 +481,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as ex:
         return int(ex.code or 0)
-    except (UnknownAlgebra, DomainViolation, SamplingExhausted) as ex:
+    except (DomainViolation, SamplingExhausted) as ex:
         print(f"FAIL: {type(ex).__name__}: {ex}")
         return 1
-    except UnknownMember as ex:
+    except (UnknownAlgebra, UnknownMember) as ex:
         print(f"error: {ex.args[0]}")
         return 2
     except (UsageError, FileNotFoundError) as ex:

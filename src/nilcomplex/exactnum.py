@@ -295,11 +295,6 @@ class MultiPoly:
                 return c
         return None
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def used_vars(self) -> set:
         """Variables that actually occur with a nonzero exponent."""
         out = set()

@@ -20,7 +20,7 @@ def is_zero_scalar(x) -> bool:
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
     assert len(A[0]) == m
-    return [[sum((A[i][k] * B[k][j] for k in range(m)),
+    return [[sum((A[i][k] * B[k][j] for k in range(m) if A[i][k] and B[k][j]),
                  start=A[0][0] * 0) for j in range(p)] for i in range(n)]
 
 

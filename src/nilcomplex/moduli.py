@@ -6,9 +6,10 @@ projections ij|k.  (Some tabulations count the codomain as R^81 x R^36;
 duplicated or dependent rows cannot change any rank, so the full 90 are
 kept.)
 
-The Jacobian is assembled exactly (symbolic partials, rational
-evaluation); only the final rank decision uses floating singular values,
-guarded by a two-threshold stability check.
+The map is quadratic in the entries, so its Jacobian has a closed form,
+evaluated exactly from brackets of basis vectors and columns of J; only
+the final rank decision uses floating singular values, guarded by a
+two-threshold stability check.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from .acs import AlmostComplexStructure
+from . import linalg
+from .acs import AlmostComplexStructure, nijenhuis
 from .catalogue import AlgebraEntry, JFamily
-from .exactnum import MultiPoly, rational_str
+from .exactnum import rational_str
 from .expr import evaluate
 from .liecore import LieAlgebra
 
@@ -32,90 +34,57 @@ class RankUnstable(RuntimeError):
     """Rank differs between tol and 10*tol; resample the point."""
 
 
-def _entry_vars() -> List[str]:
-    return [f"j{k}{j}" for k in range(1, 7) for j in range(1, 7)]
+def constraint_eval(L: LieAlgebra, J: AlmostComplexStructure) -> List[Fraction]:
+    """Exact values of all 126 constraint components at J.
 
-
-def constraint_polys(L: LieAlgebra) -> List[MultiPoly]:
-    """The 126 components of the constraint map, cached on the algebra."""
-    cached = getattr(L, "_constraint_polys", None)
-    if cached is not None:
-        return cached
+    Row j*n + k is entry (k, j) of J^2 + 1; then come the torsion vectors
+    N(x_i, x_j) for i < j, one row per component.
+    """
     n = L.dim
-    cols = [[MultiPoly.var(f"j{k}{j}") for k in range(1, n + 1)]
-            for j in range(1, n + 1)]  # cols[j-1] = J x_{j}
-
-    def apply_J(v):
-        out = [MultiPoly.const(0)] * n
-        for j in range(n):
-            if isinstance(v[j], MultiPoly) and v[j].is_zero():
-                continue
-            for k in range(n):
-                out[k] = out[k] + cols[j][k] * v[j]
-        return out
-
-    polys: List[MultiPoly] = []
-    # J^2 + 1 entries
-    for j in range(1, n + 1):
-        sq = apply_J(cols[j - 1])
-        for k in range(n):
-            p = sq[k]
-            if k == j - 1:
-                p = p + 1
-            polys.append(MultiPoly.coerce(p))
-    # torsion projections ij|k
-    basis = [[Fraction(1) if t == s else Fraction(0) for t in range(n)]
-             for s in range(n)]
+    out = []
+    for j in range(n):
+        sq = J.apply(J.column(j + 1))
+        out.extend(sq[k] + (1 if k == j else 0) for k in range(n))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ei, ej = basis[i - 1], basis[j - 1]
-            t1 = L.bracket(cols[i - 1], cols[j - 1])
-            t2 = L.bracket(ei, ej)
-            t3 = apply_J(L.bracket(cols[i - 1], ej))
-            t4 = apply_J(L.bracket(ei, cols[j - 1]))
-            for k in range(n):
-                polys.append(MultiPoly.coerce(t1[k] - t2[k] - t3[k] - t4[k]))
-    L._constraint_polys = polys
-    return polys
-
-
-def _point_env(J: AlmostComplexStructure) -> Dict[str, Fraction]:
-    return {f"j{k}{j}": J.m[k - 1][j - 1]
-            for k in range(1, J.dim + 1) for j in range(1, J.dim + 1)}
-
-
-def constraint_eval(L: LieAlgebra, J: AlmostComplexStructure) -> List[Fraction]:
-    """Exact values of all 126 constraint components at J."""
-    env = _point_env(J)
-    out = []
-    for p in constraint_polys(L):
-        v = p.eval(env)
-        assert v.im == 0
-        out.append(v.re)
-    return out
-
-
-def _jacobian_polys(L: LieAlgebra) -> List[List[MultiPoly]]:
-    cached = getattr(L, "_constraint_jacobian", None)
-    if cached is not None:
-        return cached
-    names = _entry_vars()
-    out = [[p.partial(v) for v in names] for p in constraint_polys(L)]
-    L._constraint_jacobian = out
+            out.extend(nijenhuis(L, J, i, j))
     return out
 
 
 def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fraction]]:
-    """Exact 126 x 36 Jacobian of the constraint map at J."""
-    env = _point_env(J)
-    rows = []
-    for row in _jacobian_polys(L):
-        vals = []
-        for p in row:
-            v = p.eval(env)
-            assert v.im == 0
-            vals.append(v.re)
-        rows.append(vals)
+    """Exact 126 x 36 Jacobian of the constraint map at J.
+
+    The map is quadratic in J, so its derivative is closed form.  Column
+    r*n + c is the direction of the matrix unit H = E_rc (entry j{r}{c}):
+      d(J^2 + 1)(H) = JH + HJ,
+      dN(H)(x_i, x_j) = [Hx_i, Jx_j] + [Jx_i, Hx_j] - H([Jx_i, x_j] + [x_i, Jx_j])
+                        - J([Hx_i, x_j] + [x_i, Hx_j]).
+    As Hx_i = x_r if i = c (else 0), the torsion part is column j of
+    [ad x_r, J] at c = i, minus its column i at c = j, minus x_r times
+    entry c of [x_i, Jx_j] - [x_j, Jx_i].
+    """
+    n, m = L.dim, J.m
+    rows = [[Fraction(0)] * (n * n) for _ in range(n * n + n * n * (n - 1) // 2)]
+    for j in range(n):
+        for k in range(n):
+            for r in range(n):
+                rows[j * n + k][r * n + j] += m[k][r]
+                rows[j * n + k][k * n + r] += m[r][j]
+    ad = [[list(c) for c in zip(*(L.bracket_basis(r, t) for t in range(1, n + 1)))]
+          for r in range(1, n + 1)]
+    adJ = [linalg.mat_mul(a, m) for a in ad]  # adJ[r][k][j] = [x_r, Jx_j]_k
+    D = [[[p - q for p, q in zip(u, v)] for u, v in zip(x, linalg.mat_mul(m, a))]
+         for x, a in zip(adJ, ad)]  # D[r] = [ad x_r, J]
+    base = n * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = [adJ[i][k][j] - adJ[j][k][i] for k in range(n)]
+            for r in range(n):
+                for k in range(n):
+                    rows[base + k][r * n + i] += D[r][k][j]
+                    rows[base + k][r * n + j] -= D[r][k][i]
+                    rows[base + r][r * n + k] -= s[k]
+            base += n
     return rows
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from . import linalg
-from .acs import AlmostComplexStructure, classify_m, is_integrable
+from .acs import AlmostComplexStructure, classify_m
 from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted
 from .expr import evaluate
 from .liecore import LieAlgebra
@@ -89,29 +89,25 @@ def recognize_representative(entry: AlgebraEntry, J: AlmostComplexStructure):
     return None
 
 
-def orbit_invariants(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
-    """classify_m plus recovered canonical parameters where J matches a
-    catalogued representative template."""
-    if not is_integrable(entry.algebra, J):
-        raise ValueError("orbit invariants are defined for integrable J only")
-    out: Dict = {"m": classify_m(entry.algebra, J)}
+def orbit_invariants_soft(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
+    """The classify_m type of m, plus the representative and canonical
+    parameters where J matches a catalogued template (else representative
+    None).  A J that is not integrable raises BadSquare or NotClosed."""
+    out: Dict = {"m": classify_m(entry.algebra, J), "representative": None}
     match = recognize_representative(entry, J)
-    if match is None:
-        raise NotInRepresentativeForm(
-            f"J matches no representative of {entry.name}; "
-            f"invariants limited to m = {out['m']}")
-    rep, values = match
-    out["representative"] = rep.name
-    out["params"] = values
+    if match is not None:
+        out["representative"], out["params"] = match[0].name, match[1]
     return out
 
 
-def orbit_invariants_soft(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
-    """orbit_invariants, but degrades to the classify_m record."""
-    try:
-        return orbit_invariants(entry, J)
-    except NotInRepresentativeForm:
-        return {"m": classify_m(entry.algebra, J), "representative": None}
+def orbit_invariants(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
+    """orbit_invariants_soft for a J that is in a representative form."""
+    out = orbit_invariants_soft(entry, J)
+    if out["representative"] is None:
+        raise NotInRepresentativeForm(
+            f"J matches no representative of {entry.name}; "
+            f"invariants limited to m = {out['m']}")
+    return out
 
 
 # -- explicit equivalence predicates ----------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilcomplex import cli
+from nilcomplex import acs, cli, orbits
 
 
 def run(capsys, *argv):
@@ -142,7 +142,8 @@ def test_chart_verify_single(capsys):
 
 def test_unknown_algebra_fails(capsys):
     code, out = run(capsys, "show", "M2")
-    assert code == 1 and "UnknownAlgebra" in out
+    assert_usage_error(code, out)
+    assert out.startswith("error: unknown algebra 'M2'; "), out
 
 
 def test_report_m14_minus(capsys):
@@ -186,6 +187,24 @@ def test_witness_file_usage_errors(tmp_path, capsys, edit):
     doc = {k: v for k, v in doc.items() if v is not None}
     path = _write(tmp_path, "witness.json", doc)
     assert_usage_error(*run(capsys, "verify-witness", path))
+
+
+@pytest.mark.parametrize("source", [
+    ["--rep", "J_case21", "--param", "j21=1", "--param", "j65=1/2"],
+    ["--family", "case-1"],  # a family point in no representative form
+], ids=["representative", "family-point"])
+def test_classify_m_classifies_once(monkeypatch, capsys, source):
+    calls = []
+
+    def counted(L, J):
+        calls.append(J)
+        return acs.classify_m(L, J)
+
+    monkeypatch.setattr(cli, "classify_m", counted)
+    monkeypatch.setattr(orbits, "classify_m", counted)
+    code, out = run(capsys, "classify-m", "--algebra", "M10", *source, "--json")
+    assert code == 0 and len(calls) == 1
+    assert (json.loads(out)["representative"] is None) == (source[0] == "--family")
 
 
 @pytest.mark.parametrize("matrix, error", [
