@@ -136,9 +136,8 @@ class HolSubalgebra:
         rows = []
         idx = []
         for j, g in enumerate(gens, start=1):
-            cand = rows + [list(g)]
-            if linalg.rank(cand) > len(rows):
-                red, piv = linalg.rref(cand)
+            red, piv = linalg.rref(rows + [list(g)])
+            if len(piv) > len(rows):
                 rows = red[: len(piv)]
                 idx.append(j)
         self.basis_indices = idx

@@ -21,9 +21,13 @@ from .exactnum import GaussianRational, MultiPoly
 from .expr import ExprError, evaluate
 
 class NotAnnihilated(AssertionError):
-    def __init__(self, j, k, residual):
-        super().__init__(f"X~_{j}^- phi^{k} != 0 (residual {residual!r})")
-        self.j, self.k, self.residual = j, k, residual
+    """Some X~_j^- phi^k != 0; `failing` lists every such (j, k)."""
+
+    def __init__(self, failing, residual):
+        j, k = failing[0]
+        super().__init__(f"X~_j^- phi^k != 0 for (j, k) in {failing} "
+                         f"(residual of X~_{j}^- phi^{k}: {residual!r})")
+        self.failing, self.residual = failing, residual
 
 
 class DegenerateJacobian(AssertionError):
@@ -164,18 +168,17 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
                  jacobian_points: int = 10, seed: int = 0,
                  phis: Sequence[MultiPoly] | None = None) -> Dict:
     """Exact holomorphy of the chart triple under all six fields, plus an
-    invertibility spot-check of the complex Jacobian."""
+    invertibility spot-check of the complex Jacobian.  All 18 identities
+    are checked before NotAnnihilated names the failing ones."""
     J = rep.instantiate(values)
     if phis is None:
         phis = chart_polys(rep, values)
     ahf = antiholo_fields(entry, J)
-    checked = []
-    for j in range(1, 7):
-        for k in range(1, 4):
-            res = apply_derivation(ahf[j - 1], phis[k - 1])
-            if not res.is_zero():
-                raise NotAnnihilated(j, k, res)
-            checked.append((j, k))
+    residuals = {(j, k): apply_derivation(ahf[j - 1], phis[k - 1])
+                 for j in range(1, 7) for k in range(1, 4)}
+    failing = [jk for jk, res in residuals.items() if not res.is_zero()]
+    if failing:
+        raise NotAnnihilated(failing, residuals[failing[0]])
     if not verify_relations(entry, rep, values):
         raise AssertionError(f"{entry.name}/{rep.name}: displayed field "
                              "dependencies fail")
@@ -185,7 +188,7 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
                  for c in group.COORDS}
         if real_jacobian_det(phis, point) == 0:
             raise DegenerateJacobian(point)
-    return {"identities": len(checked), "jacobian_points": jacobian_points,
+    return {"identities": len(residuals), "jacobian_points": jacobian_points,
             "generators": list(rep.chart.generators)}
 
 

@@ -6,23 +6,27 @@ functions, multiplication corrections) are stored as strings like
     "(j55^2 + 1)*(j24 - j13)/(j24*j13)"
     "conj(f1a)^2*(1 - i*alpha)/8"
 
-and parsed here into small ASTs that support exact evaluation over any of
-the package's scalar rings (Fraction, GaussianRational, MultiPoly).
+Each string is parsed once into Python source and compiled; evaluating it
+is one ``eval`` of that code in the caller's symbols.  Python operators keep
+it exact over every scalar ring of the package (Fraction, GaussianRational,
+MultiPoly, dual numbers), and integer literals are Fraction constants.
 
 The only constant symbol is ``i`` (the imaginary unit); ``conj`` is
-coefficient conjugation.  ``^`` is integer exponentiation; ``/`` requires
-the divisor to evaluate to an exact nonzero constant.
+coefficient conjugation.  ``^`` (or ``**``) raises to an integer literal;
+``/`` requires the divisor to evaluate to an exact nonzero constant.
+Symbols may not start with ``_`` or be Python keywords.
 """
 
 from __future__ import annotations
 
+import keyword
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import GaussianRational, MultiPoly
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^,]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^,])|(\S))")
 
 
 class ExprError(ValueError):
@@ -31,29 +35,27 @@ class ExprError(ValueError):
 
 def _tokenize(s: str):
     out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
-            if s[pos:].strip() == "":
-                break
-            raise ExprError(f"bad token at {s[pos:pos+20]!r}")
-        pos = m.end()
-        if m.group(1):
-            out.append(("num", int(m.group(1))))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
+    for m in _TOKEN.finditer(s):
+        num, name, op, bad = m.groups()
+        if bad:
+            raise ExprError(f"bad token at {s[m.start(4):m.start(4) + 20]!r}")
+        if num:
+            out.append(("num", int(num)))
+        elif name:
+            out.append(("name", name))
         else:
-            op = m.group(3)
             out.append(("op", "^" if op == "**" else op))
     out.append(("end", None))
     return out
 
 
 class _Parser:
+    """Recursive descent; each rule returns Python source for its value."""
+
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.consts = {}
 
     def peek(self):
         return self.toks[self.pos]
@@ -63,10 +65,17 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, ops):
+        """Take the next token if it is one of the operators ops."""
+        kind, val = self.peek()
+        if kind == "op" and val in ops:
+            self.pos += 1
+            return val
+        return None
+
     def expect(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}, got {val!r}")
+        if not self.accept(op):
+            raise ExprError(f"expected {op!r}, got {self.peek()[1]!r}")
 
     def parse(self):
         e = self.expr()
@@ -75,142 +84,102 @@ class _Parser:
         return e
 
     def expr(self):
-        kind, val = self.peek()
-        neg = False
-        if kind == "op" and val in "+-":
-            self.take()
-            neg = val == "-"
-        node = self.term()
-        if neg:
-            node = ("neg", node)
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+        sign = self.accept("+-")
+        src = self.term()
+        if sign == "-":
+            src = f"-({src})"
+        while op := self.accept("+-"):
+            src = f"{src} {op} {self.term()}"
+        return src
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                node = ("mul" if val == "*" else "div", node, rhs)
-            else:
-                return node
+        src = self.factor()
+        while op := self.accept("*/"):
+            rhs = self.factor()
+            src = f"{src} * {rhs}" if op == "*" else f"_div({src}, {rhs})"
+        return src
 
     def factor(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return ("neg", self.factor())
-        node = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k2, v2 = self.take()
-            sign = 1
-            if k2 == "op" and v2 == "-":
-                sign = -1
-                k2, v2 = self.take()
-            if k2 != "num":
+        if self.accept("-"):
+            return f"(-{self.factor()})"
+        src = self.atom()
+        if self.accept("^"):
+            neg = self.accept("-")
+            kind, n = self.take()
+            if kind != "num":
                 raise ExprError("exponent must be an integer literal")
-            node = ("pow", node, sign * v2)
-        return node
+            src = f"_pow({src}, -{n})" if neg and n else f"{src} ** {n}"
+        return src
 
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            return ("num", val)
+            self.consts[f"_{val}"] = Fraction(val)
+            return f"_{val}"
         if kind == "name":
             if val == "conj":
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")
-                return ("conj", inner)
+                return f"_conj({inner})"
             if val == "i":
-                return ("i",)
-            return ("var", val)
+                return "_i"
+            if val.startswith("_") or keyword.iskeyword(val):
+                raise ExprError(f"reserved name {val!r}")
+            return val
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect(")")
-            return inner
+            return f"({inner})"
         raise ExprError(f"unexpected token {val!r}")
 
 
+def _conj(v):
+    if isinstance(v, (int, Fraction)):
+        return v
+    return v.conj()
+
+
+def _div(a, b):
+    if isinstance(b, int):
+        b = Fraction(b)
+    if isinstance(a, int):
+        a = Fraction(a)
+    return a / b
+
+
+def _pow(a, n: int):
+    """a ** n for a negative literal n: only an exact constant inverts."""
+    if isinstance(a, MultiPoly):
+        a = a.constant_value()
+        if a is None:
+            raise ExprError("negative power of a non-constant polynomial")
+    if isinstance(a, int):
+        a = Fraction(a)
+    return a ** n
+
+
+_HELPERS = {"__builtins__": {}, "_i": GaussianRational(0, 1),
+            "_conj": _conj, "_div": _div, "_pow": _pow}
+
+
 @lru_cache(maxsize=None)
-def parse(s: str):
-    return _Parser(_tokenize(s)).parse()
+def _compile(s: str):
+    """(code, scope, free symbols) of a formula string, built once."""
+    parser = _Parser(_tokenize(s))
+    code = compile(parser.parse(), "<formula>", "eval")
+    scope = {**_HELPERS, **parser.consts}
+    return code, scope, frozenset(code.co_names) - scope.keys()
 
 
-_I = GaussianRational(0, 1)
+def evaluate(s: str, env):
+    """Value of formula s in env: name -> scalar, polynomial or dual number."""
+    code, scope, _ = _compile(s)
+    try:
+        return eval(code, scope, env)
+    except NameError as ex:
+        raise ExprError(f"unbound symbol {ex.name!r}") from None
 
 
-def evaluate(node, env):
-    """Evaluate an AST (or source string) in env: name -> scalar/polynomial."""
-    if isinstance(node, str):
-        node = parse(node)
-    op = node[0]
-    if op == "num":
-        return Fraction(node[1])
-    if op == "i":
-        return _I
-    if op == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ExprError(f"unbound symbol {node[1]!r}") from None
-    if op == "neg":
-        return -evaluate(node[1], env)
-    if op == "conj":
-        v = evaluate(node[1], env)
-        if isinstance(v, (int, Fraction)):
-            return v
-        return v.conj()
-    a = evaluate(node[1], env)
-    if op == "pow":
-        n = node[2]
-        if n < 0:
-            if isinstance(a, MultiPoly):
-                c = a.constant_value()
-                if c is None:
-                    raise ExprError("negative power of a non-constant polynomial")
-                a = c
-            if isinstance(a, Fraction) or isinstance(a, int):
-                return Fraction(a) ** n
-            return a ** n
-        return a ** n
-    b = evaluate(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(b, int):
-            b = Fraction(b)
-        if isinstance(a, int):
-            a = Fraction(a)
-        return a / b
-    raise ExprError(f"unknown node {op!r}")
-
-
-def free_symbols(node) -> set:
-    if isinstance(node, str):
-        node = parse(node)
-    op = node[0]
-    if op == "var":
-        return {node[1]}
-    if op in ("num", "i"):
-        return set()
-    if op in ("neg", "conj"):
-        return free_symbols(node[1])
-    if op == "pow":
-        return free_symbols(node[1])
-    return free_symbols(node[1]) | free_symbols(node[2])
-
+def free_symbols(s: str) -> frozenset:
+    return _compile(s)[2]

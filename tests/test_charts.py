@@ -150,3 +150,21 @@ def test_chi_skips_only_coordinate_dependent_defs():
         charts.chi_corrections(broken, values, fa, fx)
     with pytest.raises(ZeroDivisionError):
         charts.chi_depends_on_conjugate(broken, values)
+
+
+def test_not_annihilated_lists_every_failing_identity():
+    # the phi^2 mutation of test_mutation_detected, checked against an
+    # independent pass over all 18 identities
+    e = catalogue.get("G6,3")
+    rep = e.representative("J0")
+    phis = list(charts.chart_polys(rep, {}))
+    phis[1] = charts.chart_polys(dataclasses.replace(rep, chart=dataclasses.replace(
+        rep.chart, phis=(rep.chart.phis[0], "w2 + w1*conj(w1)/4 + conj(w1)^2/8",
+                         rep.chart.phis[2]))), {})[1]
+    with pytest.raises(charts.NotAnnihilated) as ex:
+        charts.verify_chart(e, rep, {}, jacobian_points=1, phis=phis)
+    ahf = charts.antiholo_fields(e, rep.instantiate({}))
+    expected = [(j, k) for j in range(1, 7) for k in range(1, 4)
+                if not charts.apply_derivation(ahf[j - 1], phis[k - 1]).is_zero()]
+    assert len(expected) > 1 and ex.value.failing == expected
+    assert ex.value.residual == charts.apply_derivation(ahf[expected[0][0] - 1], phis[1])

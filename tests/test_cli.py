@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilcomplex import acs, cli, orbits
+from nilcomplex import acs, charts, cli, orbits
 
 
 def run(capsys, *argv):
@@ -217,3 +217,57 @@ def test_classify_m_rejects_non_complex_structures(tmp_path, capsys, matrix, err
     path = _write(tmp_path, "j.json", matrix)
     code, out = run(capsys, "classify-m", "--algebra", "G6,3", "--j", path)
     assert code == 1 and out.startswith(f"FAIL: {error}: ") and out.count("\n") == 1, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli-dim", "M10", "--samples", "-2"],
+    ["verify", "--algebra", "G6,3", "--samples", "-5"],
+    ["nonexistence-check", "M14-1", "--samples", "0"],
+    ["report", "M10", "--samples", "-1"],
+    ["chart-verify", "M10", "--seeds", "-1"],
+    ["chart-verify", "M10", "--pairs", "0"],
+], ids=["moduli-dim", "verify", "nonexistence-check", "report", "seeds", "pairs"])
+def test_counts_must_be_positive(capsys, argv):
+    # a zero or negative count would make every check pass vacuously
+    with pytest.raises(SystemExit) as ex:
+        cli.main(argv)
+    assert ex.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_verify_checks_the_given_param(capsys):
+    # case-1 requires j21 != 0: the family sweep must not drop --param
+    code, out = run(capsys, "verify", "--algebra", "M10", "--family", "case-1",
+                    "--param", "j21=0", "--samples", "1")
+    assert code == 1 and "DomainViolation" in out and "j21" in out
+    code, out = run(capsys, "verify", "--algebra", "M10", "--family", "case-1",
+                    "--param", "j21=1")
+    assert code == 0 and out == "M10: integrable = True\n"
+
+
+@pytest.mark.parametrize("source", [
+    ["--rep", "J_alpha", "--param", "alpha=2", "--param", "zzz=3"],
+    ["--family", "general", "--param", "zzz=3"],
+], ids=["representative", "family"])
+def test_unknown_param_is_a_usage_error(capsys, source):
+    assert_usage_error(*run(capsys, "verify", "--algebra", "G6,7", *source))
+
+
+def test_param_with_j_file_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "j.json", SIX)
+    assert_usage_error(*run(capsys, "verify", "--algebra", "G6,3", "--j", path,
+                            "--param", "alpha=2"))
+
+
+def test_chart_verify_checks_annihilation_once(monkeypatch, capsys):
+    calls = []
+    derivation = charts.apply_derivation
+
+    def counted(coeffs, p):
+        calls.append(p)
+        return derivation(coeffs, p)
+
+    monkeypatch.setattr(charts, "apply_derivation", counted)
+    code, out = run(capsys, "chart-verify", "G6,3", "--seeds", "1", "--pairs", "1")
+    assert code == 0 and out.count("pass") == 19
+    assert len(calls) == 18
