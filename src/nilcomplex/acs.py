@@ -1,13 +1,16 @@
 """Almost complex structures: J^2 = -1, Nijenhuis torsion, the holomorphic
-subalgebra m = g^(1,0) and its abelian/Heisenberg classification."""
+subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
+
+Integrability, closure of m and the moduli Jacobian all evaluate one
+object, `constraint_map`; `nijenhuis` is the direct per-pair oracle."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import GaussianRational, rational_str
-from .liecore import LieAlgebra
+from .liecore import DimensionMismatch, LieAlgebra
 from . import linalg
 
 
@@ -74,10 +77,6 @@ class AlmostComplexStructure:
     def to_json(self):
         return [[rational_str(x) for x in row] for row in self.m]
 
-    @staticmethod
-    def from_json(rows) -> "AlmostComplexStructure":
-        return AlmostComplexStructure([[Fraction(x) for x in row] for row in rows])
-
     def __repr__(self):
         return "ACS(" + "; ".join(" ".join(rational_str(x) for x in row) for row in self.m) + ")"
 
@@ -105,14 +104,64 @@ def torsion_report(L: LieAlgebra, J: AlmostComplexStructure):
     return out
 
 
+def _quadratic_form(const, triples):
+    """const + sum c*f_p*f_q over the triples, like terms merged, p <= q."""
+    terms: Dict[Tuple[int, int], Fraction] = {}
+    for p, q, c in triples:
+        if c:
+            key = (p, q) if p <= q else (q, p)
+            terms[key] = terms.get(key, 0) + c
+    return Fraction(const), tuple((p, q, c) for (p, q), c in sorted(terms.items()) if c)
+
+
+def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
+    """Entry k of [Jx_i, Jx_j] - J[Jx_i, x_j] - J[x_i, Jx_j], from the
+    nonzero structure constants [x_a, x_b]_m = c."""
+    for a, b, m, c in nonzero:
+        if m == k:
+            yield a * n + i, b * n + j, c
+        if b == j:
+            yield k * n + m, a * n + i, -c
+        if a == i:
+            yield k * n + m, b * n + j, -c
+
+
+def constraint_map(L: LieAlgebra) -> List[Tuple]:
+    """The 126 components of J -> (J^2 + 1, N) as quadratic forms (cached).
+
+    With f the entries of J row by row (f[r*n + c] = J[r][c]), a component
+    (const, ((p, q, c), ...)) has the value const + sum c*f_p*f_q.  Row
+    j*n + k is entry (k, j) of J^2 + 1; then come the torsion vectors
+    N(x_i, x_j) = [Jx_i, Jx_j] - [x_i, x_j] - J[Jx_i, x_j] - J[x_i, Jx_j]
+    for i < j, one row per component.
+    """
+    cmap = L.__dict__.get("_constraint_map")
+    if cmap is None:
+        n = L.dim
+        ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+        cmap = [_quadratic_form(int(k == j), ((k * n + r, r * n + j, Fraction(1))
+                                              for r in range(n)))
+                for j in range(n) for k in range(n)]
+        nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
+                   for m, c in enumerate(ad[a][b]) if c]
+        cmap += [_quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k))
+                 for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        L._constraint_map = cmap
+    return cmap
+
+
+def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:
+    """The components of the constraint map at J, in order, computed lazily."""
+    if J.dim != L.dim:
+        raise DimensionMismatch(f"expected a {L.dim}x{L.dim} matrix")
+    f = [x for row in J.m for x in row]
+    for const, terms in constraint_map(L):
+        yield sum((c * f[p] * f[q] for p, q, c in terms if f[p] and f[q]), const)
+
+
 def is_integrable(L: LieAlgebra, J: AlmostComplexStructure) -> bool:
-    if not J.square_check():
-        return False
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            if any(x != 0 for x in nijenhuis(L, J, i, j)):
-                return False
-    return True
+    """J^2 = -1 and N = 0; stops at the first nonzero component."""
+    return not any(constraint_values(L, J))
 
 
 class HolSubalgebra:
@@ -126,7 +175,6 @@ class HolSubalgebra:
     def __init__(self, L: LieAlgebra, J: AlmostComplexStructure):
         n = L.dim
         self.L = L
-        self.J = J
         gens = []
         for j in range(1, n + 1):
             col = J.column(j)
@@ -141,22 +189,9 @@ class HolSubalgebra:
                 rows = red[: len(piv)]
                 idx.append(j)
         self.basis_indices = idx
-        self._rref_rows = rows
 
     def complex_dim(self) -> int:
         return len(self.basis_indices)
-
-    def contains(self, v: Sequence[GaussianRational]) -> bool:
-        return linalg.rank(self._rref_rows + [list(v)]) == len(self._rref_rows)
-
-    def closed(self) -> bool:
-        idx = self.basis_indices
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                w = self.L.bracket(self.generators[idx[a] - 1], self.generators[idx[b] - 1])
-                if not self.contains(w):
-                    return False
-        return True
 
     def bracket_in_generators(self, i: int, j: int):
         """[x~_i, x~_j] expressed over the generator family, or None if not in m.
@@ -189,12 +224,12 @@ class HolSubalgebra:
 
 
 def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> HolSubalgebra:
+    """m = g^(1,0); for J^2 = -1 it is a subalgebra exactly when N = 0."""
     if not J.square_check():
         raise BadSquare("J^2 != -1")
-    m = HolSubalgebra(L, J)
-    if not m.closed():
+    if not is_integrable(L, J):
         raise NotClosed("m is not a subalgebra; J is not integrable")
-    return m
+    return HolSubalgebra(L, J)
 
 
 ABELIAN = "abelian"
@@ -234,16 +269,11 @@ def check_m_table(L: LieAlgebra, J: AlmostComplexStructure,
     for i in range(1, L.dim + 1):
         for j in range(i + 1, L.dim + 1):
             lhs = L.bracket(m.generators[i - 1], m.generators[j - 1])
-            coeffs = claimed.get((i, j))
-            if coeffs is None:
-                rhs = [GaussianRational(0)] * L.dim
-            else:
-                rhs = [GaussianRational(0)] * L.dim
-                for k, c in enumerate(coeffs):
-                    c = GaussianRational.coerce(c)
-                    if not c.is_zero():
-                        g = m.generators[k]
-                        rhs = [r + c * gc for r, gc in zip(rhs, g)]
+            rhs = [GaussianRational(0)] * L.dim
+            for k, c in enumerate(claimed.get((i, j)) or ()):
+                c = GaussianRational.coerce(c)
+                if not c.is_zero():
+                    rhs = [r + c * gc for r, gc in zip(rhs, m.generators[k])]
             if any(a != b for a, b in zip(lhs, rhs)):
                 return False
     return True

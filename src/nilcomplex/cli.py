@@ -227,11 +227,13 @@ def cmd_verify_witness(args):
     if "phi" not in doc and args.search:
         found = orbits.randomized_equivalence_search(e, J1, J2, seed=args.seed,
                                                      attempts=args.search)
-        print(f"randomized search: {found['status']}")
+        _emit(args, {"algebra": e.name, "status": found["status"]},
+              f"randomized search: {found['status']}")
         return 0 if found["status"] == "equivalent" else 1
     phi = _matrix(doc.get("phi"), n, f"{args.file} phi")
     ok = orbits.verify_witness(e.algebra, J1, J2, phi)
-    print(f"witness {'accepted' if ok else 'REJECTED'} for {e.name}")
+    _emit(args, {"algebra": e.name, "accepted": ok},
+          f"witness {'accepted' if ok else 'REJECTED'} for {e.name}")
     return 0 if ok else 1
 
 
@@ -250,17 +252,18 @@ def cmd_chart_verify(args):
     e = catalogue.get(args.algebra)
     reps = [e.representative(args.rep)] if args.rep else \
         [r for r in e.representatives if r.chart is not None]
-    failures = 0
+    lines, results = [], []
     for r in reps:
         if r.chart is None:
-            print(f"{e.name}/{r.name}: no chart catalogued")
+            lines.append(f"{e.name}/{r.name}: no chart catalogued")
+            results.append({"representative": r.name, "status": "no chart catalogued"})
             continue
         for n in range(args.seeds):
             values = r.random_admissible(args.seed + n,
                                          extra_conditions=r.chart.conditions)
             phis = charts.chart_polys(r, values)
             shown = {k: rational_str(v) for k, v in sorted(values.items())}
-            print(f"{e.name}/{r.name} @ {shown}")
+            lines.append(f"{e.name}/{r.name} @ {shown}")
             failing = ()
             try:
                 charts.verify_chart(e, r, values, jacobian_points=10,
@@ -272,13 +275,14 @@ def cmd_chart_verify(args):
                 failing, status = ex.failing, f"FAIL ({ex})"
             except AssertionError as ex:  # DegenerateJacobian, Mismatch, relations
                 status = f"FAIL ({ex})"
-            for j in range(1, 7):
-                print(f"  X~_{j}^- phi^1..3: " + "  ".join(
-                    "FAIL" if (j, k) in failing else "pass" for k in range(1, 4)))
-            if status != "pass":
-                failures += 1
-            print(f"  jacobian + relations + multiplication: {status}")
-    return 0 if failures == 0 else 1
+            lines.extend(f"  X~_{j}^- phi^1..3: " + "  ".join(
+                "FAIL" if (j, k) in failing else "pass" for k in range(1, 4))
+                for j in range(1, 7))
+            lines.append(f"  jacobian + relations + multiplication: {status}")
+            results.append({"representative": r.name, "seed": args.seed + n, "params": shown,
+                            "status": status, "failing": [list(p) for p in failing]})
+    _emit(args, {"algebra": e.name, "results": results}, "\n".join(lines))
+    return 1 if any(x["status"].startswith("FAIL") for x in results) else 0
 
 
 def cmd_moduli_dim(args):
@@ -287,27 +291,21 @@ def cmd_moduli_dim(args):
     rep = moduli.dimension_report(e, family=fam, samples=args.samples,
                                   tol=args.tol, seed=args.seed)
     verdict = "pass" if rep["agree"] == len(rep["tangent_dims"]) else "FAIL"
-    if args.json:
-        print(json.dumps(rep, indent=1, sort_keys=True))
-    else:
-        for s in rep["samples"]:
-            print(f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
-                  f"family rank {s['family_rank']}")
-        print(f"{e.name}: expected {rep['expected_dim']}, "
-              f"agree {rep['agree']}/{len(rep['tangent_dims'])} -> {verdict}")
+    _emit(args, rep, "\n".join(
+        [f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
+         f"family rank {s['family_rank']}" for s in rep["samples"]]
+        + [f"{e.name}: expected {rep['expected_dim']}, "
+           f"agree {rep['agree']}/{len(rep['tangent_dims'])} -> {verdict}"]))
     return 0 if verdict == "pass" else 1
 
 
 def cmd_nonexistence_check(args):
     rep = catalogue.nonexistence_spotcheck(args.name, samples=args.samples,
                                            seed=args.seed)
-    if args.json:
-        print(json.dumps(rep, indent=1, sort_keys=True))
-    else:
-        n = len(rep["samples"])
-        bad = sum(1 for s in rep["samples"] if s["integrable"])
-        print(f"{args.name}: {n - bad}/{n} samples fail integrability "
-              f"(as they must); borrowed family {rep['borrowed_family']}")
+    n = len(rep["samples"])
+    bad = sum(1 for s in rep["samples"] if s["integrable"])
+    _emit(args, rep, f"{args.name}: {n - bad}/{n} samples fail integrability "
+                     f"(as they must); borrowed family {rep['borrowed_family']}")
     return 0 if rep["all_fail"] else 1
 
 
@@ -374,13 +372,9 @@ def cmd_report(args):
     section("automorphism families", automorphisms)
     section("holomorphic charts & multiplication", chart_section)
     section("moduli dimension", moduli_section)
-    if args.json:
-        print(json.dumps({"algebra": e.name, "sections": sections},
-                         indent=1, sort_keys=True))
-    else:
-        print(f"report for {e.name}")
-        for label, status in sections.items():
-            print(f"  {label}: {status}")
+    _emit(args, {"algebra": e.name, "sections": sections},
+          "\n".join([f"report for {e.name}"]
+                    + [f"  {label}: {status}" for label, status in sections.items()]))
     return 0 if all(v == "pass" for v in sections.values()) else 1
 
 

@@ -1,15 +1,13 @@
 """Moduli dimensions via the rank of the polynomial constraint map.
 
-The set of complex structures sits inside R^36 as the zero set of 126
-polynomial components: the 36 entries of J^2 + 1 and the 90 torsion
-projections ij|k.  (Some tabulations count the codomain as R^81 x R^36;
-duplicated or dependent rows cannot change any rank, so the full 90 are
-kept.)
-
-The map is quadratic in the entries, so its Jacobian has a closed form,
-evaluated exactly from brackets of basis vectors and columns of J; only
-the final rank decision uses floating singular values, guarded by a
-two-threshold stability check.
+The set of complex structures sits inside R^36 as the zero set of the 126
+components of acs.constraint_map: the 36 entries of J^2 + 1 and the 90
+torsion projections ij|k.  (Some tabulations count the codomain as
+R^81 x R^36; dependent rows cannot change any rank, so all 90 are kept.)
+Each component is a quadratic form, so the Jacobian is exact.  The rank is
+decided from floating singular values with a two-threshold guard.  The SVD
+can miss rank but never invent it, so a rank short of the expected one is
+re-decided by exact elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .acs import AlmostComplexStructure, nijenhuis
+from .acs import AlmostComplexStructure, constraint_map, constraint_values, is_integrable
 from .catalogue import AlgebraEntry, JFamily
 from .exactnum import rational_str
 from .expr import evaluate
@@ -35,56 +33,24 @@ class RankUnstable(RuntimeError):
 
 
 def constraint_eval(L: LieAlgebra, J: AlmostComplexStructure) -> List[Fraction]:
-    """Exact values of all 126 constraint components at J.
-
-    Row j*n + k is entry (k, j) of J^2 + 1; then come the torsion vectors
-    N(x_i, x_j) for i < j, one row per component.
-    """
-    n = L.dim
-    out = []
-    for j in range(n):
-        sq = J.apply(J.column(j + 1))
-        out.extend(sq[k] + (1 if k == j else 0) for k in range(n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.extend(nijenhuis(L, J, i, j))
-    return out
+    """Exact values of all 126 constraint components at J (see acs.constraint_map)."""
+    return list(constraint_values(L, J))
 
 
 def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fraction]]:
-    """Exact 126 x 36 Jacobian of the constraint map at J.
-
-    The map is quadratic in J, so its derivative is closed form.  Column
-    r*n + c is the direction of the matrix unit H = E_rc (entry j{r}{c}):
-      d(J^2 + 1)(H) = JH + HJ,
-      dN(H)(x_i, x_j) = [Hx_i, Jx_j] + [Jx_i, Hx_j] - H([Jx_i, x_j] + [x_i, Jx_j])
-                        - J([Hx_i, x_j] + [x_i, Hx_j]).
-    As Hx_i = x_r if i = c (else 0), the torsion part is column j of
-    [ad x_r, J] at c = i, minus its column i at c = j, minus x_r times
-    entry c of [x_i, Jx_j] - [x_j, Jx_i].
-    """
-    n, m = L.dim, J.m
-    rows = [[Fraction(0)] * (n * n) for _ in range(n * n + n * n * (n - 1) // 2)]
-    for j in range(n):
-        for k in range(n):
-            for r in range(n):
-                rows[j * n + k][r * n + j] += m[k][r]
-                rows[j * n + k][k * n + r] += m[r][j]
-    ad = [[list(c) for c in zip(*(L.bracket_basis(r, t) for t in range(1, n + 1)))]
-          for r in range(1, n + 1)]
-    adJ = [linalg.mat_mul(a, m) for a in ad]  # adJ[r][k][j] = [x_r, Jx_j]_k
-    D = [[[p - q for p, q in zip(u, v)] for u, v in zip(x, linalg.mat_mul(m, a))]
-         for x, a in zip(adJ, ad)]  # D[r] = [ad x_r, J]
-    base = n * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = [adJ[i][k][j] - adJ[j][k][i] for k in range(n)]
-            for r in range(n):
-                for k in range(n):
-                    rows[base + k][r * n + i] += D[r][k][j]
-                    rows[base + k][r * n + j] -= D[r][k][i]
-                    rows[base + r][r * n + k] -= s[k]
-            base += n
+    """Exact 126 x 36 Jacobian of the constraint map at J; column r*n + c is
+    the derivative along entry (r, c).  Each row is the gradient of a
+    quadratic form: its term c*f_p*f_q adds c*f_q to column p and c*f_p to q."""
+    f = [x for row in J.m for x in row]
+    rows = []
+    for _, terms in constraint_map(L):
+        row = [Fraction(0)] * len(f)
+        for p, q, c in terms:
+            if f[q]:
+                row[p] += c * f[q]
+            if f[p]:
+                row[q] += c * f[p]
+        rows.append(row)
     return rows
 
 
@@ -114,7 +80,7 @@ def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
 
 def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure,
                 tol: float = DEFAULT_TOL) -> int:
-    if any(x != 0 for x in constraint_eval(L, J)):
+    if not is_integrable(L, J):
         raise ValueError("J is not in the zero set of the constraint map")
     return 36 - jacobian_rank(L, J, tol)
 
@@ -170,7 +136,7 @@ def family_rank(family: JFamily, values: Mapping[str, Fraction],
 
     The partials are exact: dual numbers seeded on the continuous parameters
     are pushed through the family's defs, in order, and then its entries.
-    """
+    An SVD rank short of the parameter count is re-decided exactly."""
     params = family.continuous_params()
     env: Dict = {k: Fraction(v) for k, v in values.items()}
     zero = [Fraction(0)] * len(params)
@@ -183,7 +149,8 @@ def family_rank(family: JFamily, values: Mapping[str, Fraction],
         for cell in row:
             v = evaluate(cell, env)
             rows.append(v.grad if isinstance(v, _Dual) else zero)
-    return _svd_rank(rows, tol)
+    rank = _svd_rank(rows, tol)
+    return rank if rank == len(params) else linalg.rank(rows)
 
 
 def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
@@ -207,6 +174,8 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
                     raise
                 continue
             break
+        if dim != entry.expected_dim:
+            dim = 36 - linalg.rank(jacobian_matrix(L, J))
         prank = family_rank(fam, values, tol)
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
                     "tangent_dim": dim, "family_rank": prank})

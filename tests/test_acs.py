@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue, orbits
+from nilcomplex import acs, catalogue, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, check_m_table, classify_m,
                             is_integrable, m_subalgebra, nijenhuis,
                             torsion_report)
-from nilcomplex.liecore import LieAlgebra
+from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
 
@@ -146,3 +146,79 @@ def test_all_representative_tables():
             if rep.m_table:
                 assert check_m_table(e.algebra, J, rep.claimed_m_table(values)), \
                     (e.name, rep.name)
+
+
+# Every catalogued algebra and both gamma = -1 twins, each with a family to
+# draw J from (a twin borrows its gamma = +1 family, so its J are not
+# integrable there).
+ALGEBRAS = {e.name: (e.algebra, e.families[0]) for e in catalogue.entries()}
+ALGEBRAS.update((name, (L, catalogue.get(family_of).families[0]))
+                for name, (L, family_of) in catalogue._SPOTCHECK.items())
+
+
+def _dense(rng):
+    """A rational matrix with no zero entry, so every term of the map counts."""
+    return AlmostComplexStructure([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                             rng.randint(1, 5)) for _ in range(6)]
+                                   for _ in range(6)])
+
+
+def _mutant(rng, J):
+    """J with one entry moved."""
+    m = [row[:] for row in J.m]
+    m[rng.randrange(6)][rng.randrange(6)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+    return AlmostComplexStructure(m)
+
+
+def _oracle(L, J):
+    """Entry (k, j) of J*J + 1 at row 6j + k, then the nijenhuis components."""
+    sq = [sum(J.m[k][r] * J.m[r][j] for r in range(6)) + (k == j)
+          for j in range(6) for k in range(6)]
+    return sq + [c for i in range(1, 7) for j in range(i + 1, 7) for c in nijenhuis(L, J, i, j)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_constraint_map_matches_its_oracle(name):
+    L, fam = ALGEBRAS[name]
+    rng = random.Random(name)
+    for J in (fam.instantiate(fam.random_admissible(rng)), _dense(rng)):
+        assert moduli.constraint_eval(L, J) == _oracle(L, J)
+
+
+@pytest.mark.parametrize("row", [0, 57, 125])
+@pytest.mark.parametrize("part", ["coefficient", "constant"])
+def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
+    L = catalogue.get("M18+1").algebra
+    J = _dense(random.Random(row))
+    assert moduli.constraint_eval(L, J) == _oracle(L, J)
+    cmap = list(acs.constraint_map(L))
+    const, terms = cmap[row]
+    if part == "constant":
+        cmap[row] = (const + 1, terms)
+    else:
+        (p, q, c), *rest = terms
+        cmap[row] = (const, ((p, q, c + 1), *rest))
+    monkeypatch.setattr(L, "_constraint_map", cmap)
+    assert acs.constraint_map(L) is cmap
+    assert moduli.constraint_eval(L, J) != _oracle(L, J)
+
+
+def test_is_integrable_is_square_and_torsion():
+    rng = random.Random(8)
+    verdicts = set()
+    for name, (L, fam) in sorted(ALGEBRAS.items()):
+        for _ in range(3):
+            J = fam.instantiate(fam.random_admissible(rng))
+            for P in (J, _mutant(rng, J)):
+                square = P.square_check()
+                torsion_free = all(c == 0 for i in range(1, 7) for j in range(i + 1, 7)
+                                   for c in nijenhuis(L, P, i, j))
+                assert is_integrable(L, P) == (square and torsion_free), name
+                verdicts.add((square, torsion_free))
+    # both ways to fail occur: a bad square, and a good square with torsion
+    assert {(True, True), (True, False), (False, False)} <= verdicts
+
+
+def test_constraint_values_need_a_matrix_of_the_algebra_dimension():
+    with pytest.raises(DimensionMismatch):
+        is_integrable(LieAlgebra(4, {}), J0)

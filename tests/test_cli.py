@@ -271,3 +271,47 @@ def test_chart_verify_checks_annihilation_once(monkeypatch, capsys):
     code, out = run(capsys, "chart-verify", "G6,3", "--seeds", "1", "--pairs", "1")
     assert code == 0 and out.count("pass") == 19
     assert len(calls) == 18
+
+
+G63_SWAP = [["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
+            ["0", "0", "-1", "0", "0", "0"], ["0", "0", "0", "1", "0", "0"],
+            ["0", "0", "0", "0", "0", "-1"], ["0", "0", "0", "0", "1", "0"]]
+
+
+@pytest.mark.parametrize("case", ["chart-verify", "witness", "search"])
+def test_json_flag_gives_json(tmp_path, capsys, case):
+    from nilcomplex import catalogue
+    g63, g67 = catalogue.get("G6,3"), catalogue.get("G6,7")
+    if case == "chart-verify":
+        argv, expected_code = ["chart-verify", "G6,3", "--seeds", "2", "--pairs", "1"], 0
+        charted = [r.name for r in g63.representatives if r.chart is not None]
+        expected = {"algebra": "G6,3", "results": [
+            {"representative": name, "seed": n, "status": "pass", "failing": []}
+            for name in charted for n in range(2)]}
+    elif case == "witness":
+        doc = {"algebra": "G6,3", "J1": g63.representative("J2").instantiate({}).to_json(),
+               "J2": g63.representative("J1").instantiate({}).to_json(), "phi": G63_SWAP}
+        argv, expected_code = ["verify-witness", _write(tmp_path, "w.json", doc)], 0
+        expected = {"algebra": "G6,3", "accepted": True}
+    else:
+        J_alpha = g67.representative("J_alpha")
+        doc = {"algebra": "G6,7", "J1": J_alpha.instantiate({"alpha": 2}).to_json(),
+               "J2": J_alpha.instantiate({"alpha": 3}).to_json()}
+        argv = ["verify-witness", _write(tmp_path, "pair.json", doc), "--search", "5"]
+        expected_code, expected = 1, {"algebra": "G6,7", "status": "inconclusive"}
+    code, out = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    for r in doc.get("results", ()):  # the drawn chart parameters, as rational strings
+        assert all(isinstance(v, str) for v in r.pop("params").values())
+    assert code == expected_code and doc == expected
+
+
+def test_chart_verify_json_lists_the_failing_pairs(monkeypatch, capsys):
+    def not_annihilated(*args, **kwargs):
+        raise charts.NotAnnihilated([(2, 3), (5, 1)], "residual")
+
+    monkeypatch.setattr(charts, "verify_chart", not_annihilated)
+    code, out = run(capsys, "chart-verify", "G6,6", "--seeds", "1", "--json")
+    (result,) = json.loads(out)["results"]
+    assert code == 1 and result["failing"] == [[2, 3], [5, 1]]
+    assert result["status"].startswith("FAIL (X~_j^- phi^k != 0")
