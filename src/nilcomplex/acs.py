@@ -1,12 +1,16 @@
 """Almost complex structures: J^2 = -1, Nijenhuis torsion, the holomorphic
 subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
 
-Integrability, closure of m and the moduli Jacobian all evaluate one
-object, `constraint_map`; `nijenhuis` is the direct per-pair oracle."""
+J is read through one object, `constraint_map`: `square_check` evaluates
+its J^2 + 1 rows, and integrability, closure of m and the moduli Jacobian
+evaluate all of it.  m is represented by its generators x~_j = x_j - i Jx_j;
+`nijenhuis` is the direct per-pair oracle."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import GaussianRational, rational_str
@@ -66,13 +70,8 @@ class AlmostComplexStructure:
         return AlmostComplexStructure([[-x for x in row] for row in self.m])
 
     def square_check(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                s = sum(self.m[i][k] * self.m[k][j] for k in range(n))
-                if s != (-1 if i == j else 0):
-                    return False
-        return True
+        """J^2 = -1: the J^2 + 1 rows of the constraint map vanish."""
+        return not any(_values(_square_forms(self.dim), self))
 
     def to_json(self):
         return [[rational_str(x) for x in row] for row in self.m]
@@ -126,6 +125,14 @@ def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
             yield k * n + m, b * n + j, -c
 
 
+@functools.lru_cache(maxsize=None)
+def _square_forms(n: int) -> Tuple:
+    """The n*n entries of J^2 + 1 as quadratic forms; row j*n + k is entry (k, j)."""
+    return tuple(_quadratic_form(int(k == j), ((k * n + r, r * n + j, Fraction(1))
+                                               for r in range(n)))
+                 for j in range(n) for k in range(n))
+
+
 def constraint_map(L: LieAlgebra) -> List[Tuple]:
     """The 126 components of J -> (J^2 + 1, N) as quadratic forms (cached).
 
@@ -139,9 +146,7 @@ def constraint_map(L: LieAlgebra) -> List[Tuple]:
     if cmap is None:
         n = L.dim
         ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
-        cmap = [_quadratic_form(int(k == j), ((k * n + r, r * n + j, Fraction(1))
-                                              for r in range(n)))
-                for j in range(n) for k in range(n)]
+        cmap = list(_square_forms(n))
         nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
                    for m, c in enumerate(ad[a][b]) if c]
         cmap += [_quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k))
@@ -150,13 +155,18 @@ def constraint_map(L: LieAlgebra) -> List[Tuple]:
     return cmap
 
 
+def _values(forms, J: AlmostComplexStructure) -> Iterator[Fraction]:
+    """The forms evaluated at the entries of J, in order, lazily."""
+    f = [x for row in J.m for x in row]
+    for const, terms in forms:
+        yield sum((c * f[p] * f[q] for p, q, c in terms if f[p] and f[q]), const)
+
+
 def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:
     """The components of the constraint map at J, in order, computed lazily."""
     if J.dim != L.dim:
         raise DimensionMismatch(f"expected a {L.dim}x{L.dim} matrix")
-    f = [x for row in J.m for x in row]
-    for const, terms in constraint_map(L):
-        yield sum((c * f[p] * f[q] for p, q, c in terms if f[p] and f[q]), const)
+    return _values(constraint_map(L), J)
 
 
 def is_integrable(L: LieAlgebra, J: AlmostComplexStructure) -> bool:
@@ -164,72 +174,16 @@ def is_integrable(L: LieAlgebra, J: AlmostComplexStructure) -> bool:
     return not any(constraint_values(L, J))
 
 
-class HolSubalgebra:
-    """m = g^(1,0): generators x~_j = x_j - i J x_j and a chosen 3-dim basis.
-
-    `generators[j-1]` is x~_j as a complex vector; `basis_indices` lists the
-    first generators (1-indexed) that are linearly independent over C, per
-    the deterministic first-nonzero pivot rule.
-    """
-
-    def __init__(self, L: LieAlgebra, J: AlmostComplexStructure):
-        n = L.dim
-        self.L = L
-        gens = []
-        for j in range(1, n + 1):
-            col = J.column(j)
-            v = [GaussianRational((1 if k == j - 1 else 0), -col[k]) for k in range(n)]
-            gens.append(v)
-        self.generators = gens
-        rows = []
-        idx = []
-        for j, g in enumerate(gens, start=1):
-            red, piv = linalg.rref(rows + [list(g)])
-            if len(piv) > len(rows):
-                rows = red[: len(piv)]
-                idx.append(j)
-        self.basis_indices = idx
-
-    def complex_dim(self) -> int:
-        return len(self.basis_indices)
-
-    def bracket_in_generators(self, i: int, j: int):
-        """[x~_i, x~_j] expressed over the generator family, or None if not in m.
-
-        Returns a length-6 list of GaussianRational coefficients c with
-        [x~_i, x~_j] = sum_k c_k x~_k, supported on the chosen basis indices.
-        """
-        w = self.L.bracket(self.generators[i - 1], self.generators[j - 1])
-        cols = [self.generators[k - 1] for k in self.basis_indices]
-        A = [[cols[c][r] for c in range(len(cols))] for r in range(self.L.dim)]
-        sol = linalg.solve(A, list(w))
-        if sol is None:
-            return None
-        out = [GaussianRational(0)] * self.L.dim
-        for c, k in zip(sol, self.basis_indices):
-            out[k - 1] = c
-        return out
-
-    def bracket_table(self) -> Dict[Tuple[int, int], List[GaussianRational]]:
-        """Nonzero brackets [x~_i, x~_j] over the generators, for i < j."""
-        table = {}
-        for i in range(1, self.L.dim + 1):
-            for j in range(i + 1, self.L.dim + 1):
-                coeffs = self.bracket_in_generators(i, j)
-                if coeffs is None:
-                    raise NotClosed(f"[x~_{i}, x~_{j}] falls outside m")
-                if any(not c.is_zero() for c in coeffs):
-                    table[(i, j)] = coeffs
-        return table
-
-
-def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> HolSubalgebra:
-    """m = g^(1,0); for J^2 = -1 it is a subalgebra exactly when N = 0."""
-    if not J.square_check():
-        raise BadSquare("J^2 != -1")
-    if not is_integrable(L, J):
-        raise NotClosed("m is not a subalgebra; J is not integrable")
-    return HolSubalgebra(L, J)
+def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[GaussianRational]]:
+    """The generators x~_j = x_j - i Jx_j (j = 1..n) of m = g^(1,0), as complex
+    vectors.  For J^2 = -1 they span a subalgebra exactly when N = 0."""
+    for row, v in enumerate(constraint_values(L, J)):
+        if v:
+            if row < L.dim ** 2:
+                raise BadSquare("J^2 != -1")
+            raise NotClosed("m is not a subalgebra; J is not integrable")
+    return [[GaussianRational(int(k == j), -J.m[k][j]) for k in range(L.dim)]
+            for j in range(L.dim)]
 
 
 ABELIAN = "abelian"
@@ -238,24 +192,16 @@ HEISENBERG = "heisenberg"
 
 def classify_m(L: LieAlgebra, J: AlmostComplexStructure) -> str:
     """Classify m: abelian, or (derived dim 1 and central) Heisenberg."""
-    m = m_subalgebra(L, J)
-    idx = m.basis_indices
-    derived = []
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            w = L.bracket(m.generators[idx[a] - 1], m.generators[idx[b] - 1])
-            if any(not c.is_zero() for c in w):
-                derived.append(w)
+    gens = m_subalgebra(L, J)
+    derived = [w for w in (L.bracket(u, v) for u, v in combinations(gens, 2))
+               if any(not c.is_zero() for c in w)]
     if not derived:
         return ABELIAN
     red, piv = linalg.rref(derived)
     if len(piv) != 1:
         raise Unclassifiable(f"derived algebra of m has dimension {len(piv)}")
-    z = red[0]
-    for k in idx:
-        w = L.bracket(z, m.generators[k - 1])
-        if any(not c.is_zero() for c in w):
-            raise Unclassifiable("derived algebra of m is not central in m")
+    if any(not c.is_zero() for g in gens for c in L.bracket(red[0], g)):
+        raise Unclassifiable("derived algebra of m is not central in m")
     return HEISENBERG
 
 
@@ -268,12 +214,12 @@ def check_m_table(L: LieAlgebra, J: AlmostComplexStructure,
     m = m_subalgebra(L, J)
     for i in range(1, L.dim + 1):
         for j in range(i + 1, L.dim + 1):
-            lhs = L.bracket(m.generators[i - 1], m.generators[j - 1])
+            lhs = L.bracket(m[i - 1], m[j - 1])
             rhs = [GaussianRational(0)] * L.dim
             for k, c in enumerate(claimed.get((i, j)) or ()):
                 c = GaussianRational.coerce(c)
                 if not c.is_zero():
-                    rhs = [r + c * gc for r, gc in zip(rhs, m.generators[k])]
+                    rhs = [r + c * gc for r, gc in zip(rhs, m[k])]
             if any(a != b for a, b in zip(lhs, rhs)):
                 return False
     return True

@@ -295,6 +295,11 @@ def _register_spotcheck(name: str, algebra: LieAlgebra, family_of: str) -> None:
     _SPOTCHECK[_norm(name)] = (algebra, family_of)
 
 
+def is_spotcheck_target(name: str) -> bool:
+    """Whether `name` (in any spelling `get` accepts) is a gamma = -1 twin."""
+    return _norm(name) in _SPOTCHECK
+
+
 def nonexistence_spotcheck(name: str, samples: int = 20, seed: int = 0):
     """Instantiate the gamma=+1 families against the gamma=-1 brackets.
 

@@ -310,16 +310,14 @@ def cmd_nonexistence_check(args):
 
 
 def cmd_report(args):
-    name = args.algebra
     try:
-        e = catalogue.get(name)
+        e = catalogue.get(args.algebra)
     except UnknownAlgebra:
-        norm = name.upper().replace(",", "").replace("-", "M").replace("_", "")
-        if norm in ("M14M1", "M18M1"):
-            args.name = name
-            args.samples = 20
-            return cmd_nonexistence_check(args)
-        raise
+        if not catalogue.is_spotcheck_target(args.algebra):
+            raise
+        args.name, args.samples = args.algebra, args.samples or 20
+        return cmd_nonexistence_check(args)
+    samples = args.samples or 5
     sections = {}
 
     def section(label, fn):
@@ -333,7 +331,7 @@ def cmd_report(args):
         for fam in e.families:
             if not fam.samplable:
                 continue
-            for n in range(args.samples):
+            for n in range(samples):
                 J = fam.instantiate(fam.random_admissible(args.seed + n))
                 assert is_integrable(e.algebra, J), fam.name
 
@@ -469,7 +467,8 @@ def build_parser():
 
     p = sub.add_parser("report", help="full verification dossier")
     common(p, True)
-    p.add_argument("--samples", type=_count, default=5)
+    p.add_argument("--samples", type=_count,
+                   help="family samples per algebra (default 5), or twin samples (default 20)")
     p.add_argument("--tol", type=float, default=moduli.DEFAULT_TOL)
     p.set_defaults(fn=cmd_report)
     return ap

@@ -69,24 +69,6 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def solve(A, b):
-    """Solve A x = b exactly; returns x or None if inconsistent.
-
-    For underdetermined systems returns one solution (free variables 0).
-    """
-    n = len(A)
-    m = len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    if m in pivots:
-        return None
-    zero = A[0][0] * 0
-    x = [zero] * m
-    for r, c in enumerate(pivots):
-        x[c] = red[r][m]
-    return x
-
-
 def inverse(A):
     """Exact inverse; raises ValueError when singular."""
     n = len(A)

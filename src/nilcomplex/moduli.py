@@ -54,14 +54,19 @@ def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fract
     return rows
 
 
-def _svd_rank(rows: Sequence[Sequence[Fraction]], tol: float) -> int:
+def _svd_ranks(rows: Sequence[Sequence[Fraction]], *tols: float) -> List[int]:
+    """The rank at each threshold, all counted from one SVD."""
     A = np.array([[float(x) for x in r] for r in rows], dtype=float)
     if not A.any():
-        return 0
+        return [0] * len(tols)
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+        return [0] * len(tols)
+    return [int(np.sum(s > tol * s[0])) for tol in tols]
+
+
+def _svd_rank(rows: Sequence[Sequence[Fraction]], tol: float) -> int:
+    return _svd_ranks(rows, tol)[0]
 
 
 def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
@@ -70,9 +75,7 @@ def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
 
     Raises RankUnstable when the decision flips between tol and 10*tol.
     """
-    rows = jacobian_matrix(L, J)
-    r1 = _svd_rank(rows, tol)
-    r2 = _svd_rank(rows, tol * 10)
+    r1, r2 = _svd_ranks(jacobian_matrix(L, J), tol, tol * 10)
     if r1 != r2:
         raise RankUnstable(f"rank {r1} at tol vs {r2} at 10*tol")
     return r1

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import acs, catalogue, moduli, orbits
+from nilcomplex import acs, catalogue, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
-                            BadSquare, NotClosed, check_m_table, classify_m,
-                            is_integrable, m_subalgebra, nijenhuis,
+                            BadSquare, NotClosed, Unclassifiable, check_m_table,
+                            classify_m, is_integrable, m_subalgebra, nijenhuis,
                             torsion_report)
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
@@ -75,7 +75,7 @@ def test_torsion_report_schema():
 def test_m_subalgebra_j0():
     g63 = catalogue.get("G6,3")
     m = m_subalgebra(g63.algebra, J0)
-    assert m.complex_dim() == 3
+    assert linalg.rank(m) == 3
     rep = g63.representative("J0")
     assert check_m_table(g63.algebra, J0, rep.claimed_m_table({}))
 
@@ -84,14 +84,13 @@ def test_m_subalgebra_abelian_example():
     e = catalogue.get("G6,1")
     J = e.representative("J_abelian").instantiate({})
     m = m_subalgebra(e.algebra, J)
-    assert all(not any(not c.is_zero() for c in coeffs)
-               for coeffs in m.bracket_table().values())
+    assert all(c == 0 for u in m for v in m for c in e.algebra.bracket(u, v))
     assert all(c == 0 for c in sum((e.algebra.bracket(
-        m.generators[0], m.generators[i]) for i in range(6)), []))
+        m[0], m[i]) for i in range(6)), []))
 
 
 def test_m_subalgebra_dim_three_whenever_square_holds():
-    assert m_subalgebra(ABELIAN_ALG, J0).complex_dim() == 3
+    assert linalg.rank(m_subalgebra(ABELIAN_ALG, J0)) == 3
 
 
 def test_m_subalgebra_errors():
@@ -117,6 +116,26 @@ def test_classify_examples():
     Jc = m14.representative("J_pm").instantiate({"j36": Fraction(1)})
     assert classify_m(m14.algebra, Jc) == HEISENBERG
     assert classify_m(ABELIAN_ALG, J0) == ABELIAN
+
+
+# Two non-nilpotent algebras on which J0 is integrable but m is neither abelian
+# nor Heisenberg: the realified r_2(C) + C and the realified sl(2, C).
+R2C_PLUS_C = {(1, 3): {3: 1}, (1, 4): {4: 1}, (2, 3): {4: 1}, (2, 4): {3: -1}}
+SL2C = {(1, 3): {3: 2}, (1, 4): {4: 2}, (2, 3): {4: 2}, (2, 4): {3: -2},
+        (1, 5): {5: -2}, (1, 6): {6: -2}, (2, 5): {6: -2}, (2, 6): {5: 2},
+        (3, 5): {1: 1}, (3, 6): {2: 1}, (4, 5): {2: 1}, (4, 6): {1: -1}}
+
+
+@pytest.mark.parametrize("table, message", [
+    (R2C_PLUS_C, "derived algebra of m is not central in m"),
+    (SL2C, "derived algebra of m has dimension 3"),
+], ids=["r2C+C", "sl2C"])
+def test_classify_m_rejects_m_of_other_types(table, message):
+    L = LieAlgebra(6, table)
+    assert is_integrable(L, J0)
+    with pytest.raises(Unclassifiable) as ex:
+        classify_m(L, J0)
+    assert str(ex.value) == message
 
 
 def test_equivariance_under_automorphisms():
@@ -201,6 +220,33 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     monkeypatch.setattr(L, "_constraint_map", cmap)
     assert acs.constraint_map(L) is cmap
     assert moduli.constraint_eval(L, J) != _oracle(L, J)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_square_check_is_the_dense_square(name):
+    L, fam = ALGEBRAS[name]
+    rng = random.Random(name)
+    verdicts = set()
+    for _ in range(3):
+        J = fam.instantiate(fam.random_admissible(rng))
+        for P in (J, _mutant(rng, J)):
+            square = not any(_oracle(L, P)[:36])
+            assert P.square_check() == square
+            verdicts.add(square)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("row", [0, 14, 35])
+def test_perturbed_square_forms_fail_the_dense_square(monkeypatch, row):
+    forms = list(acs._square_forms(6))
+    const, terms = forms[row]
+    f = [x for r in J0.m for x in r]
+    t = next(t for t, (p, q, _) in enumerate(terms) if f[p] and f[q])
+    p, q, c = terms[t]
+    forms[row] = (const, terms[:t] + ((p, q, c + 1),) + terms[t + 1:])
+    assert J0.square_check() and not any(_oracle(ABELIAN_ALG, J0)[:36])
+    monkeypatch.setattr(acs, "_square_forms", lambda n: forms)
+    assert not J0.square_check()
 
 
 def test_is_integrable_is_square_and_torsion():

@@ -29,6 +29,18 @@ def test_eleven_entries():
     assert len(catalogue.names()) == 11
 
 
+def test_every_continuous_parameter_is_a_cell_up_to_sign():
+    # so d(entries)/d(params) has a +-identity minor: the family rank is the
+    # parameter count at every admissible point
+    families = [f for e in catalogue.entries() for f in e.families if f.samplable]
+    for fam in families:
+        cells = {cell.replace(" ", "") for row in fam.entries for cell in row}
+        for p in fam.continuous_params():
+            assert p in cells or "-" + p in cells, (fam.name, p)
+            assert p not in dict(fam.defs), (fam.name, p)
+    assert len(families) == 23
+
+
 def test_sample_family_g67():
     e = catalogue.get("G6,7")
     fam = e.families[0]

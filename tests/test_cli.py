@@ -151,6 +151,22 @@ def test_report_m14_minus(capsys):
     assert code == 0 and "fail integrability" in out
 
 
+@pytest.mark.parametrize("name", ["M14 -1", "M14NEG1", "m18-1"])
+def test_report_resolves_twins_like_the_catalogue(capsys, name):
+    code, out = run(capsys, "report", name)
+    assert code == 0 and out.startswith(f"{name}: 20/20 samples fail integrability"), out
+
+
+def test_report_unknown_algebra(capsys):
+    code, out = run(capsys, "report", "M14-3")
+    assert code == 2 and out.startswith("error: unknown algebra 'M14-3'; catalogued: "), out
+
+
+def test_report_honors_samples_on_a_twin(capsys):
+    code, out = run(capsys, "report", "M14-1", "--samples", "3", "--json")
+    assert code == 0 and len(json.loads(out)["samples"]) == 3
+
+
 SIX = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
 
 
