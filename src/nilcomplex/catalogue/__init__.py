@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..exactnum import GaussianRational, rational_str
 from ..expr import evaluate, free_symbols
 from ..liecore import LieAlgebra
-from ..acs import AlmostComplexStructure
+from ..acs import AlmostComplexStructure, is_integrable
 
 CATALOGUE_VERSION = 1
 
@@ -159,7 +159,7 @@ class MatrixFamily:
         for _ in range(attempts):
             values = {p.name: p.sample(rng) for p in self.params}
             try:
-                self._matrix(self.check_domain(values, extra_conditions))
+                self.check_domain(values, extra_conditions)
             except DomainViolation:
                 continue
             return values
@@ -306,7 +306,6 @@ def nonexistence_spotcheck(name: str, samples: int = 20, seed: int = 0):
     Reports, per sample, whether integrability fails (it must).  This is a
     consistency check of the catalogue, not a proof of nonexistence.
     """
-    from ..acs import is_integrable
     key = _norm(name)
     if key not in _SPOTCHECK:
         raise UnknownAlgebra(f"no spot-check target {name!r}")

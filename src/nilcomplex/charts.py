@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence
 
-from . import group
-from .acs import AlmostComplexStructure
+from . import group, linalg
+from .acs import AlmostComplexStructure, BadSquare
 from .catalogue import AlgebraEntry, Representative
 from .exactnum import GaussianRational, MultiPoly
 from .expr import ExprError, evaluate
@@ -79,7 +79,6 @@ def antiholo_fields(entry: AlgebraEntry, J: AlmostComplexStructure
 
 def build_antiholo(entry: AlgebraEntry, J: AlmostComplexStructure, j: int
                    ) -> List[MultiPoly]:
-    from .acs import BadSquare
     if not J.square_check():
         raise BadSquare("J^2 != -1")
     return antiholo_fields(entry, J)[j - 1]
@@ -153,7 +152,6 @@ def real_jacobian_det(phis: Sequence[MultiPoly], point: Mapping[str, Fraction]
     3x3 matrix d(phi)/d(z) in standard z's can be singular for perfectly
     good charts.
     """
-    from . import linalg
     rows = []
     for p in phis:
         d = [GaussianRational.coerce(p.partial(c).eval(point)) if c in p.vars

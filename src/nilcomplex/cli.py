@@ -358,8 +358,10 @@ def cmd_report(args):
             values = r.random_admissible(args.seed,
                                          extra_conditions=r.chart.conditions)
             phis = charts.chart_polys(r, values)
-            charts.verify_chart(e, r, values, jacobian_points=5, phis=phis)
-            charts.verify_chart_multiplication(e, r, values, pairs=20, phis=phis)
+            charts.verify_chart(e, r, values, jacobian_points=5, seed=args.seed,
+                                phis=phis)
+            charts.verify_chart_multiplication(e, r, values, pairs=20, seed=args.seed,
+                                               phis=phis)
 
     def moduli_section():
         rep = moduli.dimension_report(e, samples=5, tol=args.tol, seed=args.seed)

@@ -8,13 +8,17 @@ Each component is a quadratic form, so the Jacobian is exact.  The rank is
 decided from floating singular values with a two-threshold guard.  The SVD
 can miss rank but never invent it, so a rank short of the expected one is
 re-decided by exact elimination.
+
+The rank of a family, d(entries)/d(params), needs no sampling: each
+continuous parameter is a cell p or -p of the family's matrix, so those
+rows form a +-identity minor and the rank is the parameter count.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from . import linalg
 from .acs import AlmostComplexStructure, constraint_map, constraint_values, is_integrable
 from .catalogue import AlgebraEntry, JFamily
 from .exactnum import rational_str
-from .expr import evaluate
 from .liecore import LieAlgebra
 
 DEFAULT_TOL = 1e-9
@@ -65,10 +68,6 @@ def _svd_ranks(rows: Sequence[Sequence[Fraction]], *tols: float) -> List[int]:
     return [int(np.sum(s > tol * s[0])) for tol in tols]
 
 
-def _svd_rank(rows: Sequence[Sequence[Fraction]], tol: float) -> int:
-    return _svd_ranks(rows, tol)[0]
-
-
 def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
                   tol: float = DEFAULT_TOL) -> int:
     """Rank of the exact Jacobian, decided by thresholded singular values.
@@ -88,72 +87,21 @@ def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure,
     return 36 - jacobian_rank(L, J, tol)
 
 
-class _Dual:
-    """Exact dual number: a Fraction value and its Fraction gradient over
-    the continuous parameters.  Supports what family entries use: + - * /,
-    unary minus and integer powers (negative ones included)."""
+def family_rank(family: JFamily) -> int:
+    """Rank of d(entries)/d(params), read once from the formulas.
 
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val: Fraction, grad: List[Fraction]):
-        self.val, self.grad = val, grad
-
-    def __add__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.val + o.val, [a + b for a, b in zip(self.grad, o.grad)])
-        return _Dual(self.val + o, self.grad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Dual(-self.val, [-a for a in self.grad])
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.val * o.val,
-                         [a * o.val + self.val * b for a, b in zip(self.grad, o.grad)])
-        return _Dual(self.val * o, [a * o for a in self.grad])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        return self * o ** -1
-
-    def __rtruediv__(self, o):
-        return self ** -1 * o
-
-    def __pow__(self, n: int):
-        d = n * self.val ** (n - 1) if n else 0
-        return _Dual(self.val ** n, [a * d for a in self.grad])
-
-
-def family_rank(family: JFamily, values: Mapping[str, Fraction],
-                tol: float = DEFAULT_TOL) -> int:
-    """Rank of d(entries)/d(params) at an admissible point.
-
-    The partials are exact: dual numbers seeded on the continuous parameters
-    are pushed through the family's defs, in order, and then its entries.
-    An SVD rank short of the parameter count is re-decided exactly."""
+    Every continuous parameter p must be a cell whose text is p or -p, and
+    no def may rebind p.  The rows of those cells then form a +-identity
+    k x k minor, so the rank is k at every admissible point.  A family
+    without that certificate raises ValueError naming the parameter."""
+    cells = {cell.replace(" ", "") for row in family.entries for cell in row}
+    defs = dict(family.defs)
     params = family.continuous_params()
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    zero = [Fraction(0)] * len(params)
-    for i, p in enumerate(params):
-        env[p] = _Dual(env[p], zero[:i] + [Fraction(1)] + zero[i + 1:])
-    for nm, e in family.defs:
-        env[nm] = evaluate(e, env)
-    rows = []
-    for row in family.entries:
-        for cell in row:
-            v = evaluate(cell, env)
-            rows.append(v.grad if isinstance(v, _Dual) else zero)
-    rank = _svd_rank(rows, tol)
-    return rank if rank == len(params) else linalg.rank(rows)
+    for p in params:
+        if p in defs or not {p, "-" + p} & cells:
+            raise ValueError(f"{family.name}: parameter {p} is not a cell "
+                             f"{p} or -{p} that no def rebinds")
+    return len(params)
 
 
 def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
@@ -179,7 +127,7 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
             break
         if dim != entry.expected_dim:
             dim = 36 - linalg.rank(jacobian_matrix(L, J))
-        prank = family_rank(fam, values, tol)
+        prank = family_rank(fam)
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
                     "tangent_dim": dim, "family_rank": prank})
     dims = [r["tangent_dim"] for r in out]

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue
+from nilcomplex import catalogue, moduli
 from nilcomplex.acs import is_integrable
 from nilcomplex.catalogue import (DomainViolation, JFamily, ParamSpec,
                                   SamplingExhausted, UnknownAlgebra)
@@ -38,7 +39,55 @@ def test_every_continuous_parameter_is_a_cell_up_to_sign():
         for p in fam.continuous_params():
             assert p in cells or "-" + p in cells, (fam.name, p)
             assert p not in dict(fam.defs), (fam.name, p)
+        assert moduli.family_rank(fam) == len(fam.continuous_params()), fam.name
     assert len(families) == 23
+
+
+def _sampled_members():
+    """Every member random_admissible can draw from, with the extra
+    conditions to draw under: samplable families, automorphism families,
+    and representatives with and without their chart conditions."""
+    for e in catalogue.entries():
+        for f in e.families:
+            if f.samplable:
+                yield f, ()
+        for a in e.automorphisms:
+            yield a, ()
+        for r in e.representatives:
+            yield r, ()
+            if r.chart is not None and r.chart.conditions:
+                yield r, r.chart.conditions
+
+
+def _undefined_entries(member, extra=(), draws=20, seed=0):
+    """Draws that pass check_domain but whose entries do not evaluate."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(draws):
+        values = member.random_admissible(rng, extra_conditions=extra)
+        try:
+            member.instantiate(values)
+        except DomainViolation as err:
+            bad.append((values, str(err)))
+    return bad
+
+
+def test_entries_are_defined_wherever_the_domain_holds():
+    # random_admissible only checks the domain; the entries must then evaluate
+    members = list(_sampled_members())
+    assert len(members) == 62
+    for member, extra in members:
+        assert _undefined_entries(member, extra) == [], (member.name, extra)
+
+
+def test_an_entry_undefined_on_the_domain_is_caught():
+    fam = catalogue.get("G6,3").family("case-rest")
+    assert not any("j11" in c for c in fam.conditions)
+    rows = [list(r) for r in fam.entries]
+    rows[0][5] = "1/j11"
+    mutant = dataclasses.replace(fam, entries=tuple(tuple(r) for r in rows))
+    bad = _undefined_entries(mutant)
+    assert bad and all(v["j11"] == 0 and "1/j11" in msg for v, msg in bad)
 
 
 def test_sample_family_g67():

@@ -167,6 +167,23 @@ def test_report_honors_samples_on_a_twin(capsys):
     assert code == 0 and len(json.loads(out)["samples"]) == 3
 
 
+def test_report_seed_reaches_the_chart_checks(monkeypatch, capsys):
+    seeds = []
+
+    def spy(check):
+        def recorded(*args, **kwargs):
+            seeds.append((check.__name__, kwargs.get("seed")))
+            return check(*args, **kwargs)
+        return recorded
+
+    for name in ("verify_chart", "verify_chart_multiplication"):
+        monkeypatch.setattr(charts, name, spy(getattr(charts, name)))
+    code, out = run(capsys, "report", "G6,3", "--seed", "3")
+    assert code == 0, out
+    assert {name for name, _ in seeds} == {"verify_chart", "verify_chart_multiplication"}
+    assert all(seed == 3 for _, seed in seeds), seeds
+
+
 SIX = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -126,49 +127,32 @@ def test_perturbed_jacobian_fails_its_oracle():
 @pytest.mark.parametrize("name, seed", [("M18+1", 421811493), ("G6,4", 1267734702),
                                         ("G6,7", 2939367331)])
 def test_m18_defect_seed_gives_the_paper_dimension(name, seed):
-    # The SVD misses rank here: it gives tangent 9 on M18+1, tangent 12 and
-    # family rank 6 on G6,4, tangent 11 on G6,7.  Exact elimination decides.
+    # The SVD misses rank here: it gives tangent 9 on M18+1, 12 on G6,4 and
+    # 11 on G6,7.  Exact elimination decides.
     e = catalogue.get(name)
     rep = moduli.dimension_report(e, samples=1, seed=seed)
     assert rep["tangent_dims"] == [e.expected_dim]
     assert rep["samples"][0]["family_rank"] == rep["n_free_params"]
 
 
-def _rank_rows(monkeypatch, family, values):
-    """family_rank's exact Jacobian rows (what it hands to the SVD)."""
-    seen = []
-    svd_rank = moduli._svd_rank
-
-    def spy(rows, tol):
-        seen.append([list(r) for r in rows])
-        return svd_rank(rows, tol)
-
-    monkeypatch.setattr(moduli, "_svd_rank", spy)
-    rank = moduli.family_rank(family, values)
-    return rank, seen[0]
-
-
-def test_family_rank_gradient_matches_hand_derivative(monkeypatch):
-    # d = a/b, e = d^-2 + s*b = b^2/a^2 + s*b; s is a sign, not differentiated
-    fam = JFamily(name="toy", params=(ParamSpec("a"), ParamSpec("b"),
-                                      ParamSpec("s", "pm_one")),
-                  defs=(("d", "a/b"), ("e", "d^-2 + s*b")),
-                  entries=(("e", "a*d", "1/e"), ("2", "s", "b")))
-    a, b, s = Fraction(2), Fraction(3), Fraction(-1)
-    rank, rows = _rank_rows(monkeypatch, fam, {"a": a, "b": b, "s": s})
-    e = b ** 2 / a ** 2 + s * b
-    de = [-2 * b ** 2 / a ** 3, 2 * b / a ** 2 + s]
-    assert rows == [de,
-                    [2 * a / b, -a ** 2 / b ** 2],
-                    [-de[0] / e ** 2, -de[1] / e ** 2],
-                    [0, 0], [0, 0], [0, 1]]
-    assert rows[2] == [4, Fraction(-8, 9)]
-    assert rank == 2
-
-
 def test_family_rank_counts_directions_not_parameters():
-    # the entries see a and b only through a + b: one direction, two parameters
+    # the entries see a and b only through a + b: one direction, two
+    # parameters, and no cell certifies either, so the rank is refused
     fam = JFamily(name="sum", params=(ParamSpec("a"), ParamSpec("b")),
                   defs=(("t", "a + b"),), entries=(("t", "t^2", "1/t", "t*t - t"),))
     assert fam.continuous_params() == ["a", "b"]
-    assert moduli.family_rank(fam, {"a": Fraction(1), "b": Fraction(2)}) == 1
+    with pytest.raises(ValueError, match="parameter a "):
+        moduli.family_rank(fam)
+
+
+@pytest.mark.parametrize("mutation", ["scaled cell", "shadowing def"])
+def test_family_rank_refuses_a_family_without_its_certificate(mutation):
+    fam = catalogue.get("G6,3").family("case-rest")
+    assert moduli.family_rank(fam) == len(fam.continuous_params())
+    if mutation == "scaled cell":
+        rows = [["2*j12" if c == "j12" else c for c in r] for r in fam.entries]
+        mutant = dataclasses.replace(fam, entries=tuple(tuple(r) for r in rows))
+    else:
+        mutant = dataclasses.replace(fam, defs=fam.defs + (("j12", "2*j11"),))
+    with pytest.raises(ValueError, match="parameter j12 "):
+        moduli.family_rank(mutant)
