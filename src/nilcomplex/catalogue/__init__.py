@@ -200,7 +200,6 @@ class Chart:
     relations: Tuple[Tuple[int, Tuple[Tuple[int, str], ...]], ...] = ()
     chi: Tuple[Tuple[int, str], ...] = ()
     chi_defs: Tuple[Tuple[str, str], ...] = ()
-    coords: str = "secondkind"
     conditions: Tuple[str, ...] = ()
 
 

@@ -905,7 +905,6 @@ _m5_case1_defs = (
 )
 
 _m5_case1_chart = Chart(
-    coords="natural",
     defs=_m5_case1_defs + (
         ("M", CS["m5_M"]),
         ("LAM", CS["m5_LAM"]),
@@ -923,7 +922,6 @@ _m5_case1_chart = Chart(
 )
 
 _m5_ab_chart = Chart(
-    coords="natural",
     defs=(("w1", "x1 - i*y2"), ("w2", "x2 - i*y1"), ("w3", "x3 + (i/beta)*y3")),
     phis=("2*w1", "w2",
           CS["m5ab_phi3_core"] +

@@ -2,23 +2,28 @@
 
 A chart triple (phi1, phi2, phi3) is certified by (a) exact annihilation
 under all six antiholomorphic fields X~_j^- = X_j + i J X_j, (b) an
-invertible complex Jacobian at sampled points, and (c) exact agreement of
-the closed-form chart multiplication with the normal-ordering engine.
-Complex combinations are always eliminated into the real polynomial ring
-before comparison.
+invertible real 6x6 Jacobian of (Re phi, Im phi) at sampled points, and
+(c) exact agreement of the closed-form chart multiplication with the
+normal-ordering engine at sampled pairs.  Each check starts from one
+validated scope of the chart point, and (a) and (b) both read one
+gradient of the chart functions.  Complex combinations are always
+eliminated into the real polynomial ring before comparison.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import group, linalg
 from .acs import AlmostComplexStructure, BadSquare
-from .catalogue import AlgebraEntry, Representative
+from .catalogue import AlgebraEntry, Chart, Representative
 from .exactnum import GaussianRational, MultiPoly
-from .expr import ExprError, evaluate
+from .expr import evaluate, free_symbols
+
+I_UNIT = GaussianRational(0, 1)
+
 
 class NotAnnihilated(AssertionError):
     """Some X~_j^- phi^k != 0; `failing` lists every such (j, k)."""
@@ -32,7 +37,7 @@ class NotAnnihilated(AssertionError):
 
 class DegenerateJacobian(AssertionError):
     def __init__(self, point):
-        super().__init__(f"complex Jacobian is singular at {point}")
+        super().__init__(f"real Jacobian is singular at {point}")
         self.point = point
 
 
@@ -52,6 +57,7 @@ def fields_for(entry: AlgebraEntry) -> List[List[MultiPoly]]:
 
 
 def apply_derivation(coeffs: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
+    """sum_m coeffs[m] d p / d coord_m: one field applied to one polynomial."""
     out = MultiPoly.const(0)
     for m, c in enumerate(coeffs):
         if isinstance(c, MultiPoly) and c.is_zero():
@@ -62,103 +68,105 @@ def apply_derivation(coeffs: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
 
 def antiholo_fields(entry: AlgebraEntry, J: AlmostComplexStructure
                     ) -> List[List[MultiPoly]]:
-    """All six X~_j^- = X_j + i*sum_k J^k_j X_k as polynomial derivations."""
+    """All six X~_j^- = X_j + i*sum_k J^k_j X_k as polynomial derivations;
+    a J with J^2 != -1 raises BadSquare."""
+    if not J.square_check():
+        raise BadSquare("J^2 != -1")
     fields = fields_for(entry)
-    i_unit = GaussianRational(0, 1)
     out = []
     for j in range(1, 7):
         coeffs = [MultiPoly.coerce(c) for c in fields[j - 1]]
         col = J.column(j)
         for k in range(6):
             if col[k] != 0:
-                add = [MultiPoly.coerce(c) * (i_unit * col[k]) for c in fields[k]]
+                add = [MultiPoly.coerce(c) * (I_UNIT * col[k]) for c in fields[k]]
                 coeffs = [a + b for a, b in zip(coeffs, add)]
         out.append(coeffs)
     return out
 
 
-def build_antiholo(entry: AlgebraEntry, J: AlmostComplexStructure, j: int
-                   ) -> List[MultiPoly]:
-    if not J.square_check():
-        raise BadSquare("J^2 != -1")
-    return antiholo_fields(entry, J)[j - 1]
+def chart_scope(rep: Representative, values: Mapping[str, Fraction]
+                ) -> Tuple[Dict, List[Tuple[str, str]]]:
+    """The validated scope of a chart point, and the chart defs left out of it.
 
-
-def chart_env(rep: Representative, values: Mapping[str, Fraction]) -> Dict:
-    """Environment with parameters, chart definitions and formal coordinates."""
-    chart = rep.chart
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    for nm, e in rep.defs:
-        env[nm] = evaluate(e, env)
-    for c in group.COORDS:
-        env[c] = MultiPoly.var(c)
-    for nm, e in chart.defs:
-        env[nm] = evaluate(e, env)
-    return env
-
-
-def _chi_env(rep: Representative, values: Mapping[str, Fraction]) -> Dict:
-    """Parameters, representative defs and the chart defs that need no
-    coordinates: the scope of the chi corrections."""
-    env: Dict = {k: Fraction(v) for k, v in values.items()}
-    for nm, e in rep.defs:
-        env[nm] = evaluate(e, env)
+    The scope is `check_domain` under the chart's conditions (parameters and
+    representative defs) plus every chart def that needs no coordinate.  The
+    defs left out name a coordinate, directly or through an earlier such def.
+    """
+    scope = rep.check_domain(values, rep.chart.conditions)
+    moving = set(group.COORDS)
+    coord_defs = []
     for nm, e in rep.chart.defs:
-        try:
-            env[nm] = evaluate(e, env)
-        except ExprError:
-            continue  # coordinate-dependent defs are not needed for chi
-    return env
+        if free_symbols(e) & moving:
+            moving.add(nm)
+            coord_defs.append((nm, e))
+        else:
+            scope[nm] = evaluate(e, scope)
+    return scope, coord_defs
+
+
+def _chart_functions(chart: Chart, scope: Mapping, coord_defs) -> List[MultiPoly]:
+    env = {**scope, **{c: MultiPoly.var(c) for c in group.COORDS}}
+    for nm, e in coord_defs:
+        env[nm] = evaluate(e, env)
+    return [MultiPoly.coerce(evaluate(p, env)) for p in chart.phis]
 
 
 def chart_polys(rep: Representative, values: Mapping[str, Fraction]
                 ) -> List[MultiPoly]:
-    env = chart_env(rep, values)
-    return [MultiPoly.coerce(evaluate(p, env)) for p in rep.chart.phis]
+    """The three chart functions as polynomials in the real coordinates."""
+    return _chart_functions(rep.chart, *chart_scope(rep, values))
 
 
-def verify_relations(entry: AlgebraEntry, rep: Representative,
-                     values: Mapping[str, Fraction]) -> bool:
-    """Displayed dependencies x~_j^- = sum c_k x~_k^- hold exactly."""
-    chart = rep.chart
-    if not chart.relations:
-        return True
-    J = rep.instantiate(values)
-    env = chart_env(rep, values)
-    i_unit = GaussianRational(0, 1)
+def gradient(phis: Sequence[MultiPoly]) -> List[List[MultiPoly]]:
+    """grads[k][m] = d phi^(k+1) / d coord_m."""
+    return [[p.partial(c) for c in group.COORDS] for p in phis]
+
+
+def annihilation_residuals(entry: AlgebraEntry, J: AlmostComplexStructure,
+                           grads: Sequence[Sequence[MultiPoly]]
+                           ) -> Dict[Tuple[int, int], MultiPoly]:
+    """X~_j^- phi^k for all six fields and every chart function, keyed
+    (j, k) and read off the gradient of phi^k."""
+    zero = MultiPoly.const(0)
+    return {(j, k): sum((c * d for c, d in zip(field, grad)), zero)
+            for j, field in enumerate(antiholo_fields(entry, J), 1)
+            for k, grad in enumerate(grads, 1)}
+
+
+def verify_relations(chart: Chart, J: AlmostComplexStructure, scope: Mapping) -> bool:
+    """Displayed dependencies x~_j^- = sum c_k x~_k^- hold exactly; the
+    coefficients are read in the scope that `chart_scope` returns."""
 
     def gen(j):
-        col = J.column(j)
-        return [GaussianRational((1 if k == j - 1 else 0)) + i_unit * col[k]
-                for k in range(6)]
+        return [GaussianRational(k == j - 1) + I_UNIT * c
+                for k, c in enumerate(J.column(j))]
 
     for j, combo in chart.relations:
-        lhs = gen(j)
         rhs = [GaussianRational(0)] * 6
         for k, ce in combo:
-            c = GaussianRational.coerce(evaluate(ce, env))
+            c = GaussianRational.coerce(evaluate(ce, scope))
             rhs = [r + c * g for r, g in zip(rhs, gen(k))]
-        if any(a != b for a, b in zip(lhs, rhs)):
+        if gen(j) != rhs:
             return False
     return True
 
 
-def real_jacobian_det(phis: Sequence[MultiPoly], point: Mapping[str, Fraction]
-                      ) -> Fraction:
-    """det of the full real 6x6 Jacobian of (Re phi, Im phi).
+def real_jacobian(grads: Sequence[Sequence[MultiPoly]],
+                  point: Mapping[str, Fraction]) -> List[List[Fraction]]:
+    """The full real 6x6 Jacobian of (Re phi, Im phi) at point.
 
-    This is the convention-free invertibility certificate: the charts are
-    holomorphic for J, not for the standard complex structure, so the
+    Its rank is the convention-free invertibility certificate: the charts
+    are holomorphic for J, not for the standard complex structure, so the
     3x3 matrix d(phi)/d(z) in standard z's can be singular for perfectly
     good charts.
     """
     rows = []
-    for p in phis:
-        d = [GaussianRational.coerce(p.partial(c).eval(point)) if c in p.vars
-             else GaussianRational(0) for c in group.COORDS]
+    for grad in grads:
+        d = [GaussianRational.coerce(g.eval(point)) for g in grad]
         rows.append([x.re for x in d])
         rows.append([x.im for x in d])
-    return linalg.det(rows)
+    return rows
 
 
 def verify_chart(entry: AlgebraEntry, rep: Representative,
@@ -166,25 +174,25 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
                  jacobian_points: int = 10, seed: int = 0,
                  phis: Sequence[MultiPoly] | None = None) -> Dict:
     """Exact holomorphy of the chart triple under all six fields, plus an
-    invertibility spot-check of the complex Jacobian.  All 18 identities
+    invertibility spot-check of the real Jacobian.  All 18 identities
     are checked before NotAnnihilated names the failing ones."""
+    scope, coord_defs = chart_scope(rep, values)
     J = rep.instantiate(values)
     if phis is None:
-        phis = chart_polys(rep, values)
-    ahf = antiholo_fields(entry, J)
-    residuals = {(j, k): apply_derivation(ahf[j - 1], phis[k - 1])
-                 for j in range(1, 7) for k in range(1, 4)}
+        phis = _chart_functions(rep.chart, scope, coord_defs)
+    grads = gradient(phis)
+    residuals = annihilation_residuals(entry, J, grads)
     failing = [jk for jk, res in residuals.items() if not res.is_zero()]
     if failing:
         raise NotAnnihilated(failing, residuals[failing[0]])
-    if not verify_relations(entry, rep, values):
+    if not verify_relations(rep.chart, J, scope):
         raise AssertionError(f"{entry.name}/{rep.name}: displayed field "
                              "dependencies fail")
     rng = random.Random(seed)
     for _ in range(jacobian_points):
         point = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                  for c in group.COORDS}
-        if real_jacobian_det(phis, point) == 0:
+        if linalg.rank(real_jacobian(grads, point)) != 6:
             raise DegenerateJacobian(point)
     return {"identities": len(residuals), "jacobian_points": jacobian_points,
             "generators": list(rep.chart.generators)}
@@ -196,18 +204,17 @@ def _phi_values(phis: Sequence[MultiPoly], coords: Sequence[Fraction]
     return [GaussianRational.coerce(p.eval(env)) for p in phis]
 
 
-def chi_corrections(rep: Representative, values: Mapping[str, Fraction],
-                    phi_a: Sequence[GaussianRational],
-                    phi_x: Sequence[GaussianRational]) -> Dict[int, GaussianRational]:
-    chart = rep.chart
-    env = _chi_env(rep, values)
+def chi_corrections(chart: Chart, scope: Mapping, phi_a: Sequence, phi_x: Sequence
+                    ) -> Dict[int, object]:
+    """The closed-form corrections chi(a, x) per corrected component, in the
+    scope that `chart_scope` returns; phi_a and phi_x may be polynomials."""
+    env = dict(scope)
     for k in range(3):
         env[f"f{k+1}a"] = phi_a[k]
         env[f"f{k+1}x"] = phi_x[k]
     for nm, e in chart.chi_defs:
         env[nm] = evaluate(e, env)
-    return {comp: GaussianRational.coerce(evaluate(e, env))
-            for comp, e in chart.chi}
+    return {comp: evaluate(e, env) for comp, e in chart.chi}
 
 
 def multiply_coords(entry: AlgebraEntry, a, x):
@@ -221,8 +228,9 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
                                 pairs: int = 50, seed: int = 0,
                                 phis: Sequence[MultiPoly] | None = None) -> Dict:
     """phi(a*x) == phi(a) + phi(x) + chi(a, x), exactly, at random points."""
+    scope, coord_defs = chart_scope(rep, values)
     if phis is None:
-        phis = chart_polys(rep, values)
+        phis = _chart_functions(rep.chart, scope, coord_defs)
     rng = random.Random(seed)
     for n in range(pairs):
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
@@ -231,9 +239,9 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
         lhs = _phi_values(phis, prod)
         fa = _phi_values(phis, a)
         fx = _phi_values(phis, x)
-        chi = chi_corrections(rep, values, fa, fx)
+        chi = chi_corrections(rep.chart, scope, fa, fx)
         for comp in range(1, 4):
-            rhs = fa[comp - 1] + fx[comp - 1] + chi.get(comp, GaussianRational(0))
+            rhs = fa[comp - 1] + fx[comp - 1] + chi.get(comp, 0)
             if lhs[comp - 1] != rhs:
                 raise Mismatch((a, x), comp, lhs[comp - 1], rhs)
     return {"pairs": pairs}
@@ -251,13 +259,9 @@ def translated_chart_is_holomorphic(entry: AlgebraEntry, rep: Representative,
     prod = multiply_coords(entry, [Fraction(c) for c in a], formal)
     env = dict(zip(group.COORDS, prod))
     translated = [MultiPoly.coerce(p.eval(env)) for p in phis]
-    J = rep.instantiate(values)
-    ahf = antiholo_fields(entry, J)
-    for j in range(6):
-        for p in translated:
-            if not apply_derivation(ahf[j], p).is_zero():
-                return False
-    return True
+    residuals = annihilation_residuals(entry, rep.instantiate(values),
+                                       gradient(translated))
+    return all(res.is_zero() for res in residuals.values())
 
 
 def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction],
@@ -265,26 +269,17 @@ def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]
     """True iff some chi component genuinely involves conj(phi_a).
 
     The correction is expressed as a polynomial in the real and imaginary
-    parts of phi_a (with phi_x held at a sampled value) and tested with
-    exact Wirtinger derivatives.
+    parts u_k, v_k of phi_a (with phi_x held at a sampled value) and tested
+    with exact Wirtinger derivatives.
     """
-    chart = rep.chart
     rng = random.Random(seed)
-    env = _chi_env(rep, values)
-    i_unit = GaussianRational(0, 1)
-    pairs = []
-    for k in range(1, 4):
-        u, v = MultiPoly.var(f"u{k}"), MultiPoly.var(f"v{k}")
-        env[f"f{k}a"] = u + v * i_unit
-        env[f"f{k}x"] = GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
-                                         Fraction(rng.randint(1, 5), 3))
-        pairs.append((f"u{k}", f"v{k}"))
-    for nm, e in chart.chi_defs:
-        env[nm] = evaluate(e, env)
-    for comp, e in chart.chi:
-        p = MultiPoly.coerce(evaluate(e, env))
-        for u, v in pairs:
-            q = p.on_vars(tuple(sorted(set(p.vars) | {u, v})))
-            if not q.wirtinger(u, v, conjugate=True).is_zero():
-                return True
+    phi_a = [MultiPoly.var(f"u{k}") + MultiPoly.var(f"v{k}") * I_UNIT for k in range(1, 4)]
+    phi_x = [GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                              Fraction(rng.randint(1, 5), 3)) for _ in range(3)]
+    scope, _ = chart_scope(rep, values)
+    for chi in chi_corrections(rep.chart, scope, phi_a, phi_x).values():
+        p = MultiPoly.coerce(chi)
+        if any(not p.wirtinger(f"u{k}", f"v{k}", conjugate=True).is_zero()
+               for k in range(1, 4)):
+            return True
     return False

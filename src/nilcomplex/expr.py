@@ -9,7 +9,7 @@ functions, multiplication corrections) are stored as strings like
 Each string is parsed once into Python source and compiled; evaluating it
 is one ``eval`` of that code in the caller's symbols.  Python operators keep
 it exact over every scalar ring of the package (Fraction, GaussianRational,
-MultiPoly, dual numbers), and integer literals are Fraction constants.
+MultiPoly), and integer literals are Fraction constants.
 
 The only constant symbol is ``i`` (the imaginary unit); ``conj`` is
 coefficient conjugation.  ``^`` (or ``**``) raises to an integer literal;
@@ -173,7 +173,7 @@ def _compile(s: str):
 
 
 def evaluate(s: str, env):
-    """Value of formula s in env: name -> scalar, polynomial or dual number."""
+    """Value of formula s in env: name -> scalar or polynomial."""
     code, scope, _ = _compile(s)
     try:
         return eval(code, scope, env)

@@ -30,6 +30,7 @@ derivation and the test oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence
 
 from .exactnum import MultiPoly
@@ -281,8 +282,9 @@ def m5_matrix_multiply(a: Sequence, x: Sequence) -> List:
     return [a1 + c1, b1 + d1, a2 + c2, b2 + d2, re, im]
 
 
+@lru_cache(maxsize=None)
 def m5_natural_fields() -> List[List[MultiPoly]]:
-    """Left-invariant fields of the natural chart, derived from the model."""
+    """Left-invariant fields of the natural chart, derived once from the model."""
     formal = [MultiPoly.var(c) for c in COORDS]
     t = MultiPoly.var("t")
     zero = MultiPoly.const(0)

@@ -78,30 +78,3 @@ def inverse(A):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def det(A):
-    """Exact determinant by fraction-free-ish elimination (small n)."""
-    n = len(A)
-    M = [list(r) for r in A]
-    one = M[0][0] * 0 + 1 if not isinstance(M[0][0], GaussianRational) else GaussianRational(1)
-    d = one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not is_zero_scalar(M[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return one * 0
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            d = -d
-        d = d * M[c][c]
-        inv = M[c][c]
-        M[c] = [x / inv for x in M[c]]
-        for i in range(c + 1, n):
-            if not is_zero_scalar(M[i][c]):
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return d

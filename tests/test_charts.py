@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue, charts, group
-from nilcomplex.catalogue import Chart, Representative
+from nilcomplex import catalogue, charts, group, linalg
+from nilcomplex.catalogue import Chart, DomainViolation, Representative
 from nilcomplex.exactnum import GaussianRational, MultiPoly
+from nilcomplex.expr import ExprError
 
 
 def all_chart_reps():
@@ -31,14 +32,14 @@ def test_antiholo_field_shapes():
     e = catalogue.get("G6,3")
     J = e.representative("J0").instantiate({})
     # X~_3^- is 2 d/d(conj z2): kills z2 = x2 + i y2 but not its conjugate
-    f3 = charts.build_antiholo(e, J, 3)
+    ahf = charts.antiholo_fields(e, J)
+    f3 = ahf[2]
     z2 = MultiPoly.var("x2") + MultiPoly.var("y2") * GaussianRational(0, 1)
     assert charts.apply_derivation(f3, z2).is_zero()
     res = charts.apply_derivation(f3, z2.conj())
     assert res == MultiPoly.const(2)
     # constants die under every antiholomorphic field
-    for j in range(1, 7):
-        fj = charts.build_antiholo(e, J, j)
+    for fj in ahf:
         assert charts.apply_derivation(fj, MultiPoly.const(5)).is_zero()
 
 
@@ -46,7 +47,7 @@ def test_bare_coordinate_is_not_holomorphic_when_w3_mixes():
     # on G6,6 the third chart function involves x3 - i y3, so x3 alone fails
     e = catalogue.get("G6,6")
     J = e.representative("J").instantiate({})
-    f5 = charts.build_antiholo(e, J, 5)
+    f5 = charts.antiholo_fields(e, J)[4]
     assert not charts.apply_derivation(f5, MultiPoly.var("x3")).is_zero()
 
 
@@ -56,7 +57,7 @@ def test_bad_square_rejected():
     I6 = AlmostComplexStructure([[1 if i == j else 0 for j in range(6)]
                                  for i in range(6)])
     with pytest.raises(BadSquare):
-        charts.build_antiholo(e, I6, 1)
+        charts.antiholo_fields(e, I6)
 
 
 def test_mutation_detected():
@@ -123,7 +124,7 @@ def test_g67_chart_annihilation_example():
     values = {"alpha": Fraction(2)}
     phis = charts.chart_polys(rep, values)
     J = rep.instantiate(values)
-    f1 = charts.build_antiholo(e, J, 1)
+    f1 = charts.antiholo_fields(e, J)[0]
     assert charts.apply_derivation(f1, phis[1]).is_zero()
 
 
@@ -132,24 +133,68 @@ def test_real_jacobian_nonzero_at_origin():
     rep = e.representative("J_pm")
     phis = charts.chart_polys(rep, {"j36": Fraction(1)})
     origin = {c: Fraction(0) for c in group.COORDS}
-    assert charts.real_jacobian_det(phis, origin) != 0
+    assert linalg.rank(charts.real_jacobian(charts.gradient(phis), origin)) == 6
 
 
 def test_chi_skips_only_coordinate_dependent_defs():
-    # a def that needs the coordinates is skipped; any other error is a bug
-    # in the data and must surface instead of silently dropping the def
-    rep = catalogue.get("G6,3").representative("J0")
+    # a def that needs the coordinates stays out of the chi scope; any other
+    # error is a bug in the data and must surface instead of silently
+    # dropping the def
+    e = catalogue.get("G6,3")
+    rep = e.representative("J0")
     values = {}
+    scope, coord_defs = charts.chart_scope(rep, values)
+    assert [nm for nm, _ in coord_defs] == ["w1", "w2", "w3"]
     phis = charts.chart_polys(rep, values)
     fa = charts._phi_values(phis, [Fraction(1)] * 6)
     fx = charts._phi_values(phis, [Fraction(2)] * 6)
-    assert set(charts.chi_corrections(rep, values, fa, fx)) == {2, 3}
-    broken = dataclasses.replace(rep, chart=dataclasses.replace(
-        rep.chart, defs=rep.chart.defs + (("broken", "1/0"),)))
-    with pytest.raises(ZeroDivisionError):
-        charts.chi_corrections(broken, values, fa, fx)
-    with pytest.raises(ZeroDivisionError):
-        charts.chi_depends_on_conjugate(broken, values)
+    assert set(charts.chi_corrections(rep.chart, scope, fa, fx)) == {2, 3}
+    for bad, error in (("1/0", ZeroDivisionError), ("alpah + 1", ExprError)):
+        broken = dataclasses.replace(rep, chart=dataclasses.replace(
+            rep.chart, defs=rep.chart.defs + (("broken", bad),)))
+        with pytest.raises(error):
+            charts.verify_chart_multiplication(e, broken, values, pairs=1, phis=phis)
+        with pytest.raises(error):
+            charts.chi_depends_on_conjugate(broken, values)
+
+
+def test_coordinate_dependence_passes_through_defs():
+    # u names no coordinate but is built from w1, so it is a coordinate def
+    rep = catalogue.get("G6,3").representative("J0")
+    chart = dataclasses.replace(rep.chart, defs=rep.chart.defs + (("u", "2*w1"), ("k", "3")))
+    scope, coord_defs = charts.chart_scope(dataclasses.replace(rep, chart=chart), {})
+    assert [nm for nm, _ in coord_defs] == ["w1", "w2", "w3", "u"]
+    assert scope["k"] == 3 and "u" not in scope
+
+
+@pytest.mark.parametrize("algebra, name, values", [
+    ("G6,1", "J_alpha", {"alpha": 1}),
+    ("M5", "J_case1", {"j13": 0, "j14": 1, "j55": 2, "j65": 3}),
+], ids=["G6,1", "M5"])
+def test_chart_off_its_domain_is_a_domain_violation(algebra, name, values):
+    # the point passes the representative's domain but not the chart's
+    e = catalogue.get(algebra)
+    rep = e.representative(name)
+    rep.instantiate(values)
+    with pytest.raises(DomainViolation):
+        charts.chart_polys(rep, values)
+    with pytest.raises(DomainViolation):
+        charts.verify_chart(e, rep, values, jacobian_points=1)
+
+
+@pytest.mark.parametrize("entry,rep", [(e, r) for e, r in all_chart_reps()],
+                         ids=lambda v: getattr(v, "name", None))
+def test_residuals_match_the_derivation_oracle(entry, rep):
+    # the conjugated chart functions give nonzero residuals to compare too
+    values = rep.random_admissible(random.Random(3), extra_conditions=rep.chart.conditions)
+    phis = charts.chart_polys(rep, values)
+    J = rep.instantiate(values)
+    ahf = charts.antiholo_fields(entry, J)
+    for polys in (phis, [p.conj() for p in phis]):
+        residuals = charts.annihilation_residuals(entry, J, charts.gradient(polys))
+        assert residuals == {(j, k): charts.apply_derivation(ahf[j - 1], polys[k - 1])
+                             for j in range(1, 7) for k in range(1, 4)}
+    assert any(not r.is_zero() for r in residuals.values())
 
 
 def test_not_annihilated_lists_every_failing_identity():

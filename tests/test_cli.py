@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -294,16 +296,16 @@ def test_param_with_j_file_is_a_usage_error(tmp_path, capsys):
 
 def test_chart_verify_checks_annihilation_once(monkeypatch, capsys):
     calls = []
-    derivation = charts.apply_derivation
+    residuals = charts.annihilation_residuals
 
-    def counted(coeffs, p):
-        calls.append(p)
-        return derivation(coeffs, p)
+    def counted(entry, J, grads):
+        calls.append(residuals(entry, J, grads))
+        return calls[-1]
 
-    monkeypatch.setattr(charts, "apply_derivation", counted)
+    monkeypatch.setattr(charts, "annihilation_residuals", counted)
     code, out = run(capsys, "chart-verify", "G6,3", "--seeds", "1", "--pairs", "1")
     assert code == 0 and out.count("pass") == 19
-    assert len(calls) == 18
+    assert [len(r) for r in calls] == [18]
 
 
 G63_SWAP = [["0", "1", "0", "0", "0", "0"], ["-1", "0", "0", "0", "0", "0"],
@@ -348,3 +350,20 @@ def test_chart_verify_json_lists_the_failing_pairs(monkeypatch, capsys):
     (result,) = json.loads(out)["results"]
     assert code == 1 and result["failing"] == [[2, 3], [5, 1]]
     assert result["status"].startswith("FAIL (X~_j^- phi^k != 0")
+
+
+def readme_commands():
+    """The README's "Command line" lines that need no input file."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and not any(".json" in a for a in argv)]
+
+
+def test_readme_lists_eleven_commands():
+    assert len(readme_commands()) == 11
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(capsys, argv):
+    assert run(capsys, *argv)[0] == 0

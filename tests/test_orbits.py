@@ -55,6 +55,25 @@ def test_act_examples():
     assert not orbits.verify_witness(e.algebra, J1, J2, I6)
 
 
+def test_verify_witness_checks_the_automorphism_once(monkeypatch):
+    e = catalogue.get("G6,3")
+    J1 = e.representative("J1").instantiate({})
+    J2 = e.representative("J2").instantiate({})
+    calls = []
+    check = orbits.is_automorphism
+
+    def counted(L, phi):
+        calls.append(phi)
+        return check(L, phi)
+
+    monkeypatch.setattr(orbits, "is_automorphism", counted)
+    assert orbits.verify_witness(e.algebra, J2, J1, G63_WITNESS_M)
+    assert len(calls) == 1
+    # the zero matrix preserves every bracket; only its rank rejects it
+    assert not orbits.verify_witness(e.algebra, J2, J1, [[0] * 6 for _ in range(6)])
+    assert len(calls) == 2
+
+
 def test_not_automorphism_raises():
     e = catalogue.get("G6,3")
     J1 = e.representative("J1").instantiate({})
