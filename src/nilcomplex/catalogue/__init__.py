@@ -132,7 +132,7 @@ class MatrixFamily:
             check(cond)
         return env
 
-    def _matrix(self, env: Mapping[str, Fraction]) -> AlmostComplexStructure:
+    def matrix(self, env: Mapping[str, Fraction]) -> AlmostComplexStructure:
         """The entries evaluated in a scope that check_domain returned."""
         rows = []
         for row in self.entries:
@@ -146,7 +146,7 @@ class MatrixFamily:
         return AlmostComplexStructure(rows)
 
     def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
-        return self._matrix(self.check_domain(values))
+        return self.matrix(self.check_domain(values))
 
     def instantiate_matrix(self, values: Mapping[str, Fraction]) -> List[List[Fraction]]:
         return self.instantiate(values).m

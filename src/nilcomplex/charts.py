@@ -94,15 +94,28 @@ def chart_scope(rep: Representative, values: Mapping[str, Fraction]
     defs left out name a coordinate, directly or through an earlier such def.
     """
     scope = rep.check_domain(values, rep.chart.conditions)
+    return scope, _add_chart_defs(rep.chart, scope)
+
+
+def _add_chart_defs(chart: Chart, scope: Dict) -> List[Tuple[str, str]]:
+    """Evaluate the coordinate-free chart defs into scope; return the others."""
     moving = set(group.COORDS)
     coord_defs = []
-    for nm, e in rep.chart.defs:
+    for nm, e in chart.defs:
         if free_symbols(e) & moving:
             moving.add(nm)
             coord_defs.append((nm, e))
         else:
             scope[nm] = evaluate(e, scope)
-    return scope, coord_defs
+    return coord_defs
+
+
+def _chart_point(rep: Representative, values: Mapping[str, Fraction]):
+    """J and `chart_scope`'s pair from one domain check.  J is built before
+    the chart defs enter the scope: some reuse the representative's def names."""
+    scope = rep.check_domain(values, rep.chart.conditions)
+    J = rep.matrix(scope)
+    return J, scope, _add_chart_defs(rep.chart, scope)
 
 
 def _chart_functions(chart: Chart, scope: Mapping, coord_defs) -> List[MultiPoly]:
@@ -176,8 +189,7 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
     """Exact holomorphy of the chart triple under all six fields, plus an
     invertibility spot-check of the real Jacobian.  All 18 identities
     are checked before NotAnnihilated names the failing ones."""
-    scope, coord_defs = chart_scope(rep, values)
-    J = rep.instantiate(values)
+    J, scope, coord_defs = _chart_point(rep, values)
     if phis is None:
         phis = _chart_functions(rep.chart, scope, coord_defs)
     grads = gradient(phis)
@@ -253,14 +265,14 @@ def translated_chart_is_holomorphic(entry: AlgebraEntry, rep: Representative,
                                     phis: Sequence[MultiPoly] | None = None) -> bool:
     """phi(a * x), as polynomials in the coordinates of x, is annihilated by
     the same antiholomorphic fields: left translations are holomorphic."""
+    J, scope, coord_defs = _chart_point(rep, values)
     if phis is None:
-        phis = chart_polys(rep, values)
+        phis = _chart_functions(rep.chart, scope, coord_defs)
     formal = [MultiPoly.var(c) for c in group.COORDS]
     prod = multiply_coords(entry, [Fraction(c) for c in a], formal)
     env = dict(zip(group.COORDS, prod))
     translated = [MultiPoly.coerce(p.eval(env)) for p in phis]
-    residuals = annihilation_residuals(entry, rep.instantiate(values),
-                                       gradient(translated))
+    residuals = annihilation_residuals(entry, J, gradient(translated))
     return all(res.is_zero() for res in residuals.values())
 
 

@@ -21,11 +21,6 @@ class UsageError(Exception):
     """Bad input from the command line or an input file (exit code 2)."""
 
 
-def _fail(msg: str, code: int = 1):
-    print(f"FAIL: {msg}")
-    raise SystemExit(code)
-
-
 def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise UsageError(f"{what}: expected a rational string, got {value!r}")
@@ -53,11 +48,13 @@ def _count(text: str) -> int:
 
 
 def _load_json(path):
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
-        except json.JSONDecodeError as ex:
-            raise UsageError(f"{path}: malformed JSON ({ex})") from None
+    except json.JSONDecodeError as ex:
+        raise UsageError(f"{path}: malformed JSON ({ex})") from None
+    except (OSError, UnicodeDecodeError) as ex:
+        raise UsageError(f"{path}: unreadable ({ex})") from None
 
 
 def _matrix(doc, n: int, what: str):
@@ -68,10 +65,10 @@ def _matrix(doc, n: int, what: str):
     return [[_rational(x, what) for x in row] for row in doc]
 
 
-def _load_coords(path):
+def _load_coords(path, n: int):
     doc = _load_json(path)
-    if not isinstance(doc, list):
-        raise UsageError(f"{path}: expected an array of rational strings")
+    if not (isinstance(doc, list) and len(doc) == n):
+        raise UsageError(f"{path}: expected an array of {n} rational strings")
     return [_rational(c, path) for c in doc]
 
 
@@ -83,21 +80,17 @@ def _emit(args, payload, text):
 
 
 def cmd_list(args):
-    rows = []
-    for e in catalogue.entries():
-        alias = f" ({', '.join(e.aliases)})" if e.aliases else ""
-        rows.append(f"{e.name}{alias}")
-    _emit(args, {"algebras": [e.name for e in catalogue.entries()],
-                 "aliases": {e.name: list(e.aliases) for e in catalogue.entries()}},
-          "\n".join(rows))
+    es = catalogue.entries()
+    _emit(args, {"algebras": [e.name for e in es],
+                 "aliases": {e.name: list(e.aliases) for e in es}},
+          "\n".join(e.name + (f" ({', '.join(e.aliases)})" if e.aliases else "") for e in es))
     return 0
 
 
 def cmd_show(args):
     e = catalogue.get(args.algebra)
     if args.json:
-        doc = [a for a in catalogue.dump_json()["algebras"] if a["name"] == e.name][0]
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _emit(args, next(a for a in catalogue.dump_json()["algebras"] if a["name"] == e.name), "")
         return 0
     lines = [f"{e.name}  aliases: {', '.join(e.aliases) or '-'}",
              f"expected moduli dimension: {e.expected_dim}",
@@ -155,42 +148,37 @@ def cmd_sample(args):
     return 0
 
 
+def family_sweep(e, fams, samples: int, seed: int):
+    """verify's family check: per family, how many of the draws at seed + n
+    (n < samples) are not integrable; passes when none is."""
+    results = []
+    for fam in fams:
+        bad = sum(not is_integrable(e.algebra, fam.instantiate(fam.random_admissible(seed + n)))
+                  for n in range(samples))
+        results.append({"family": fam.name, "samples": samples, "failures": bad})
+    return results, all(r["failures"] == 0 for r in results)
+
+
 def cmd_verify(args):
     e = catalogue.get(args.algebra)
-    try:
-        if args.rep or args.j or args.param:
-            J, _ = _resolve_J(args, e)
-            ok = is_integrable(e.algebra, J)
-            _emit(args, {"integrable": ok},
-                  f"{e.name}: integrable = {ok}")
-            return 0 if ok else 1
-        fams = [e.family(args.family)] if args.family else \
-            [f for f in e.families if f.samplable]
-        results = []
-        for fam in fams:
-            bad = 0
-            for n in range(args.samples):
-                values = fam.random_admissible(args.seed + n)
-                J = fam.instantiate(values)
-                if not is_integrable(e.algebra, J):
-                    bad += 1
-            results.append({"family": fam.name, "samples": args.samples, "failures": bad})
-        _emit(args, {"algebra": e.name, "results": results},
-              "\n".join(f"{e.name}/{r['family']}: {r['samples'] - r['failures']}/"
-                        f"{r['samples']} integrable" for r in results))
-        total_bad = sum(r["failures"] for r in results)
-        return 0 if total_bad == 0 else 1
-    except DomainViolation as ex:
-        _fail(f"DomainViolation: {ex}")
+    if args.rep or args.j or args.param:
+        J, _ = _resolve_J(args, e)
+        ok = is_integrable(e.algebra, J)
+        _emit(args, {"integrable": ok}, f"{e.name}: integrable = {ok}")
+        return 0 if ok else 1
+    fams = [e.family(args.family)] if args.family else \
+        [f for f in e.families if f.samplable]
+    results, ok = family_sweep(e, fams, args.samples, args.seed)
+    _emit(args, {"algebra": e.name, "results": results},
+          "\n".join(f"{e.name}/{r['family']}: {r['samples'] - r['failures']}/"
+                    f"{r['samples']} integrable" for r in results))
+    return 0 if ok else 1
 
 
 def cmd_classify_m(args):
     e = catalogue.get(args.algebra)
     J, _ = _resolve_J(args, e)
-    try:
-        inv = orbits.orbit_invariants_soft(e, J)
-    except (BadSquare, NotClosed, Unclassifiable) as ex:
-        _fail(f"{type(ex).__name__}: {ex}")
+    inv = orbits.orbit_invariants_soft(e, J)
     payload = {"m": inv["m"], "representative": inv["representative"]}
     text = f"m is {inv['m']}"
     if "params" in inv:
@@ -205,11 +193,7 @@ def cmd_act(args):
     n = e.algebra.dim
     J = AlmostComplexStructure(_matrix(_load_json(args.j), n, args.j))
     phi = _matrix(_load_json(args.phi), n, args.phi)
-    try:
-        out = orbits.act(e.algebra, phi, J)
-    except orbits.NotAutomorphism as ex:
-        _fail(str(ex))
-    print(json.dumps(out.to_json()))
+    print(json.dumps(orbits.act(e.algebra, phi, J).to_json()))
     return 0
 
 
@@ -238,14 +222,30 @@ def cmd_verify_witness(args):
 
 
 def cmd_mul(args):
-    e = catalogue.get(args.algebra)
-    a, x = _load_coords(args.a), _load_coords(args.x)
-    try:
-        prod = group.multiply(e.algebra, a, x)
-    except ValueError as ex:  # coordinate vectors of the wrong length
-        raise UsageError(str(ex)) from None
+    L = catalogue.get(args.algebra).algebra
+    prod = group.multiply(L, _load_coords(args.a, L.dim), _load_coords(args.x, L.dim))
     print(json.dumps([rational_str(c) for c in prod]))
     return 0
+
+
+def chart_point(e, r, seed: int, jacobian_points: int, pairs: int):
+    """chart-verify's check of the chart point drawn at seed: holomorphy, relations
+    and the Jacobian, then the multiplication; status "pass" or "FAIL (...)"."""
+    values = r.random_admissible(seed, extra_conditions=r.chart.conditions)
+    phis = charts.chart_polys(r, values)
+    failing = ()
+    try:
+        charts.verify_chart(e, r, values, jacobian_points=jacobian_points,
+                            seed=seed, phis=phis)
+        charts.verify_chart_multiplication(e, r, values, pairs=pairs, seed=seed, phis=phis)
+        status = "pass"
+    except charts.NotAnnihilated as ex:
+        failing, status = ex.failing, f"FAIL ({ex})"
+    except AssertionError as ex:  # DegenerateJacobian, Mismatch, relations
+        status = f"FAIL ({ex})"
+    return {"representative": r.name, "seed": seed, "status": status,
+            "params": {k: rational_str(v) for k, v in sorted(values.items())},
+            "failing": [list(p) for p in failing]}
 
 
 def cmd_chart_verify(args):
@@ -259,44 +259,33 @@ def cmd_chart_verify(args):
             results.append({"representative": r.name, "status": "no chart catalogued"})
             continue
         for n in range(args.seeds):
-            values = r.random_admissible(args.seed + n,
-                                         extra_conditions=r.chart.conditions)
-            phis = charts.chart_polys(r, values)
-            shown = {k: rational_str(v) for k, v in sorted(values.items())}
-            lines.append(f"{e.name}/{r.name} @ {shown}")
-            failing = ()
-            try:
-                charts.verify_chart(e, r, values, jacobian_points=10,
-                                    seed=args.seed + n, phis=phis)
-                charts.verify_chart_multiplication(e, r, values, pairs=args.pairs,
-                                                   seed=args.seed + n, phis=phis)
-                status = "pass"
-            except charts.NotAnnihilated as ex:
-                failing, status = ex.failing, f"FAIL ({ex})"
-            except AssertionError as ex:  # DegenerateJacobian, Mismatch, relations
-                status = f"FAIL ({ex})"
+            res = chart_point(e, r, args.seed + n, jacobian_points=10, pairs=args.pairs)
+            lines.append(f"{e.name}/{r.name} @ {res['params']}")
             lines.extend(f"  X~_{j}^- phi^1..3: " + "  ".join(
-                "FAIL" if (j, k) in failing else "pass" for k in range(1, 4))
+                "FAIL" if [j, k] in res["failing"] else "pass" for k in range(1, 4))
                 for j in range(1, 7))
-            lines.append(f"  jacobian + relations + multiplication: {status}")
-            results.append({"representative": r.name, "seed": args.seed + n, "params": shown,
-                            "status": status, "failing": [list(p) for p in failing]})
+            lines.append(f"  jacobian + relations + multiplication: {res['status']}")
+            results.append(res)
     _emit(args, {"algebra": e.name, "results": results}, "\n".join(lines))
     return 1 if any(x["status"].startswith("FAIL") for x in results) else 0
+
+
+def moduli_check(e, fam, samples: int, tol: float, seed: int):
+    """moduli-dim's check: the dimension report; passes when every tangent dim agrees."""
+    rep = moduli.dimension_report(e, family=fam, samples=samples, tol=tol, seed=seed)
+    return rep, rep["agree"] == len(rep["tangent_dims"])
 
 
 def cmd_moduli_dim(args):
     e = catalogue.get(args.algebra)
     fam = e.family(args.family) if args.family else None
-    rep = moduli.dimension_report(e, family=fam, samples=args.samples,
-                                  tol=args.tol, seed=args.seed)
-    verdict = "pass" if rep["agree"] == len(rep["tangent_dims"]) else "FAIL"
+    rep, ok = moduli_check(e, fam, args.samples, args.tol, args.seed)
     _emit(args, rep, "\n".join(
         [f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
          f"family rank {s['family_rank']}" for s in rep["samples"]]
         + [f"{e.name}: expected {rep['expected_dim']}, "
-           f"agree {rep['agree']}/{len(rep['tangent_dims'])} -> {verdict}"]))
-    return 0 if verdict == "pass" else 1
+           f"agree {rep['agree']}/{len(rep['tangent_dims'])} -> {'pass' if ok else 'FAIL'}"]))
+    return 0 if ok else 1
 
 
 def cmd_nonexistence_check(args):
@@ -317,23 +306,19 @@ def cmd_report(args):
             raise
         args.name, args.samples = args.algebra, args.samples or 20
         return cmd_nonexistence_check(args)
-    samples = args.samples or 5
     sections = {}
 
     def section(label, fn):
         try:
             fn()
             sections[label] = "pass"
-        except Exception as ex:  # noqa: BLE001 - report collects all failures
+        except (AssertionError, ArithmeticError, RuntimeError, ValueError) as ex:
             sections[label] = f"FAIL: {type(ex).__name__}: {str(ex)[:100]}"
 
-    def family_sweep():
-        for fam in e.families:
-            if not fam.samplable:
-                continue
-            for n in range(samples):
-                J = fam.instantiate(fam.random_admissible(args.seed + n))
-                assert is_integrable(e.algebra, J), fam.name
+    def families():
+        results, ok = family_sweep(e, [f for f in e.families if f.samplable],
+                                   args.samples or 5, args.seed)
+        assert ok, [r["family"] for r in results if r["failures"]]
 
     def rep_tables():
         for r in e.representatives:
@@ -353,21 +338,15 @@ def cmd_report(args):
 
     def chart_section():
         for r in e.representatives:
-            if r.chart is None:
-                continue
-            values = r.random_admissible(args.seed,
-                                         extra_conditions=r.chart.conditions)
-            phis = charts.chart_polys(r, values)
-            charts.verify_chart(e, r, values, jacobian_points=5, seed=args.seed,
-                                phis=phis)
-            charts.verify_chart_multiplication(e, r, values, pairs=20, seed=args.seed,
-                                               phis=phis)
+            if r.chart is not None:
+                res = chart_point(e, r, args.seed, jacobian_points=5, pairs=20)
+                assert res["status"] == "pass", f"{r.name}: {res['status']}"
 
     def moduli_section():
-        rep = moduli.dimension_report(e, samples=5, tol=args.tol, seed=args.seed)
-        assert rep["agree"] == 5, rep["tangent_dims"]
+        rep, ok = moduli_check(e, None, 5, args.tol, args.seed)
+        assert ok, rep["tangent_dims"]
 
-    section("family integrability sweep", family_sweep)
+    section("family integrability sweep", families)
     section("representative tables", rep_tables)
     section("automorphism families", automorphisms)
     section("holomorphic charts & multiplication", chart_section)
@@ -385,58 +364,55 @@ def build_parser():
                     "structures on 6-dimensional nilpotent Lie algebras")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, algebra_positional=False):
-        if algebra_positional:
-            p.add_argument("algebra")
-        else:
-            p.add_argument("--algebra", required=True)
+    def common(p, *algebra, **how):
+        """The algebra argument, added as given, then --seed and --json."""
+        p.add_argument(*algebra, **how)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
+
+    def member(p):
+        """Where the J comes from: a family or representative, or a file."""
+        p.add_argument("--family")
+        p.add_argument("--rep")
+        p.add_argument("--j", help="JSON file with a 6x6 matrix")
+        p.add_argument("--param", action="append", metavar="K=V")
 
     p = sub.add_parser("list", help="catalogued algebras")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_list)
 
     p = sub.add_parser("show", help="brackets, families, representatives")
-    common(p, True)
+    common(p, "algebra")
     p.set_defaults(fn=cmd_show)
 
     p = sub.add_parser("sample", help="random admissible family member")
-    common(p)
+    common(p, "--algebra", required=True)
     p.add_argument("--family")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("verify", help="integrability of families/representatives")
-    common(p)
-    p.add_argument("--family")
-    p.add_argument("--rep")
-    p.add_argument("--j", help="JSON file with a 6x6 matrix")
-    p.add_argument("--param", action="append", metavar="K=V")
+    common(p, "--algebra", required=True)
+    member(p)
     p.add_argument("--samples", type=_count, default=10)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("classify-m", help="abelian/Heisenberg classification")
-    common(p)
-    p.add_argument("--family")
-    p.add_argument("--rep")
-    p.add_argument("--j")
-    p.add_argument("--param", action="append", metavar="K=V")
+    common(p, "--algebra", required=True)
+    member(p)
     p.set_defaults(fn=cmd_classify_m)
 
     p = sub.add_parser("act", help="apply an automorphism to J")
-    common(p)
+    common(p, "--algebra", required=True)
     p.add_argument("--j", required=True)
     p.add_argument("--phi", required=True)
     p.set_defaults(fn=cmd_act)
 
     p = sub.add_parser("verify-witness", help="check an equivalence witness file")
     p.add_argument("file")
-    p.add_argument("--algebra")
-    p.add_argument("--search", type=int, metavar="ATTEMPTS",
+    common(p, "--algebra")
+    p.add_argument("--search", type=_count, metavar="ATTEMPTS",
                    help="if the file has no phi, try sampled automorphisms; "
                         "the outcome is 'equivalent' or 'inconclusive'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_witness)
 
     p = sub.add_parser("mul", help="group multiplication in coordinates")
@@ -446,14 +422,14 @@ def build_parser():
     p.set_defaults(fn=cmd_mul)
 
     p = sub.add_parser("chart-verify", help="holomorphy + multiplication identities")
-    common(p, True)
+    common(p, "algebra")
     p.add_argument("--rep")
     p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--pairs", type=_count, default=20)
     p.set_defaults(fn=cmd_chart_verify)
 
     p = sub.add_parser("moduli-dim", help="sampled tangent dimensions")
-    common(p, True)
+    common(p, "algebra")
     p.add_argument("--family")
     p.add_argument("--samples", type=_count, default=10)
     p.add_argument("--tol", type=float, default=moduli.DEFAULT_TOL)
@@ -461,14 +437,12 @@ def build_parser():
 
     p = sub.add_parser("nonexistence-check",
                        help="gamma=+1 families fail on the gamma=-1 twins")
-    p.add_argument("name", choices=catalogue.spotcheck_names())
+    common(p, "name", choices=catalogue.spotcheck_names())
     p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nonexistence_check)
 
     p = sub.add_parser("report", help="full verification dossier")
-    common(p, True)
+    common(p, "algebra")
     p.add_argument("--samples", type=_count,
                    help="family samples per algebra (default 5), or twin samples (default 20)")
     p.add_argument("--tol", type=float, default=moduli.DEFAULT_TOL)
@@ -477,20 +451,19 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; a verification failure exits 1 and a usage error 2,
+    printed as a line of text or, under --json, as a JSON object."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as ex:
-        return int(ex.code or 0)
-    except (DomainViolation, SamplingExhausted) as ex:
-        print(f"FAIL: {type(ex).__name__}: {ex}")
-        return 1
-    except (UnknownAlgebra, UnknownMember) as ex:
-        print(f"error: {ex.args[0]}")
-        return 2
-    except (UsageError, FileNotFoundError) as ex:
-        print(f"error: {ex}")
-        return 2
+    except (DomainViolation, SamplingExhausted, BadSquare, NotClosed, Unclassifiable,
+            orbits.NotAutomorphism) as ex:
+        code, error, message = 1, type(ex).__name__, str(ex)
+    except (UsageError, UnknownAlgebra, UnknownMember) as ex:
+        code, error, message = 2, type(ex).__name__, ex.args[0]
+    _emit(args, {"error": error, "message": message},
+          f"FAIL: {error}: {message}" if code == 1 else f"error: {message}")
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 from . import linalg
 from .acs import AlmostComplexStructure, classify_m
-from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted
+from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted, get
 from .expr import evaluate
 from .liecore import LieAlgebra
 
@@ -113,42 +113,37 @@ def orbit_invariants(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
 
 # -- explicit equivalence predicates ----------------------------------------
 
+def _in_domain(algebra: str, rep: str, names: Sequence[str], *points):
+    """The points as tuples of Fractions, each after the domain check of the
+    catalogued representative whose parameters they name (else DomainViolation)."""
+    member = get(algebra).representative(rep)
+    points = [tuple(Fraction(x) for x in t) for t in points]
+    for t in points:
+        member.check_domain(dict(zip(names, t, strict=True)))
+    return points
+
+
 def m10_equivalence_relation(p: Tuple[Fraction, Fraction, Fraction],
                              q: Tuple[Fraction, Fraction, Fraction]) -> bool:
     """Equivalence on the M10 case-1 canonical parameters (j21, j33, j43).
 
-    On the canonical domain the parameters are a complete invariant:
-    distinct triples are never equivalent.
+    On the canonical domain, that of the J_case1 representative, the
+    parameters are a complete invariant: distinct triples are never
+    equivalent.
     """
-    p = tuple(Fraction(x) for x in p)
-    q = tuple(Fraction(x) for x in q)
-    for t in (p, q):
-        j21, j33, j43 = t
-        if not 0 < j21 <= 1:
-            raise DomainViolation("need 0 < j21 <= 1")
-        if j43 == 0 or j21 == j43:
-            raise DomainViolation("need j21*j43*(j21 - j43) != 0")
-        if (j43 * j21 - j21 * j21 - 1) * j43 + (j33 * j33 + 1) * j21 == 0:
-            raise DomainViolation("canonical denominator vanishes")
+    p, q = _in_domain("M10", "J_case1", ("j21", "j33", "j43"), p, q)
     return p == q
 
 
 def m5_case21_relation(p: Tuple[Fraction, Fraction],
                        q: Tuple[Fraction, Fraction]) -> bool:
-    """Equivalence on the M5 case-2.1 parameters (j21, j43).
+    """Equivalence on the M5 case-2.1 parameters (j21, j43), on the domain
+    of the J_case21 representative.
 
     (h21, h43) ~ (j21, j43) iff for some u = +-1 each of h21, h43 is
     u*x or u/x for x the corresponding (or the swapped) parameter.
     """
-    p = tuple(Fraction(x) for x in p)
-    q = tuple(Fraction(x) for x in q)
-    for j21, j43 in (p, q):
-        if j21 == 0 or j43 == 0:
-            raise DomainViolation("need j21*j43 != 0")
-        if j43 == j21 or j43 * j21 == 1:
-            raise DomainViolation("need j43 != j21 and j43 != 1/j21")
-    j21, j43 = p
-    h21, h43 = q
+    (j21, j43), (h21, h43) = _in_domain("M5", "J_case21", ("j21", "j43"), p, q)
     for u in (Fraction(1), Fraction(-1)):
         for a, b in ((j21, j43), (j43, j21)):
             if h21 in (u * a, u / a) and h43 in (u * b, u / b):

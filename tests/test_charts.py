@@ -213,3 +213,22 @@ def test_not_annihilated_lists_every_failing_identity():
                 if not charts.apply_derivation(ahf[j - 1], phis[k - 1]).is_zero()]
     assert len(expected) > 1 and ex.value.failing == expected
     assert ex.value.residual == charts.apply_derivation(ahf[expected[0][0] - 1], phis[1])
+
+
+def test_a_chart_point_is_validated_once(monkeypatch):
+    e = catalogue.get("M10")
+    rep = e.representative("J_case1")
+    values = rep.random_admissible(0, extra_conditions=rep.chart.conditions)
+    calls = []
+    check_domain = catalogue.MatrixFamily.check_domain
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return check_domain(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalogue.MatrixFamily, "check_domain", counted)
+    charts.verify_chart(e, rep, values, jacobian_points=1)
+    assert calls == ["J_case1"]
+    calls.clear()
+    assert charts.translated_chart_is_holomorphic(e, rep, values, [Fraction(1, 2)] * 6)
+    assert calls == ["J_case1"]

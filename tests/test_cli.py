@@ -1,10 +1,11 @@
+import ast
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from nilcomplex import acs, charts, cli, orbits
+from nilcomplex import acs, catalogue, charts, cli, orbits
 
 
 def run(capsys, *argv):
@@ -261,7 +262,10 @@ def test_classify_m_rejects_non_complex_structures(tmp_path, capsys, matrix, err
     ["report", "M10", "--samples", "-1"],
     ["chart-verify", "M10", "--seeds", "-1"],
     ["chart-verify", "M10", "--pairs", "0"],
-], ids=["moduli-dim", "verify", "nonexistence-check", "report", "seeds", "pairs"])
+    ["verify-witness", "pair.json", "--search", "0"],
+    ["verify-witness", "pair.json", "--search", "-2"],
+], ids=["moduli-dim", "verify", "nonexistence-check", "report", "seeds", "pairs",
+        "search-zero", "search-negative"])
 def test_counts_must_be_positive(capsys, argv):
     # a zero or negative count would make every check pass vacuously
     with pytest.raises(SystemExit) as ex:
@@ -367,3 +371,79 @@ def test_readme_lists_eleven_commands():
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_exits_zero(capsys, argv):
     assert run(capsys, *argv)[0] == 0
+
+
+def test_a_failing_family_fails_verify_and_only_the_report_family_section(monkeypatch, capsys):
+    fam = catalogue.get("G6,3").family("case-xi25")
+    drawn = [fam.instantiate(fam.random_admissible(n)) for n in range(10)]
+
+    def wrong_on_one_family(L, J):
+        return J not in drawn and acs.is_integrable(L, J)
+
+    monkeypatch.setattr(cli, "is_integrable", wrong_on_one_family)
+    code, out = run(capsys, "verify", "--algebra", "G6,3", "--json")
+    failures = {r["family"]: r["failures"] for r in json.loads(out)["results"]}
+    assert code == 1 and failures == {"case-xi16": 0, "case-xi25": 10, "case-rest": 0}
+    code, out = run(capsys, "report", "G6,3", "--json")
+    sections = json.loads(out)["sections"]
+    assert code == 1
+    assert [label for label, v in sections.items() if v != "pass"] == \
+        ["family integrability sweep"], sections
+
+
+def test_a_bug_in_a_report_check_is_not_a_verdict(monkeypatch):
+    def buggy(*args, **kwargs):
+        raise TypeError("a bug in a check")
+
+    monkeypatch.setattr(charts, "verify_chart", buggy)
+    with pytest.raises(TypeError, match="a bug in a check"):
+        cli.main(["report", "G6,3", "--json"])
+
+
+def test_act_with_a_non_automorphism_fails(tmp_path, capsys):
+    J = catalogue.get("G6,3").representative("J0").instantiate({}).to_json()
+    twice = [["2" if i == j else "0" for j in range(6)] for i in range(6)]
+    code, out = run(capsys, "act", "--algebra", "G6,3", "--j", _write(tmp_path, "j.json", J),
+                    "--phi", _write(tmp_path, "phi.json", twice))
+    assert code == 1 and out == "FAIL: NotAutomorphism: matrix does not preserve the brackets\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "mul"])
+@pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, bad):
+    path = {"missing": tmp_path / "none.json", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.json"}[bad]
+    if bad == "not-utf8":
+        path.write_bytes('["\u00e9"]'.encode("latin-1"))
+    argv = {"verify": ["verify", "--algebra", "G6,3", "--j", str(path)],
+            "mul": ["mul", "G6,3", str(path), str(path)]}[command]
+    assert_usage_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv, expected_code, error, message", [
+    (["verify", "--algebra", "M10", "--family", "case-1", "--param", "j21=0"],
+     1, "DomainViolation", "case-1: "),
+    (["report", "M14-3"], 2, "UnknownAlgebra", "unknown algebra 'M14-3'; catalogued: "),
+], ids=["failure", "usage-error"])
+def test_an_error_under_json_is_a_json_object(capsys, argv, expected_code, error, message):
+    code, out = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == expected_code and set(doc) == {"error", "message"}
+    assert doc["error"] == error and doc["message"].startswith(message), doc
+
+
+def _catches_everything(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(ast.unparse(t) in ("Exception", "BaseException") for t in types)
+
+
+def test_no_except_catches_every_error():
+    # a catch-all would turn a bug (a TypeError, a KeyError) into a verdict
+    package = Path(cli.__file__).resolve().parent
+    offenders = [f"{path.relative_to(package)}:{node.lineno}"
+                 for path in sorted(package.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.ExceptHandler) and _catches_everything(node)]
+    assert offenders == []

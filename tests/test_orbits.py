@@ -206,3 +206,22 @@ def test_randomized_search_propagates_non_domain_errors():
     with pytest.raises(ExprError):
         orbits.randomized_equivalence_search(
             dataclasses.replace(e, automorphisms=(broken,)), J0, -J0, attempts=5)
+
+
+@pytest.mark.parametrize("predicate, algebra, rep, names, point", [
+    (orbits.m10_equivalence_relation, "M10", "J_case1", ("j21", "j33", "j43"),
+     (Fraction(1, 2), 1, Fraction(1, 2))),                        # j21 = j43
+    (orbits.m5_case21_relation, "M5", "J_case21", ("j21", "j43"), (2, 2)),  # j21 = j43
+    (orbits.m5_case21_relation, "M5", "J_case21", ("j21", "j43"),
+     (2, Fraction(1, 2))),                                         # j43*j21 = 1
+], ids=["m10-j21=j43", "m5-j21=j43", "m5-j43*j21=1"])
+def test_predicate_and_representative_share_a_domain(predicate, algebra, rep, names, point):
+    member = catalogue.get(algebra).representative(rep)
+    inside = point[:-1] + (point[-1] + Fraction(1, 7),)
+    member.check_domain(dict(zip(names, map(Fraction, inside))))
+    assert predicate(inside, inside)
+    with pytest.raises(DomainViolation):
+        member.check_domain(dict(zip(names, map(Fraction, point))))
+    for pair in ((point, inside), (inside, point)):
+        with pytest.raises(DomainViolation):
+            predicate(*pair)
