@@ -3,12 +3,15 @@ subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
 
 J is read through one object, `constraint_map`: `square_check` evaluates
 its J^2 + 1 rows, and integrability, closure of m and the moduli Jacobian
-evaluate all of it.  m is represented by its generators x~_j = x_j - i Jx_j;
-`nijenhuis` is the direct per-pair oracle."""
+evaluate all of it.  Its forms have int coefficients over one denominator E
+per algebra, so at J = M/D (M integer) each component times E*D^2 is an
+int; the checks test those against zero and never divide.  m is represented
+by its generators x~_j = x_j - i Jx_j; `nijenhuis` is the per-pair oracle."""
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -71,7 +74,7 @@ class AlmostComplexStructure:
 
     def square_check(self) -> bool:
         """J^2 = -1: the J^2 + 1 rows of the constraint map vanish."""
-        return not any(_values(_square_forms(self.dim), self))
+        return not any(_values(_square_forms(self.dim), *integer_point(self, self.dim)))
 
     def to_json(self):
         return [[rational_str(x) for x in row] for row in self.m]
@@ -103,14 +106,16 @@ def torsion_report(L: LieAlgebra, J: AlmostComplexStructure):
     return out
 
 
-def _quadratic_form(const, triples):
-    """const + sum c*f_p*f_q over the triples, like terms merged, p <= q."""
+def _quadratic_form(const, triples, scale: int = 1):
+    """scale * (const + sum c*f_p*f_q) over the triples, like terms merged,
+    p <= q; scale must clear every denominator, so the result is in ints."""
     terms: Dict[Tuple[int, int], Fraction] = {}
     for p, q, c in triples:
         if c:
             key = (p, q) if p <= q else (q, p)
             terms[key] = terms.get(key, 0) + c
-    return Fraction(const), tuple((p, q, c) for (p, q), c in sorted(terms.items()) if c)
+    return int(scale * const), tuple((p, q, int(scale * c))
+                                     for (p, q), c in sorted(terms.items()) if c)
 
 
 def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
@@ -126,58 +131,78 @@ def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _square_forms(n: int) -> Tuple:
-    """The n*n entries of J^2 + 1 as quadratic forms; row j*n + k is entry (k, j)."""
-    return tuple(_quadratic_form(int(k == j), ((k * n + r, r * n + j, Fraction(1))
-                                               for r in range(n)))
+def _square_forms(n: int, scale: int = 1) -> Tuple:
+    """The entries of scale * (J^2 + 1) as quadratic forms; row j*n + k is entry (k, j)."""
+    return tuple(_quadratic_form(int(k == j), ((k * n + r, r * n + j, 1) for r in range(n)),
+                                 scale)
                  for j in range(n) for k in range(n))
 
 
+def map_denominator(L: LieAlgebra) -> int:
+    """E, the lcm of the structure-constant denominators: the components of
+    constraint_map(L) are E times the constraint map."""
+    return math.lcm(*(c.denominator for row in L.table.values() for c in row.values()))
+
+
 def constraint_map(L: LieAlgebra) -> List[Tuple]:
-    """The 126 components of J -> (J^2 + 1, N) as quadratic forms (cached).
+    """The 126 components of J -> (J^2 + 1, N), times E, as quadratic forms
+    with int coefficients (cached); E is map_denominator(L).
 
     With f the entries of J row by row (f[r*n + c] = J[r][c]), a component
-    (const, ((p, q, c), ...)) has the value const + sum c*f_p*f_q.  Row
-    j*n + k is entry (k, j) of J^2 + 1; then come the torsion vectors
+    (const, ((p, q, c), ...)) has the value (const + sum c*f_p*f_q) / E.
+    Row j*n + k is entry (k, j) of J^2 + 1; then come the torsion vectors
     N(x_i, x_j) = [Jx_i, Jx_j] - [x_i, x_j] - J[Jx_i, x_j] - J[x_i, Jx_j]
     for i < j, one row per component.
     """
     cmap = L.__dict__.get("_constraint_map")
     if cmap is None:
-        n = L.dim
+        n, E = L.dim, map_denominator(L)
         ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
-        cmap = list(_square_forms(n))
+        cmap = list(_square_forms(n, E))
         nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
                    for m, c in enumerate(ad[a][b]) if c]
-        cmap += [_quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k))
+        cmap += [_quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k), E)
                  for i in range(n) for j in range(i + 1, n) for k in range(n)]
         L._constraint_map = cmap
     return cmap
 
 
-def _values(forms, J: AlmostComplexStructure) -> Iterator[Fraction]:
-    """The forms evaluated at the entries of J, in order, lazily."""
+def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
+    """(M, D) with J = M/D: M the integer entries row by row, D the lcm of
+    the entries' denominators.  J must be n x n."""
+    if J.dim != n:
+        raise DimensionMismatch(f"expected a {n}x{n} matrix")
     f = [x for row in J.m for x in row]
+    D = math.lcm(*(x.denominator for x in f))
+    return [x.numerator * (D // x.denominator) for x in f], D
+
+
+def _values(forms, M: Sequence[int], D: int) -> Iterator[int]:
+    """D^2 times the forms at the entries M/D, in order, lazily, in ints."""
+    D2 = D * D
     for const, terms in forms:
-        yield sum((c * f[p] * f[q] for p, q, c in terms if f[p] and f[q]), const)
+        v = const * D2
+        for p, q, c in terms:
+            v += c * M[p] * M[q]
+        yield v
 
 
 def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:
     """The components of the constraint map at J, in order, computed lazily."""
-    if J.dim != L.dim:
-        raise DimensionMismatch(f"expected a {L.dim}x{L.dim} matrix")
-    return _values(constraint_map(L), J)
+    M, D = integer_point(J, L.dim)
+    scale = map_denominator(L) * D * D
+    return (Fraction(v, scale) for v in _values(constraint_map(L), M, D))
 
 
 def is_integrable(L: LieAlgebra, J: AlmostComplexStructure) -> bool:
     """J^2 = -1 and N = 0; stops at the first nonzero component."""
-    return not any(constraint_values(L, J))
+    return not any(_values(constraint_map(L), *integer_point(J, L.dim)))
 
 
 def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[GaussianRational]]:
     """The generators x~_j = x_j - i Jx_j (j = 1..n) of m = g^(1,0), as complex
     vectors.  For J^2 = -1 they span a subalgebra exactly when N = 0."""
-    for row, v in enumerate(constraint_values(L, J)):
+    for row, v in enumerate(_values(constraint_map(L), *integer_point(J, L.dim))):
         if v:
             if row < L.dim ** 2:
                 raise BadSquare("J^2 != -1")

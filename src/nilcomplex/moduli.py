@@ -4,9 +4,12 @@ The set of complex structures sits inside R^36 as the zero set of the 126
 components of acs.constraint_map: the 36 entries of J^2 + 1 and the 90
 torsion projections ij|k.  (Some tabulations count the codomain as
 R^81 x R^36; dependent rows cannot change any rank, so all 90 are kept.)
-Each component is a quadratic form, so the Jacobian is exact.  The rank is
-decided from floating singular values with a two-threshold guard.  The SVD
-can miss rank but never invent it, so a rank short of the expected one is
+Each component is a quadratic form with int coefficients over the
+algebra's denominator E, so at J = M/D one int gradient E*D*Jac is built
+per point: `jacobian_matrix` divides it into exact Fractions, and
+`jacobian_rank` decides its rank (scaling moves no relative threshold)
+from floating singular values with a two-threshold guard.  The SVD can
+miss rank but never invent it, so a rank short of the expected one is
 re-decided by exact elimination.
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
@@ -18,12 +21,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import linalg
-from .acs import AlmostComplexStructure, constraint_map, constraint_values, is_integrable
+from .acs import (AlmostComplexStructure, constraint_map, constraint_values, integer_point,
+                  is_integrable, map_denominator)
 from .catalogue import AlgebraEntry, JFamily
 from .exactnum import rational_str
 from .liecore import LieAlgebra
@@ -40,41 +44,35 @@ def constraint_eval(L: LieAlgebra, J: AlmostComplexStructure) -> List[Fraction]:
     return list(constraint_values(L, J))
 
 
-def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fraction]]:
-    """Exact 126 x 36 Jacobian of the constraint map at J; column r*n + c is
-    the derivative along entry (r, c).  Each row is the gradient of a
-    quadratic form: its term c*f_p*f_q adds c*f_q to column p and c*f_p to q."""
-    f = [x for row in J.m for x in row]
+def _gradient(L: LieAlgebra, J: AlmostComplexStructure) -> Tuple[List[List[int]], int]:
+    """E*D times the Jacobian at J = M/D, in ints, and E*D.  Row r is the
+    gradient of component r: its term c*f_p*f_q adds c*f_q to column p and
+    c*f_p to column q; column r*n + c is the derivative along entry (r, c)."""
+    M, D = integer_point(J, L.dim)
     rows = []
     for _, terms in constraint_map(L):
-        row = [Fraction(0)] * len(f)
+        row = [0] * len(M)
         for p, q, c in terms:
-            if f[q]:
-                row[p] += c * f[q]
-            if f[p]:
-                row[q] += c * f[p]
+            row[p] += c * M[q]
+            row[q] += c * M[p]
         rows.append(row)
-    return rows
+    return rows, map_denominator(L) * D
 
 
-def _svd_ranks(rows: Sequence[Sequence[Fraction]], *tols: float) -> List[int]:
-    """The rank at each threshold, all counted from one SVD."""
-    A = np.array([[float(x) for x in r] for r in rows], dtype=float)
-    if not A.any():
-        return [0] * len(tols)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return [0] * len(tols)
-    return [int(np.sum(s > tol * s[0])) for tol in tols]
+def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fraction]]:
+    """Exact 126 x 36 Jacobian of the constraint map at J (see _gradient)."""
+    grad, scale = _gradient(L, J)
+    zero = Fraction(0)
+    return [[Fraction(v, scale) if v else zero for v in row] for row in grad]
 
 
 def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
                   tol: float = DEFAULT_TOL) -> int:
-    """Rank of the exact Jacobian, decided by thresholded singular values.
-
-    Raises RankUnstable when the decision flips between tol and 10*tol.
-    """
-    r1, r2 = _svd_ranks(jacobian_matrix(L, J), tol, tol * 10)
+    """Rank of the exact Jacobian, decided by singular values s > tol * s[0]
+    of one SVD of E*D*Jac, entry for entry the float of an integer.  Raises
+    RankUnstable when the decision flips between tol and 10*tol."""
+    s = np.linalg.svd(np.array(_gradient(L, J)[0], dtype=float), compute_uv=False)
+    r1, r2 = (int(np.sum(s > t * s[0])) for t in (tol, tol * 10))
     if r1 != r2:
         raise RankUnstable(f"rank {r1} at tol vs {r2} at 10*tol")
     return r1
@@ -107,12 +105,14 @@ def family_rank(family: JFamily) -> int:
 def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
                      samples: int = 10, tol: float = DEFAULT_TOL,
                      seed: int = 0, max_resamples: int = 1) -> Dict:
-    """Sampled tangent dimensions of the moduli set along a family."""
+    """Sampled tangent dimensions of the moduli set along a family.  Past
+    max_resamples redraws of unstable SVD ranks, exact elimination decides."""
     fam = family or entry.families[0]
     rng = random.Random(seed)
     L = entry.algebra
     out = []
     resamples = 0
+    prank = family_rank(fam)
     for _ in range(samples):
         while True:
             values = fam.random_admissible(rng)
@@ -120,14 +120,13 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
             try:
                 dim = tangent_dim(L, J, tol)
             except RankUnstable:
-                resamples += 1
-                if resamples > max_resamples:
-                    raise
-                continue
+                if resamples < max_resamples:
+                    resamples += 1
+                    continue
+                dim = None
             break
         if dim != entry.expected_dim:
             dim = 36 - linalg.rank(jacobian_matrix(L, J))
-        prank = family_rank(fam)
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
                     "tangent_dim": dim, "family_rank": prank})
     dims = [r["tangent_dim"] for r in out]

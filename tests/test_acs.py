@@ -1,6 +1,9 @@
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from nilcomplex import acs, catalogue, linalg, moduli, orbits
@@ -217,9 +220,31 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     else:
         (p, q, c), *rest = terms
         cmap[row] = (const, ((p, q, c + 1), *rest))
+    rows, floats = moduli.jacobian_matrix(L, J), _svd_input(L, J)
     monkeypatch.setattr(L, "_constraint_map", cmap)
     assert acs.constraint_map(L) is cmap
     assert moduli.constraint_eval(L, J) != _oracle(L, J)
+    # a constant has no derivative; a coefficient moves both Jacobian views
+    moved = part == "coefficient"
+    assert (moduli.jacobian_matrix(L, J) != rows) == moved
+    assert (not np.array_equal(_svd_input(L, J), floats)) == moved
+
+
+def _svd_input(L, J):
+    """The matrix that moduli.jacobian_rank hands to its one SVD."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            contextlib.suppress(moduli.RankUnstable):
+        moduli.jacobian_rank(L, J)
+    (A,), _ = svd.call_args
+    return A
+
+
+def test_the_map_has_int_coefficients():
+    """The forms are evaluated in ints: a Fraction here would leave that path."""
+    forms = [f for e in catalogue.entries() for f in acs.constraint_map(e.algebra)]
+    for const, terms in forms + list(acs._square_forms(6)):
+        assert type(const) is int
+        assert all(type(x) is int for t in terms for x in t)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

@@ -1,13 +1,17 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from nilcomplex import catalogue, moduli
+from nilcomplex import acs, catalogue, moduli
 from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import JFamily, ParamSpec
-from nilcomplex.liecore import LieAlgebra
+from nilcomplex.liecore import DimensionMismatch, LieAlgebra
+from test_acs import _oracle, _svd_input
 
 J0 = AlmostComplexStructure([
     [0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
@@ -124,8 +128,10 @@ def test_perturbed_jacobian_fails_its_oracle():
         assert _apply(bad, H) != expected, (r, c)
 
 
-@pytest.mark.parametrize("name, seed", [("M18+1", 421811493), ("G6,4", 1267734702),
-                                        ("G6,7", 2939367331)])
+DEFECT_SEEDS = [("M18+1", 421811493), ("G6,4", 1267734702), ("G6,7", 2939367331)]
+
+
+@pytest.mark.parametrize("name, seed", DEFECT_SEEDS)
 def test_m18_defect_seed_gives_the_paper_dimension(name, seed):
     # The SVD misses rank here: it gives tangent 9 on M18+1, 12 on G6,4 and
     # 11 on G6,7.  Exact elimination decides.
@@ -133,6 +139,83 @@ def test_m18_defect_seed_gives_the_paper_dimension(name, seed):
     rep = moduli.dimension_report(e, samples=1, seed=seed)
     assert rep["tangent_dims"] == [e.expected_dim]
     assert rep["samples"][0]["family_rank"] == rep["n_free_params"]
+
+
+def _reference_ranks(rows, tol=moduli.DEFAULT_TOL):
+    """SVD ranks at tol and 10*tol of the entrywise floats of Fraction rows."""
+    s = np.linalg.svd(np.array([[float(x) for x in r] for r in rows]), compute_uv=False)
+    return tuple(int(np.sum(s > t * s[0])) for t in (tol, tol * 10))
+
+
+def test_the_two_jacobian_views_read_one_gradient():
+    rng = random.Random(17)
+    points = [(e.algebra, e.families[0], rng) for e in catalogue.entries() for _ in range(10)]
+    points += [(catalogue.get(name).algebra, catalogue.get(name).families[0],
+                random.Random(seed)) for name, seed in DEFECT_SEEDS]
+    for L, fam, draws in points:
+        J = fam.instantiate(fam.random_admissible(draws))
+        rows = moduli.jacobian_matrix(L, J)
+        E = math.lcm(*(c.denominator for out in L.table.values() for c in out.values()))
+        ED = E * math.lcm(*(x.denominator for row in J.m for x in row))
+        assert np.array_equal(_svd_input(L, J), [[float(ED * x) for x in r] for r in rows])
+        r1, r2 = _reference_ranks(rows)
+        if r1 == r2:
+            assert moduli.jacobian_rank(L, J) == r1
+        else:
+            with pytest.raises(moduli.RankUnstable):
+                moduli.jacobian_rank(L, J)
+
+
+@pytest.mark.parametrize("check", [moduli.jacobian_matrix, moduli.jacobian_rank,
+                                   moduli.tangent_dim, acs.is_integrable],
+                         ids=lambda f: f.__name__)
+def test_a_j_of_the_wrong_size_is_a_dimension_mismatch(check):
+    J5 = AlmostComplexStructure([[int(i == j) for j in range(5)] for i in range(5)])
+    with pytest.raises(DimensionMismatch):
+        check(catalogue.get("G6,3").algebra, J5)
+
+
+def test_rational_structure_constants_stay_exact():
+    # G6,3 in the basis y_1 = x_1/2, y_k = x_k: [y_1, y_2] = y_4/2, so E = 2
+    # and J becomes S^-1 J S with S = diag(1/2, 1, ..., 1)
+    e = catalogue.get("G6,3")
+    s = [Fraction(1, 2)] + [Fraction(1)] * 5
+    L = LieAlgebra(6, {(i, j): {k: c * s[i - 1] * s[j - 1] / s[k - 1] for k, c in out.items()}
+                       for (i, j), out in e.algebra.table.items()})
+    assert acs.map_denominator(L) == 2
+    rng = random.Random(23)
+    fam = e.families[0]
+    for _ in range(5):
+        J = fam.instantiate(fam.random_admissible(rng))
+        Js = AlmostComplexStructure([[x * s[c] / s[r] for c, x in enumerate(row)]
+                                     for r, row in enumerate(J.m)])
+        assert acs.is_integrable(L, Js) and moduli.constraint_eval(L, Js) == _oracle(L, Js)
+        rows = moduli.jacobian_matrix(L, Js)
+        H = _random_direction(rng)
+        assert _apply(rows, H) == _central_difference(L, Js, H)
+        mutant = [row[:] for row in Js.m]
+        mutant[0][3] += Fraction(1, 3)
+        mutant = AlmostComplexStructure(mutant)
+        assert not acs.is_integrable(L, mutant)
+        assert moduli.constraint_eval(L, mutant) == _oracle(L, mutant)
+
+
+def test_dimension_report_reads_the_family_rank_once():
+    e = catalogue.get("M10")
+    with mock.patch.object(moduli, "family_rank", wraps=moduli.family_rank) as spy:
+        rep = moduli.dimension_report(e, samples=3, seed=1)
+    assert spy.call_count == 1
+    assert [s["family_rank"] for s in rep["samples"]] == [rep["n_free_params"]] * 3
+
+
+def test_a_rank_still_unstable_after_the_last_redraw_is_decided_exactly():
+    e, seed = catalogue.get("G6,4"), 1530467268
+    fam, rng = e.families[0], random.Random(seed)
+    for _ in range(2):  # the first draw and its one redraw both flip
+        with pytest.raises(moduli.RankUnstable):
+            moduli.jacobian_rank(e.algebra, fam.instantiate(fam.random_admissible(rng)))
+    rep = moduli.dimension_report(e, samples=1, seed=seed, max_resamples=1)
+    assert rep["resamples"] == 1 and rep["tangent_dims"] == [e.expected_dim]
 
 
 def test_family_rank_counts_directions_not_parameters():
