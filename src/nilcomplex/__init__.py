@@ -3,7 +3,7 @@ real Lie algebras: integrability, equivalence witnesses, holomorphic
 charts, group multiplication and moduli dimensions, all in exact rational
 arithmetic (rank decisions excepted)."""
 
-from .exactnum import GaussianRational, MultiPoly, Rational
+from .exactnum import GaussianRational, MultiPoly
 from .liecore import LieAlgebra
 from .acs import (AlmostComplexStructure, classify_m, is_integrable,
                   m_subalgebra, nijenhuis)
@@ -13,7 +13,6 @@ __all__ = [
     "GaussianRational",
     "LieAlgebra",
     "MultiPoly",
-    "Rational",
     "classify_m",
     "is_integrable",
     "m_subalgebra",

@@ -130,7 +130,7 @@ def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
             yield k * n + m, b * n + j, -c
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _square_forms(n: int, scale: int = 1) -> Tuple:
     """The entries of scale * (J^2 + 1) as quadratic forms; row j*n + k is entry (k, j)."""
     return tuple(_quadratic_form(int(k == j), ((k * n + r, r * n + j, 1) for r in range(n)),
@@ -138,13 +138,15 @@ def _square_forms(n: int, scale: int = 1) -> Tuple:
                  for j in range(n) for k in range(n))
 
 
+@functools.cache
 def map_denominator(L: LieAlgebra) -> int:
-    """E, the lcm of the structure-constant denominators: the components of
-    constraint_map(L) are E times the constraint map."""
+    """E, the lcm of the structure-constant denominators (cached): the
+    components of constraint_map(L) are E times the constraint map."""
     return math.lcm(*(c.denominator for row in L.table.values() for c in row.values()))
 
 
-def constraint_map(L: LieAlgebra) -> List[Tuple]:
+@functools.cache
+def constraint_map(L: LieAlgebra) -> Tuple:
     """The 126 components of J -> (J^2 + 1, N), times E, as quadratic forms
     with int coefficients (cached); E is map_denominator(L).
 
@@ -154,17 +156,13 @@ def constraint_map(L: LieAlgebra) -> List[Tuple]:
     N(x_i, x_j) = [Jx_i, Jx_j] - [x_i, x_j] - J[Jx_i, x_j] - J[x_i, Jx_j]
     for i < j, one row per component.
     """
-    cmap = L.__dict__.get("_constraint_map")
-    if cmap is None:
-        n, E = L.dim, map_denominator(L)
-        ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
-        cmap = list(_square_forms(n, E))
-        nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
-                   for m, c in enumerate(ad[a][b]) if c]
-        cmap += [_quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k), E)
-                 for i in range(n) for j in range(i + 1, n) for k in range(n)]
-        L._constraint_map = cmap
-    return cmap
+    n, E = L.dim, map_denominator(L)
+    ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
+               for m, c in enumerate(ad[a][b]) if c]
+    return _square_forms(n, E) + tuple(
+        _quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k), E)
+        for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 
 def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:

@@ -178,7 +178,7 @@ def cmd_verify(args):
 def cmd_classify_m(args):
     e = catalogue.get(args.algebra)
     J, _ = _resolve_J(args, e)
-    inv = orbits.orbit_invariants_soft(e, J)
+    inv = orbits.orbit_invariants(e, J)
     payload = {"m": inv["m"], "representative": inv["representative"]}
     text = f"m is {inv['m']}"
     if "params" in inv:
@@ -318,33 +318,36 @@ def cmd_report(args):
     def families():
         results, ok = family_sweep(e, [f for f in e.families if f.samplable],
                                    args.samples or 5, args.seed)
-        assert ok, [r["family"] for r in results if r["failures"]]
+        if not ok:
+            raise AssertionError([r["family"] for r in results if r["failures"]])
 
     def rep_tables():
         for r in e.representatives:
             values = r.random_admissible(args.seed)
             J = r.instantiate(values)
-            assert is_integrable(e.algebra, J), r.name
-            if r.expected_m:
-                assert classify_m(e.algebra, J) == r.expected_m, r.name
-            if r.m_table:
-                assert check_m_table(e.algebra, J, r.claimed_m_table(values)), r.name
+            if not (is_integrable(e.algebra, J)
+                    and (not r.expected_m or classify_m(e.algebra, J) == r.expected_m)
+                    and (not r.m_table or check_m_table(e.algebra, J, r.claimed_m_table(values)))):
+                raise AssertionError(r.name)
 
     def automorphisms():
         for fam in e.automorphisms:
             for n in range(5):
                 phi = fam.instantiate_matrix(fam.random_admissible(args.seed + n))
-                assert orbits.is_automorphism(e.algebra, phi), fam.name
+                if not orbits.is_automorphism(e.algebra, phi):
+                    raise AssertionError(fam.name)
 
     def chart_section():
         for r in e.representatives:
             if r.chart is not None:
                 res = chart_point(e, r, args.seed, jacobian_points=5, pairs=20)
-                assert res["status"] == "pass", f"{r.name}: {res['status']}"
+                if res["status"] != "pass":
+                    raise AssertionError(f"{r.name}: {res['status']}")
 
     def moduli_section():
         rep, ok = moduli_check(e, None, 5, args.tol, args.seed)
-        assert ok, rep["tangent_dims"]
+        if not ok:
+            raise AssertionError(rep["tangent_dims"])
 
     section("family integrability sweep", families)
     section("representative tables", rep_tables)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 
 def rational_str(q: Fraction) -> str:
     """Serialize a rational as "p" or "p/q"."""
@@ -137,10 +135,6 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-def _coeff(x) -> GaussianRational:
-    return GaussianRational.coerce(x)
-
-
 class MultiPoly:
     """Sparse polynomial over GaussianRational coefficients.
 
@@ -159,7 +153,7 @@ class MultiPoly:
         tt = {}
         if terms:
             for e, c in terms.items():
-                c = _coeff(c)
+                c = GaussianRational.coerce(c)
                 if not c.is_zero():
                     if len(e) != len(vs):
                         raise ValueError("exponent arity mismatch")
@@ -174,7 +168,7 @@ class MultiPoly:
     @staticmethod
     def const(c, vars: Iterable[str] = ()) -> "MultiPoly":
         vs = tuple(sorted(vars))
-        c = _coeff(c)
+        c = GaussianRational.coerce(c)
         if c.is_zero():
             return MultiPoly(vs)
         return MultiPoly(vs, {(0,) * len(vs): c})
@@ -262,7 +256,7 @@ class MultiPoly:
             if c is None:
                 raise ZeroDivisionError("polynomial division is out of scope")
             other = c
-        o = _coeff(other)
+        o = GaussianRational.coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero")
         inv = GaussianRational(1) / o

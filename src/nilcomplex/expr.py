@@ -22,7 +22,7 @@ from __future__ import annotations
 import keyword
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .exactnum import GaussianRational, MultiPoly
 
@@ -163,7 +163,7 @@ _HELPERS = {"__builtins__": {}, "_i": GaussianRational(0, 1),
             "_conj": _conj, "_div": _div, "_pow": _pow}
 
 
-@lru_cache(maxsize=None)
+@cache
 def _compile(s: str):
     """(code, scope, free symbols) of a formula string, built once."""
     parser = _Parser(_tokenize(s))

@@ -22,15 +22,16 @@ from it, without further collection: the inverse (mu(a, x) = 0 solved by
 back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
 the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
 sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled into
-straight-line exact rational arithmetic, cached on the LieAlgebra, and
-takes Fraction or MultiPoly coordinates.  `collect` stays as the
-derivation and the test oracle.
+straight-line exact rational arithmetic and takes Fraction or MultiPoly
+coordinates.  Each fact of an algebra (its class check, the three laws,
+the fields) is a functools.cache'd function of the LieAlgebra, derived on
+first use.  `collect` stays as the derivation and the test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import List, Sequence
 
 from .exactnum import MultiPoly
@@ -53,11 +54,9 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
+@cache
 def _check_class(L: LieAlgebra) -> None:
-    cls = getattr(L, "_nilpotency_class", None)
-    if cls is None:
-        cls = L.nilpotency_class()
-        L._nilpotency_class = cls
+    cls = L.nilpotency_class()
     if cls > 4:
         raise ClassTooHigh(f"class {cls} > 4")
 
@@ -161,28 +160,34 @@ def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
     return eval(f"lambda {', '.join(names)}: [{', '.join(rows)}]", consts)
 
 
-def _derive_mul(L: LieAlgebra):
+@cache
+def _mul(L: LieAlgebra):
+    """(polynomials, compiled map) of the product law, collected once."""
     a, b = _formal("a", L.dim), _formal("b", L.dim)
     mu = [MultiPoly.coerce(p) for p in collect(L, a, b)]
     for m in range(L.dim):
         assert (mu[m] - a[m] - b[m]).used_vars() <= {f"{s}{i}" for s in "ab" for i in range(m)}
-    return mu, [p.vars[0] for p in a + b]
+    return mu, _compile(mu, [p.vars[0] for p in a + b])
 
 
-def _derive_inv(L: LieAlgebra):
-    """Solve mu(a, x) = 0 for x by back-substitution, coordinate by coordinate."""
-    mu = _law(L, "mul")[0]
+@cache
+def _inv(L: LieAlgebra):
+    """(polynomials, compiled map) of the inverse: mu(a, x) = 0 solved for x
+    by back-substitution, coordinate by coordinate."""
+    mu = _mul(L)[0]
     a, b = _formal("a", L.dim), _formal("b", L.dim)
     env = {p.vars[0]: p for p in a}
     for m in range(L.dim):
         env[f"b{m}"] = -a[m] - MultiPoly.coerce((mu[m] - a[m] - b[m]).eval(env))
-    return [env[f"b{m}"] for m in range(L.dim)], [p.vars[0] for p in a]
+    inv = [env[f"b{m}"] for m in range(L.dim)]
+    return inv, _compile(inv, [p.vars[0] for p in a])
 
 
-def _derive_exp(L: LieAlgebra):
-    """Solve the flow c'(t) = sum_k v_k X_k(c(t)), c(0) = 0 exactly in Q[t, v]
-    and set t = 1; the triangular fields make it solvable coordinate by
-    coordinate."""
+@cache
+def _exp(L: LieAlgebra):
+    """(polynomials, compiled map) of exp: the flow c'(t) = sum_k v_k X_k(c(t)),
+    c(0) = 0 solved exactly in Q[t, v] at t = 1; the triangular fields make it
+    solvable coordinate by coordinate."""
     fields = left_invariant_fields(L)
     v = _formal("v", L.dim)
     sol: List[MultiPoly] = []
@@ -194,60 +199,45 @@ def _derive_exp(L: LieAlgebra):
             rhs = rhs + MultiPoly.coerce(fields[k][m].eval(env)) * v[k]
         sol.append(_integrate_t(rhs))
     at_one = {"t": 1, **{p.vars[0]: p for p in v}}
-    return [MultiPoly.coerce(p.eval(at_one)) for p in sol], [p.vars[0] for p in v]
-
-
-_DERIVE = {"mul": _derive_mul, "inv": _derive_inv, "exp": _derive_exp}
-
-
-def _law(L: LieAlgebra, name: str):
-    """(polynomials, compiled map) of the law `name` of L, built on first use."""
-    laws = L.__dict__.setdefault("_group_laws", {})
-    if name not in laws:
-        polys, names = _DERIVE[name](L)
-        laws[name] = (polys, _compile(polys, names))
-    return laws[name]
+    ex = [MultiPoly.coerce(p.eval(at_one)) for p in sol]
+    return ex, _compile(ex, [p.vars[0] for p in v])
 
 
 def multiply(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
     """Product a*x in second-kind coordinates."""
     if len(a) != L.dim or len(x) != L.dim:
         raise ValueError("coordinate tuples must match the algebra dimension")
-    return _law(L, "mul")[1](*a, *x)
+    return _mul(L)[1](*a, *x)
 
 
 def inverse(L: LieAlgebra, a: Sequence) -> List:
     """Coordinates of a^{-1}."""
-    return _law(L, "inv")[1](*a)
+    return _inv(L)[1](*a)
 
 
 def exp_coords(L: LieAlgebra, v: Sequence) -> List:
     """Second-kind coordinates of exp(v) for a general Lie algebra element."""
-    return _law(L, "exp")[1](*v)
+    return _exp(L)[1](*v)
 
 
 def normal_order(L: LieAlgebra, word: Sequence[Sequence]) -> List:
     """Second-kind coordinates of the product of exponentials exp(v) in word."""
-    mul = _law(L, "mul")[1]
+    mul = _mul(L)[1]
     out = [Fraction(0)] * L.dim
     for v in word:
         out = mul(*out, *exp_coords(L, v))
     return out
 
 
+@cache
 def left_invariant_fields(L: LieAlgebra) -> List[List[MultiPoly]]:
     """fields[j-1][m] = coefficient polynomial of d/d(coord_m) in X_j (cached):
     the derivative of mu_m(a, b) in b_j at b = 0, with a the coordinates."""
-    cached = getattr(L, "_liv_fields", None)
-    if cached is not None:
-        return cached
-    mu = _law(L, "mul")[0]
+    mu = _mul(L)[0]
     env = {f"a{i}": MultiPoly.var(c) for i, c in enumerate(COORDS[:L.dim])}
     env.update({f"b{i}": 0 for i in range(L.dim)})
-    fields = [[MultiPoly.coerce(p.partial(f"b{j}").eval(env)) for p in mu]
-              for j in range(L.dim)]
-    L._liv_fields = fields
-    return fields
+    return [[MultiPoly.coerce(p.partial(f"b{j}").eval(env)) for p in mu]
+            for j in range(L.dim)]
 
 
 def _integrate_t(p: MultiPoly) -> MultiPoly:
@@ -282,7 +272,7 @@ def m5_matrix_multiply(a: Sequence, x: Sequence) -> List:
     return [a1 + c1, b1 + d1, a2 + c2, b2 + d2, re, im]
 
 
-@lru_cache(maxsize=None)
+@cache
 def m5_natural_fields() -> List[List[MultiPoly]]:
     """Left-invariant fields of the natural chart, derived once from the model."""
     formal = [MultiPoly.var(c) for c in COORDS]

@@ -25,10 +25,6 @@ class NotAutomorphism(ValueError):
     pass
 
 
-class NotInRepresentativeForm(ValueError):
-    """J matches no catalogued representative template."""
-
-
 def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
     """Exact check: invertible and bracket-preserving on all basis pairs."""
     n = L.dim
@@ -90,7 +86,7 @@ def recognize_representative(entry: AlgebraEntry, J: AlmostComplexStructure):
     return None
 
 
-def orbit_invariants_soft(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
+def orbit_invariants(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
     """The classify_m type of m, plus the representative and canonical
     parameters where J matches a catalogued template (else representative
     None).  A J that is not integrable raises BadSquare or NotClosed."""
@@ -98,16 +94,6 @@ def orbit_invariants_soft(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dic
     match = recognize_representative(entry, J)
     if match is not None:
         out["representative"], out["params"] = match[0].name, match[1]
-    return out
-
-
-def orbit_invariants(entry: AlgebraEntry, J: AlmostComplexStructure) -> Dict:
-    """orbit_invariants_soft for a J that is in a representative form."""
-    out = orbit_invariants_soft(entry, J)
-    if out["representative"] is None:
-        raise NotInRepresentativeForm(
-            f"J matches no representative of {entry.name}; "
-            f"invariants limited to m = {out['m']}")
     return out
 
 

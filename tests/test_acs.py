@@ -221,7 +221,8 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
         (p, q, c), *rest = terms
         cmap[row] = (const, ((p, q, c + 1), *rest))
     rows, floats = moduli.jacobian_matrix(L, J), _svd_input(L, J)
-    monkeypatch.setattr(L, "_constraint_map", cmap)
+    for reader in (acs, moduli):
+        monkeypatch.setattr(reader, "constraint_map", lambda _: cmap)
     assert acs.constraint_map(L) is cmap
     assert moduli.constraint_eval(L, J) != _oracle(L, J)
     # a constant has no derivative; a coefficient moves both Jacobian views

@@ -172,7 +172,9 @@ def test_json_dump_load_round_trip():
 
 
 def test_nonexistence_spotcheck():
-    for name in ("M14-1", "M18-1"):
+    names = catalogue.spotcheck_names()
+    assert names == [name for name, _, _ in catalogue._data.SPOTCHECKS] == ["M14-1", "M18-1"]
+    for name in names:
         rep = catalogue.nonexistence_spotcheck(name, samples=6, seed=0)
         assert rep["all_fail"]
         assert len(rep["samples"]) == 6

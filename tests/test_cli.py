@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -400,6 +403,19 @@ def test_a_bug_in_a_report_check_is_not_a_verdict(monkeypatch):
         cli.main(["report", "G6,3", "--json"])
 
 
+def test_a_failing_check_fails_report_under_python_O():
+    # python -O compiles asserts out; the verdicts must not go with them
+    code = ("import sys; from nilcomplex import cli; cli.is_integrable = lambda L, J: False; "
+            "sys.exit(cli.main(['report', 'G6,3', '--json']))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    sections = json.loads(done.stdout)["sections"]
+    assert [label for label, v in sections.items() if v != "pass"] == \
+        ["family integrability sweep", "representative tables"], sections
+
+
 def test_act_with_a_non_automorphism_fails(tmp_path, capsys):
     J = catalogue.get("G6,3").representative("J0").instantiate({}).to_json()
     twice = [["2" if i == j else "0" for j in range(6)] for i in range(6)]
@@ -447,3 +463,9 @@ def test_no_except_catches_every_error():
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.ExceptHandler) and _catches_everything(node)]
     assert offenders == []
+
+
+def test_no_assert_decides_a_verdict():
+    # an assert vanishes under python -O, and the verdict it held with it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -208,6 +208,21 @@ def test_dimension_report_reads_the_family_rank_once():
     assert [s["family_rank"] for s in rep["samples"]] == [rep["n_free_params"]] * 3
 
 
+def test_the_map_and_its_denominator_are_built_once():
+    e = catalogue.get("G6,3")
+    L = LieAlgebra(6, e.algebra.table)  # a fresh algebra: nothing built yet
+    fam, rng = e.families[0], random.Random(4)
+    facts = (acs.constraint_map, acs.map_denominator)
+    before = [f.cache_info() for f in facts]
+    for _ in range(3):
+        J = fam.instantiate(fam.random_admissible(rng))
+        assert acs.is_integrable(L, J)
+        moduli.jacobian_rank(L, J)
+    after = [f.cache_info() for f in facts]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1]
+    assert min(a.hits - b.hits for a, b in zip(after, before)) >= 3  # asked at every point
+
+
 def test_a_rank_still_unstable_after_the_last_redraw_is_decided_exactly():
     e, seed = catalogue.get("G6,4"), 1530467268
     fam, rng = e.families[0], random.Random(seed)
