@@ -51,19 +51,6 @@ class AlmostComplexStructure:
     def column(self, j: int) -> List[Fraction]:
         return [self.m[k][j - 1] for k in range(self.dim)]
 
-    def apply(self, v: Sequence):
-        zero = v[0] * 0
-        out = [zero] * self.dim
-        for k in range(self.dim):
-            row = self.m[k]
-            acc = zero
-            for j in range(self.dim):
-                c = row[j]
-                if c != 0:
-                    acc = acc + v[j] * c
-            out[k] = acc
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, AlmostComplexStructure):
             return NotImplemented
@@ -91,19 +78,9 @@ def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[
     Jj = J.column(j)
     t1 = L.bracket(Ji, Jj)
     t2 = L.bracket(ei, ej)
-    t3 = J.apply(L.bracket(Ji, ej))
-    t4 = J.apply(L.bracket(ei, Jj))
+    t3 = linalg.mat_vec(J.m, L.bracket(Ji, ej))
+    t4 = linalg.mat_vec(J.m, L.bracket(ei, Jj))
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-
-
-def torsion_report(L: LieAlgebra, J: AlmostComplexStructure):
-    """All 15 torsion vectors as JSON-friendly records."""
-    out = []
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            out.append({"pair": [i, j],
-                        "vector": [rational_str(x) for x in nijenhuis(L, J, i, j)]})
-    return out
 
 
 def _quadratic_form(const, triples, scale: int = 1):
@@ -217,13 +194,13 @@ def classify_m(L: LieAlgebra, J: AlmostComplexStructure) -> str:
     """Classify m: abelian, or (derived dim 1 and central) Heisenberg."""
     gens = m_subalgebra(L, J)
     derived = [w for w in (L.bracket(u, v) for u, v in combinations(gens, 2))
-               if any(not c.is_zero() for c in w)]
+               if any(w)]
     if not derived:
         return ABELIAN
     red, piv = linalg.rref(derived)
     if len(piv) != 1:
         raise Unclassifiable(f"derived algebra of m has dimension {len(piv)}")
-    if any(not c.is_zero() for g in gens for c in L.bracket(red[0], g)):
+    if any(any(L.bracket(red[0], g)) for g in gens):
         raise Unclassifiable("derived algebra of m is not central in m")
     return HEISENBERG
 
@@ -241,7 +218,7 @@ def check_m_table(L: LieAlgebra, J: AlmostComplexStructure,
             rhs = [GaussianRational(0)] * L.dim
             for k, c in enumerate(claimed.get((i, j)) or ()):
                 c = GaussianRational.coerce(c)
-                if not c.is_zero():
+                if c:
                     rhs = [r + c * gc for r, gc in zip(rhs, m[k])]
             if any(a != b for a, b in zip(lhs, rhs)):
                 return False

@@ -269,10 +269,6 @@ def _register(entry: AlgebraEntry) -> None:
         _LOOKUP[_norm(nm)] = entry.name
 
 
-def names() -> List[str]:
-    return list(_REGISTRY)
-
-
 def get(name: str) -> AlgebraEntry:
     key = _LOOKUP.get(_norm(name))
     if key is None:
@@ -329,7 +325,7 @@ def spotcheck_names() -> List[str]:
     return [algebra.name for algebra, _ in _SPOTCHECK.values()]
 
 
-# -- JSON dump/load ---------------------------------------------------------
+# -- JSON dump ------------------------------------------------------------
 
 def dump_json() -> dict:
     def fam(f):
@@ -362,36 +358,6 @@ def dump_json() -> dict:
             "representatives": [rep(r) for r in e.representatives],
             "automorphisms": [fam(a) for a in e.automorphisms],
         })
-    return out
-
-
-def load_json(doc: dict) -> List[AlgebraEntry]:
-    """Rebuild (family/automorphism) templates from a dumped document."""
-    if doc.get("version") != CATALOGUE_VERSION:
-        raise ValueError("unsupported catalogue version")
-    out = []
-    for a in doc["algebras"]:
-        fams = tuple(
-            JFamily(name=f["name"],
-                    params=tuple(ParamSpec(p["name"], p["kind"]) for p in f["params"]),
-                    entries=tuple(tuple(r) for r in f["entries"]),
-                    defs=tuple((n, e) for n, e in f["defs"]),
-                    conditions=tuple(f["conditions"]),
-                    expected_m=f.get("expected_m"),
-                    samplable=f.get("samplable", True))
-            for f in a["families"])
-        autos = tuple(
-            AutomorphismFamily(name=f["name"],
-                               params=tuple(ParamSpec(p["name"], p["kind"]) for p in f["params"]),
-                               entries=tuple(tuple(r) for r in f["entries"]),
-                               defs=tuple((n, e) for n, e in f["defs"]),
-                               conditions=tuple(f["conditions"]))
-            for f in a["automorphisms"])
-        out.append(AlgebraEntry(
-            name=a["name"], aliases=tuple(a["aliases"]),
-            algebra=LieAlgebra.from_json(a["algebra"]),
-            families=fams, representatives=(), automorphisms=autos,
-            fields_display=(), expected_dim=a["expected_dim"]))
     return out
 
 

@@ -9,6 +9,7 @@ second-kind coordinates are named (x1, y1, x2, y2, x3, y3).
 
 from __future__ import annotations
 
+from ..acs import ABELIAN, HEISENBERG
 from ..liecore import LieAlgebra
 from . import (AlgebraEntry, AutomorphismFamily, Chart, JFamily, ParamSpec,
                Representative)
@@ -53,9 +54,6 @@ def _fam(name, params, key, conds, expected_m=None, samplable=True, entries=None
         samplable=samplable,
     )
 
-
-ABELIAN = "abelian"
-HEISENBERG = "heisenberg"
 
 ENTRIES = []
 SPOTCHECKS = []

@@ -19,10 +19,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from . import group, linalg
 from .acs import AlmostComplexStructure, BadSquare
 from .catalogue import AlgebraEntry, Chart, Representative
-from .exactnum import GaussianRational, MultiPoly
+from .exactnum import GaussianRational, I, MultiPoly
 from .expr import evaluate, free_symbols
-
-I_UNIT = GaussianRational(0, 1)
 
 
 class NotAnnihilated(AssertionError):
@@ -60,7 +58,7 @@ def apply_derivation(coeffs: Sequence[MultiPoly], p: MultiPoly) -> MultiPoly:
     """sum_m coeffs[m] d p / d coord_m: one field applied to one polynomial."""
     out = MultiPoly.const(0)
     for m, c in enumerate(coeffs):
-        if isinstance(c, MultiPoly) and c.is_zero():
+        if not c:
             continue
         out = out + MultiPoly.coerce(c) * p.partial(group.COORDS[m])
     return out
@@ -79,7 +77,7 @@ def antiholo_fields(entry: AlgebraEntry, J: AlmostComplexStructure
         col = J.column(j)
         for k in range(6):
             if col[k] != 0:
-                add = [MultiPoly.coerce(c) * (I_UNIT * col[k]) for c in fields[k]]
+                add = [MultiPoly.coerce(c) * (I * col[k]) for c in fields[k]]
                 coeffs = [a + b for a, b in zip(coeffs, add)]
         out.append(coeffs)
     return out
@@ -152,7 +150,7 @@ def verify_relations(chart: Chart, J: AlmostComplexStructure, scope: Mapping) ->
     coefficients are read in the scope that `chart_scope` returns."""
 
     def gen(j):
-        return [GaussianRational(k == j - 1) + I_UNIT * c
+        return [GaussianRational(k == j - 1) + I * c
                 for k, c in enumerate(J.column(j))]
 
     for j, combo in chart.relations:
@@ -285,7 +283,7 @@ def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]
     with exact Wirtinger derivatives.
     """
     rng = random.Random(seed)
-    phi_a = [MultiPoly.var(f"u{k}") + MultiPoly.var(f"v{k}") * I_UNIT for k in range(1, 4)]
+    phi_a = [MultiPoly.var(f"u{k}") + MultiPoly.var(f"v{k}") * I for k in range(1, 4)]
     phi_x = [GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
                               Fraction(rng.randint(1, 5), 3)) for _ in range(3)]
     scope, _ = chart_scope(rep, values)

@@ -5,6 +5,11 @@ denominator).  ``GaussianRational`` adds an exact imaginary part, and
 ``MultiPoly`` is a sparse multivariate polynomial with Gaussian-rational
 coefficients over a named, lexicographically ordered variable list.
 Formal partial and Wirtinger derivatives are exact.
+
+Every scalar answers the same protocol: ``bool()`` is the zero test,
+``**`` runs the one square-and-multiply loop ``_power``, and equal values
+hash alike across the rings (a real ``GaussianRational`` as its real part,
+a constant ``MultiPoly`` as its constant).
 """
 
 from __future__ import annotations
@@ -18,6 +23,17 @@ def rational_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 class GaussianRational:
@@ -84,15 +100,8 @@ class GaussianRational:
         if not isinstance(n, int):
             raise TypeError("integer powers only")
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return ONE / _power(self, -n, ONE)
+        return _power(self, n, ONE)
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -111,22 +120,15 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __repr__(self):
         if self.im == 0:
             return f"GQ({rational_str(self.re)})"
         return f"GQ({rational_str(self.re)}, {rational_str(self.im)})"
-
-    def to_json(self):
-        return {"re": rational_str(self.re), "im": rational_str(self.im)}
-
-    @staticmethod
-    def from_json(d) -> "GaussianRational":
-        return GaussianRational(Fraction(d["re"]), Fraction(d["im"]))
 
 
 I = GaussianRational(0, 1)
@@ -265,19 +267,15 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise TypeError("nonnegative integer powers only")
-        out = MultiPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, MultiPoly.const(1, self.vars))
 
     # -- structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def constant_value(self):
         """The polynomial's value if it is constant, else None."""
@@ -321,7 +319,11 @@ class MultiPoly:
         return p.terms == q.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        c = self.constant_value()
+        if c is not None:
+            return hash(c)
+        return hash(frozenset((tuple((v, x) for v, x in zip(self.vars, e) if x), coef)
+                              for e, coef in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -379,15 +381,3 @@ class MultiPoly:
         py = self.partial(y_var)
         s = I if conjugate else -I
         return (px + py * s) / 2
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {"vars": list(self.vars),
-                "terms": [[list(e), c.to_json()] for e, c in sorted(self.terms.items())]}
-
-    @staticmethod
-    def from_json(d) -> "MultiPoly":
-        return MultiPoly(tuple(d["vars"]),
-                         {tuple(e): GaussianRational.from_json(c) for e, c in d["terms"]})
-

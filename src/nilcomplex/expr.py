@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from functools import cache
 
-from .exactnum import GaussianRational, MultiPoly
+from .exactnum import I, MultiPoly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^,])|(\S))")
 
@@ -159,7 +159,7 @@ def _pow(a, n: int):
     return a ** n
 
 
-_HELPERS = {"__builtins__": {}, "_i": GaussianRational(0, 1),
+_HELPERS = {"__builtins__": {}, "_i": I,
             "_conj": _conj, "_div": _div, "_pow": _pow}
 
 

@@ -48,12 +48,6 @@ class ClassTooHigh(ValueError):
     """Nilpotency class exceeds 4; the truncated swap rule is not exact."""
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return x == 0
-
-
 @cache
 def _check_class(L: LieAlgebra) -> None:
     cls = L.nilpotency_class()
@@ -97,15 +91,15 @@ def _basis_vector(L: LieAlgebra, g: int, c):
 
 def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
     """Normal-order e^{c x_g} * suffix(start..dim) into coords, in place."""
-    if _is_zero(c):
+    if not c:
         return
     corrections = []
     for k in range(start, g):
         r = coords[k - 1]
-        if _is_zero(r):
+        if not r:
             continue
         C = commutator_correction(L, _basis_vector(L, g, c), _basis_vector(L, k, r))
-        support = [m + 1 for m in range(L.dim) if not _is_zero(C[m])]
+        support = [m + 1 for m in range(L.dim) if C[m]]
         if support:
             # progress: corrections live strictly deeper in the flag/central series
             assert min(support) > max(g, k)
@@ -116,7 +110,7 @@ def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
 
 
 def _push_vector(L: LieAlgebra, v: Sequence, coords: list, start: int) -> None:
-    support = [m + 1 for m in range(L.dim) if not _is_zero(v[m])]
+    support = [m + 1 for m in range(L.dim) if v[m]]
     # a correction is one generator or lies in the abelian tail, so e^v
     # splits exactly into single-generator factors
     assert len(support) <= 1 or min(support) >= _abelian_tail_start(L)

@@ -75,7 +75,7 @@ class LieAlgebra:
         out = [zero] * self.dim
         for (i, j), row in self.table.items():
             coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if isinstance(coef, (int, Fraction)) and coef == 0:
+            if not coef:
                 continue
             for k, c in row.items():
                 out[k - 1] = out[k - 1] + coef * c
@@ -92,7 +92,7 @@ class LieAlgebra:
                         self.bracket(x, self.bracket(y, z)),
                         self.bracket(y, self.bracket(z, x)),
                         self.bracket(z, self.bracket(x, y)))]
-                    if any(t != 0 for t in s):
+                    if any(s):
                         return False
         return True
 
@@ -113,7 +113,7 @@ class LieAlgebra:
             for g in basis:
                 for v in current:
                     w = self.bracket(g, v)
-                    if any(t != 0 for t in w):
+                    if any(w):
                         produced.append(w)
             if not produced:
                 dims.append(0)
@@ -135,13 +135,6 @@ class LieAlgebra:
                              "out": [{"k": k, "c": rational_str(c)}
                                      for k, c in sorted(row.items())]})
         return {"dim": self.dim, "name": self.name, "brackets": brackets}
-
-    @staticmethod
-    def from_json(d) -> "LieAlgebra":
-        table = {}
-        for b in d["brackets"]:
-            table[(b["i"], b["j"])] = {o["k"]: Fraction(o["c"]) for o in b["out"]}
-        return LieAlgebra(d["dim"], table, d.get("name", ""))
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"

@@ -8,14 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import GaussianRational
-
-
-def is_zero_scalar(x) -> bool:
-    if isinstance(x, GaussianRational):
-        return x.is_zero()
-    return x == 0
-
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
@@ -45,7 +37,7 @@ def rref(rows):
     for c in range(ncols):
         pr = None
         for i in range(r, len(rows)):
-            if not is_zero_scalar(rows[i][c]):
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -54,7 +46,7 @@ def rref(rows):
         inv = rows[r][c]
         rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not is_zero_scalar(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -72,7 +64,7 @@ def rank(rows) -> int:
 def inverse(A):
     """Exact inverse; raises ValueError when singular."""
     n = len(A)
-    one = A[0][0] * 0 + 1 if not isinstance(A[0][0], GaussianRational) else GaussianRational(1)
+    one = A[0][0] * 0 + 1
     aug = [list(A[i]) + identity(n, one)[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

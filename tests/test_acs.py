@@ -9,8 +9,7 @@ import pytest
 from nilcomplex import acs, catalogue, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, Unclassifiable, check_m_table,
-                            classify_m, is_integrable, m_subalgebra, nijenhuis,
-                            torsion_report)
+                            classify_m, is_integrable, m_subalgebra, nijenhuis)
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
@@ -66,13 +65,6 @@ def test_is_integrable():
     # the right matrix on the wrong algebra
     assert not is_integrable(g67.algebra, J0)
     assert not is_integrable(g63.algebra, IDENTITY)
-
-
-def test_torsion_report_schema():
-    rep = torsion_report(catalogue.get("G6,3").algebra, J0)
-    assert len(rep) == 15
-    assert rep[0]["pair"] == [1, 2]
-    assert all(len(r["vector"]) == 6 for r in rep)
 
 
 def test_m_subalgebra_j0():

@@ -62,10 +62,3 @@ def test_central_series():
 def test_class_at_most_four_everywhere():
     for entry in catalogue.entries():
         assert entry.algebra.nilpotency_class() <= 4
-
-
-def test_json_round_trip():
-    for entry in catalogue.entries():
-        L = entry.algebra
-        L2 = LieAlgebra.from_json(L.to_json())
-        assert L2.table == L.table and L2.dim == L.dim
