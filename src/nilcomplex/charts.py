@@ -6,12 +6,16 @@ invertible real 6x6 Jacobian of (Re phi, Im phi) at sampled points, and
 (c) exact agreement of the closed-form chart multiplication with the
 normal-ordering engine at sampled pairs.  Each check starts from one
 validated scope of the chart point, and (a) and (b) both read one
-gradient of the chart functions.  Complex combinations are always
-eliminated into the real polynomial ring before comparison.
+gradient of the chart functions.  For (c), chi is derived once per chart
+point as polynomials in the real and imaginary parts of phi(a) and
+phi(x); phi and chi then evaluate at each rational pair in integers.
+Complex combinations are always eliminated into the real polynomial ring
+before comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -227,6 +231,29 @@ def chi_corrections(chart: Chart, scope: Mapping, phi_a: Sequence, phi_x: Sequen
     return {comp: evaluate(e, env) for comp, e in chart.chi}
 
 
+@functools.lru_cache(maxsize=256)
+def _chi_polys(chart: Chart, point: frozenset) -> Dict[int, MultiPoly]:
+    """chi at one chart point (the items of `chart_scope`'s scope) as
+    polynomials in the real and imaginary parts of phi(a)_k = u_k + i v_k and
+    phi(x)_k = s_k + i t_k.  Derived once per point, and the dict is shared.
+    The cache is bounded because sampling draws new points without end."""
+
+    def formal(re, im):
+        return [MultiPoly.var(f"{re}{k}") + MultiPoly.var(f"{im}{k}") * I for k in range(1, 4)]
+
+    chi = chi_corrections(chart, dict(point), formal("u", "v"), formal("s", "t"))
+    return {comp: MultiPoly.coerce(c) for comp, c in chi.items()}
+
+
+def _chi_values(chi_polys: Mapping[int, MultiPoly], phi_a: Sequence[GaussianRational],
+                phi_x: Sequence[GaussianRational]) -> Dict[int, GaussianRational]:
+    """`_chi_polys` at the values phi(a), phi(x)."""
+    env = {}
+    for k, (za, zx) in enumerate(zip(phi_a, phi_x), 1):
+        env.update({f"u{k}": za.re, f"v{k}": za.im, f"s{k}": zx.re, f"t{k}": zx.im})
+    return {comp: p.eval(env) for comp, p in chi_polys.items()}
+
+
 def multiply_coords(entry: AlgebraEntry, a, x):
     if entry.natural_chart:
         return group.m5_matrix_multiply(a, x)
@@ -241,6 +268,7 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
     scope, coord_defs = chart_scope(rep, values)
     if phis is None:
         phis = _chart_functions(rep.chart, scope, coord_defs)
+    chi_polys = _chi_polys(rep.chart, frozenset(scope.items()))
     rng = random.Random(seed)
     for n in range(pairs):
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
@@ -249,7 +277,7 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
         lhs = _phi_values(phis, prod)
         fa = _phi_values(phis, a)
         fx = _phi_values(phis, x)
-        chi = chi_corrections(rep.chart, scope, fa, fx)
+        chi = _chi_values(chi_polys, fa, fx)
         for comp in range(1, 4):
             rhs = fa[comp - 1] + fx[comp - 1] + chi.get(comp, 0)
             if lhs[comp - 1] != rhs:
@@ -274,22 +302,10 @@ def translated_chart_is_holomorphic(entry: AlgebraEntry, rep: Representative,
     return all(res.is_zero() for res in residuals.values())
 
 
-def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction],
-                             seed: int = 0) -> bool:
-    """True iff some chi component genuinely involves conj(phi_a).
-
-    The correction is expressed as a polynomial in the real and imaginary
-    parts u_k, v_k of phi_a (with phi_x held at a sampled value) and tested
-    with exact Wirtinger derivatives.
-    """
-    rng = random.Random(seed)
-    phi_a = [MultiPoly.var(f"u{k}") + MultiPoly.var(f"v{k}") * I for k in range(1, 4)]
-    phi_x = [GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
-                              Fraction(rng.randint(1, 5), 3)) for _ in range(3)]
+def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]) -> bool:
+    """True iff some chi component genuinely involves conj(phi_a): an exact
+    Wirtinger derivative in (u_k, v_k) of the derived chi is nonzero."""
     scope, _ = chart_scope(rep, values)
-    for chi in chi_corrections(rep.chart, scope, phi_a, phi_x).values():
-        p = MultiPoly.coerce(chi)
-        if any(not p.wirtinger(f"u{k}", f"v{k}", conjugate=True).is_zero()
-               for k in range(1, 4)):
-            return True
-    return False
+    return any(p.wirtinger(f"u{k}", f"v{k}", conjugate=True)
+               for p in _chi_polys(rep.chart, frozenset(scope.items())).values()
+               for k in range(1, 4))

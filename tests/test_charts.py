@@ -232,3 +232,79 @@ def test_a_chart_point_is_validated_once(monkeypatch):
     calls.clear()
     assert charts.translated_chart_is_holomorphic(e, rep, values, [Fraction(1, 2)] * 6)
     assert calls == ["J_case1"]
+
+
+@pytest.mark.parametrize("entry,rep", [(e, r) for e, r in all_chart_reps()],
+                         ids=lambda v: getattr(v, "name", None))
+def test_rational_points_match_the_ring_loop(entry, rep):
+    # phi and its gradient at int/Fraction points against the same values
+    # bound as GaussianRational, which evaluates term by term
+    values = rep.random_admissible(random.Random(4), extra_conditions=rep.chart.conditions)
+    phis = charts.chart_polys(rep, values)
+    polys = phis + [g for grad in charts.gradient(phis) for g in grad]
+    rng = random.Random(20)
+    for _ in range(20):
+        point = {c: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                 for c in group.COORDS}
+        ring = {c: GaussianRational(v) for c, v in point.items()}
+        assert [p.eval(point) for p in polys] == [p.eval(ring) for p in polys]
+
+
+@pytest.mark.parametrize("entry,rep", [(e, r) for e, r in all_chart_reps()],
+                         ids=lambda v: getattr(v, "name", None))
+def test_derived_chi_matches_chi_corrections(entry, rep):
+    # chi_corrections evaluated at the phi values is the definition of chi
+    values = rep.random_admissible(random.Random(9), extra_conditions=rep.chart.conditions)
+    scope, _ = charts.chart_scope(rep, values)
+    phis = charts.chart_polys(rep, values)
+    derived = charts._chi_polys(rep.chart, frozenset(scope.items()))
+    assert set(derived) == {comp for comp, _ in rep.chart.chi}
+    rng = random.Random(10)
+    for _ in range(5):
+        fa = charts._phi_values(phis, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)])
+        fx = charts._phi_values(phis, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)])
+        assert charts._chi_values(derived, fa, fx) == charts.chi_corrections(rep.chart, scope, fa, fx)
+
+
+@pytest.mark.parametrize("entry,rep", [(e, r) for e, r in all_chart_reps()],
+                         ids=lambda v: getattr(v, "name", None))
+def test_multiplication_mutations_after_chi_is_cached(entry, rep):
+    # the good chart point derives and caches chi first; a changed chi formula
+    # is a different chart, and phis passed in are always the ones evaluated
+    values = rep.random_admissible(random.Random(8), extra_conditions=rep.chart.conditions)
+    phis = charts.chart_polys(rep, values)
+    charts.verify_chart_multiplication(entry, rep, values, pairs=3, phis=phis)
+    comp, formula = rep.chart.chi[-1]
+    bad_chi = rep.chart.chi[:-1] + ((comp, f"{formula} + f1a*f1x"),)
+    bad = dataclasses.replace(rep, chart=dataclasses.replace(rep.chart, chi=bad_chi))
+    with pytest.raises(charts.Mismatch, match=rf"in phi\^{comp} at") as ex:
+        charts.verify_chart_multiplication(entry, bad, values, pairs=3, phis=phis)
+    assert ex.value.component == comp
+    p = phis[1]
+    target = max(p.terms, key=lambda t: sum(t))
+    terms = dict(p.terms)
+    terms[target] = -terms[target]
+    flipped = [phis[0], MultiPoly(p.vars, terms), phis[2]]
+    with pytest.raises(charts.Mismatch) as ex:
+        charts.verify_chart_multiplication(entry, rep, values, pairs=3, phis=flipped)
+    assert ex.value.component in (2, 3)
+    assert f"in phi^{ex.value.component} at" in str(ex.value)
+
+
+def test_chi_is_derived_once_per_chart_point():
+    e = catalogue.get("G6,4")
+    rep = e.representative("J_alpha_beta")
+    rng = random.Random(12)
+    first = rep.random_admissible(rng, extra_conditions=rep.chart.conditions)
+    second = rep.random_admissible(rng, extra_conditions=rep.chart.conditions)
+    assert first != second
+    charts._chi_polys.cache_clear()
+    for seed in range(3):
+        charts.verify_chart_multiplication(e, rep, first, pairs=2, seed=seed)
+    assert charts.chi_depends_on_conjugate(rep, first)
+    info = charts._chi_polys.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    charts.verify_chart_multiplication(e, rep, second, pairs=2)
+    info = charts._chi_polys.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
+    assert info.maxsize is not None

@@ -44,6 +44,15 @@ class TestGaussianRational:
     def test_conj_multiplicative(self, a, b):
         assert (a * b).conj() == a.conj() * b.conj()
 
+    @pytest.mark.parametrize("re, im", [(3, -4), (0.5, 0.25), (Fraction(2, 6), Fraction(-1, 3)),
+                                        (Fraction(1), 2), (True, 0)],
+                             ids=["int", "float", "Fraction", "mixed", "bool"])
+    def test_parts_are_fractions(self, re, im):
+        z = GaussianRational(re, im)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (Fraction(re), Fraction(im))
+        assert type(GaussianRational().re) is Fraction
+
     def test_serialization(self):
         assert rational_str(Fraction(-4, 6)) == "-2/3"
         assert Fraction(rational_str(Fraction(-2, 3))) == Fraction(-2, 3)
@@ -138,3 +147,48 @@ class TestProtocol:
         assert z ** -3 == GaussianRational(1) / (z * z * z)
         with pytest.raises(TypeError):
             X ** -1
+
+
+class TestRationalEval:
+    """MultiPoly.eval at int/Fraction points runs in integers; binding the same
+    values as GaussianRational runs the term-by-term ring loop, the oracle."""
+
+    @staticmethod
+    def oracle(p, env):
+        return p.eval({v: GaussianRational(x) for v, x in env.items()})
+
+    @settings(max_examples=80)
+    @given(polys, st.lists(fractions, min_size=3, max_size=3))
+    def test_gaussian_coefficients(self, p, point):
+        env = dict(zip(("x", "y", "z"), point))
+        value = p.eval(env)
+        assert type(value) is GaussianRational
+        assert value == self.oracle(p, env)
+
+    @pytest.mark.parametrize("p", [MultiPoly(("x", "y")), MultiPoly.const(Fraction(-3, 4), ("x",)),
+                                   MultiPoly.const(I * 2)], ids=["zero", "constant", "imaginary"])
+    def test_zero_and_constants(self, p):
+        env = {"x": Fraction(5, 3), "y": -2}
+        assert p.eval(env) == self.oracle(p, env) == p.constant_value()
+
+    def test_unused_variable_needs_no_value(self):
+        p = MultiPoly(("x", "y", "z"), {(2, 0, 1): Fraction(3, 2), (0, 0, 0): I})
+        env = {"x": Fraction(-1, 2), "z": 3}
+        assert p.eval(env) == self.oracle(p, env) == Fraction(9, 8) + I
+        with pytest.raises(KeyError, match="y"):
+            (p * Y).eval(env)
+        with pytest.raises(KeyError, match="y"):
+            self.oracle(p * Y, env)
+
+    def test_mixed_int_and_fraction_values(self):
+        p = (X - Y * I + Fraction(1, 3)) ** 3 * (X * Y - 2) + X ** 4 / 7
+        for x, y in ((0, 0), (0, Fraction(-2, 5)), (-3, Fraction(7, 4)),
+                     (Fraction(-1, 6), 4), (Fraction(9, 8), Fraction(-8, 9))):
+            env = {"x": x, "y": y}
+            assert p.eval(env) == self.oracle(p, env)
+
+    def test_polynomial_values_give_a_polynomial(self):
+        p = X * X * 3 + Y * I
+        value = p.eval({"x": Y + 1, "y": Fraction(1, 2)})
+        assert type(value) is MultiPoly
+        assert value == (Y + 1) * (Y + 1) * 3 + I / 2
