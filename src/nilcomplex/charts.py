@@ -4,11 +4,12 @@ A chart triple (phi1, phi2, phi3) is certified by (a) exact annihilation
 under all six antiholomorphic fields X~_j^- = X_j + i J X_j, (b) an
 invertible real 6x6 Jacobian of (Re phi, Im phi) at sampled points, and
 (c) exact agreement of the closed-form chart multiplication with the
-normal-ordering engine at sampled pairs.  Each check starts from one
-validated scope of the chart point, and (a) and (b) both read one
-gradient of the chart functions.  For (c), chi is derived once per chart
-point as polynomials in the real and imaginary parts of phi(a) and
-phi(x); phi and chi then evaluate at each rational pair in integers.
+normal-ordering engine at sampled pairs.  Every check reads one cached
+derivation of the chart point (J, the validated scope and the chart
+functions), and (a) and (b) both read one gradient of the chart functions.
+For (c), chi is derived once per chart point as polynomials in the real
+and imaginary parts of phi(a) and phi(x); phi and chi then evaluate at
+each rational pair in integers.
 Complex combinations are always eliminated into the real polynomial ring
 before comparison.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import group, linalg
@@ -87,50 +89,41 @@ def antiholo_fields(entry: AlgebraEntry, J: AlmostComplexStructure
     return out
 
 
-def chart_scope(rep: Representative, values: Mapping[str, Fraction]
-                ) -> Tuple[Dict, List[Tuple[str, str]]]:
-    """The validated scope of a chart point, and the chart defs left out of it.
+@functools.lru_cache(maxsize=256)
+def _chart_at(rep: Representative, point: frozenset
+              ) -> Tuple[AlmostComplexStructure, Mapping, Tuple[MultiPoly, ...]]:
+    """(J, scope, phis) at one chart point (the items of the parameter
+    values), derived once; the scope is read-only, since callers share it.
 
-    The scope is `check_domain` under the chart's conditions (parameters and
-    representative defs) plus every chart def that needs no coordinate.  The
-    defs left out name a coordinate, directly or through an earlier such def.
+    One `check_domain` under the chart's conditions gives the scope, and J
+    is built from it before any chart def enters: some chart defs reuse the
+    representative's def names.  The chart defs that name no coordinate,
+    directly or through an earlier such def, are then evaluated into the
+    scope; the others and the three chart functions become polynomials in
+    the real coordinates.  The cache is bounded because sampling draws new
+    points without end.
     """
-    scope = rep.check_domain(values, rep.chart.conditions)
-    return scope, _add_chart_defs(rep.chart, scope)
-
-
-def _add_chart_defs(chart: Chart, scope: Dict) -> List[Tuple[str, str]]:
-    """Evaluate the coordinate-free chart defs into scope; return the others."""
-    moving = set(group.COORDS)
-    coord_defs = []
-    for nm, e in chart.defs:
+    scope = rep.check_domain(dict(point), rep.chart.conditions)
+    J = rep.matrix(scope)
+    moving, coord_defs = set(group.COORDS), []
+    for nm, e in rep.chart.defs:
         if free_symbols(e) & moving:
             moving.add(nm)
             coord_defs.append((nm, e))
         else:
             scope[nm] = evaluate(e, scope)
-    return coord_defs
-
-
-def _chart_point(rep: Representative, values: Mapping[str, Fraction]):
-    """J and `chart_scope`'s pair from one domain check.  J is built before
-    the chart defs enter the scope: some reuse the representative's def names."""
-    scope = rep.check_domain(values, rep.chart.conditions)
-    J = rep.matrix(scope)
-    return J, scope, _add_chart_defs(rep.chart, scope)
-
-
-def _chart_functions(chart: Chart, scope: Mapping, coord_defs) -> List[MultiPoly]:
     env = {**scope, **{c: MultiPoly.var(c) for c in group.COORDS}}
     for nm, e in coord_defs:
         env[nm] = evaluate(e, env)
-    return [MultiPoly.coerce(evaluate(p, env)) for p in chart.phis]
+    phis = tuple(MultiPoly.coerce(evaluate(p, env)) for p in rep.chart.phis)
+    return J, MappingProxyType(scope), phis
 
 
 def chart_polys(rep: Representative, values: Mapping[str, Fraction]
                 ) -> List[MultiPoly]:
-    """The three chart functions as polynomials in the real coordinates."""
-    return _chart_functions(rep.chart, *chart_scope(rep, values))
+    """The three chart functions as polynomials in the real coordinates,
+    as a fresh list."""
+    return list(_chart_at(rep, frozenset(values.items()))[2])
 
 
 def gradient(phis: Sequence[MultiPoly]) -> List[List[MultiPoly]]:
@@ -151,7 +144,7 @@ def annihilation_residuals(entry: AlgebraEntry, J: AlmostComplexStructure,
 
 def verify_relations(chart: Chart, J: AlmostComplexStructure, scope: Mapping) -> bool:
     """Displayed dependencies x~_j^- = sum c_k x~_k^- hold exactly; the
-    coefficients are read in the scope that `chart_scope` returns."""
+    coefficients are read in the scope of the chart point."""
 
     def gen(j):
         return [GaussianRational(k == j - 1) + I * c
@@ -191,12 +184,10 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
     """Exact holomorphy of the chart triple under all six fields, plus an
     invertibility spot-check of the real Jacobian.  All 18 identities
     are checked before NotAnnihilated names the failing ones."""
-    J, scope, coord_defs = _chart_point(rep, values)
-    if phis is None:
-        phis = _chart_functions(rep.chart, scope, coord_defs)
-    grads = gradient(phis)
+    J, scope, own = _chart_at(rep, frozenset(values.items()))
+    grads = gradient(own if phis is None else phis)
     residuals = annihilation_residuals(entry, J, grads)
-    failing = [jk for jk, res in residuals.items() if not res.is_zero()]
+    failing = [jk for jk, res in residuals.items() if res]
     if failing:
         raise NotAnnihilated(failing, residuals[failing[0]])
     if not verify_relations(rep.chart, J, scope):
@@ -221,7 +212,7 @@ def _phi_values(phis: Sequence[MultiPoly], coords: Sequence[Fraction]
 def chi_corrections(chart: Chart, scope: Mapping, phi_a: Sequence, phi_x: Sequence
                     ) -> Dict[int, object]:
     """The closed-form corrections chi(a, x) per corrected component, in the
-    scope that `chart_scope` returns; phi_a and phi_x may be polynomials."""
+    scope of the chart point; phi_a and phi_x may be polynomials."""
     env = dict(scope)
     for k in range(3):
         env[f"f{k+1}a"] = phi_a[k]
@@ -232,16 +223,16 @@ def chi_corrections(chart: Chart, scope: Mapping, phi_a: Sequence, phi_x: Sequen
 
 
 @functools.lru_cache(maxsize=256)
-def _chi_polys(chart: Chart, point: frozenset) -> Dict[int, MultiPoly]:
-    """chi at one chart point (the items of `chart_scope`'s scope) as
-    polynomials in the real and imaginary parts of phi(a)_k = u_k + i v_k and
-    phi(x)_k = s_k + i t_k.  Derived once per point, and the dict is shared.
-    The cache is bounded because sampling draws new points without end."""
+def _chi_polys(rep: Representative, point: frozenset) -> Dict[int, MultiPoly]:
+    """chi at one chart point (keyed as `_chart_at`) as polynomials in the
+    real and imaginary parts of phi(a)_k = u_k + i v_k and
+    phi(x)_k = s_k + i t_k.  Derived once per point, and the dict is shared."""
 
     def formal(re, im):
         return [MultiPoly.var(f"{re}{k}") + MultiPoly.var(f"{im}{k}") * I for k in range(1, 4)]
 
-    chi = chi_corrections(chart, dict(point), formal("u", "v"), formal("s", "t"))
+    scope = _chart_at(rep, point)[1]
+    chi = chi_corrections(rep.chart, scope, formal("u", "v"), formal("s", "t"))
     return {comp: MultiPoly.coerce(c) for comp, c in chi.items()}
 
 
@@ -265,10 +256,10 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
                                 pairs: int = 50, seed: int = 0,
                                 phis: Sequence[MultiPoly] | None = None) -> Dict:
     """phi(a*x) == phi(a) + phi(x) + chi(a, x), exactly, at random points."""
-    scope, coord_defs = chart_scope(rep, values)
+    point = frozenset(values.items())
     if phis is None:
-        phis = _chart_functions(rep.chart, scope, coord_defs)
-    chi_polys = _chi_polys(rep.chart, frozenset(scope.items()))
+        phis = _chart_at(rep, point)[2]
+    chi_polys = _chi_polys(rep, point)
     rng = random.Random(seed)
     for n in range(pairs):
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)]
@@ -287,25 +278,21 @@ def verify_chart_multiplication(entry: AlgebraEntry, rep: Representative,
 
 def translated_chart_is_holomorphic(entry: AlgebraEntry, rep: Representative,
                                     values: Mapping[str, Fraction],
-                                    a: Sequence[Fraction],
-                                    phis: Sequence[MultiPoly] | None = None) -> bool:
+                                    a: Sequence[Fraction]) -> bool:
     """phi(a * x), as polynomials in the coordinates of x, is annihilated by
     the same antiholomorphic fields: left translations are holomorphic."""
-    J, scope, coord_defs = _chart_point(rep, values)
-    if phis is None:
-        phis = _chart_functions(rep.chart, scope, coord_defs)
+    J, _, phis = _chart_at(rep, frozenset(values.items()))
     formal = [MultiPoly.var(c) for c in group.COORDS]
     prod = multiply_coords(entry, [Fraction(c) for c in a], formal)
     env = dict(zip(group.COORDS, prod))
     translated = [MultiPoly.coerce(p.eval(env)) for p in phis]
     residuals = annihilation_residuals(entry, J, gradient(translated))
-    return all(res.is_zero() for res in residuals.values())
+    return not any(residuals.values())
 
 
 def chi_depends_on_conjugate(rep: Representative, values: Mapping[str, Fraction]) -> bool:
     """True iff some chi component genuinely involves conj(phi_a): an exact
     Wirtinger derivative in (u_k, v_k) of the derived chi is nonzero."""
-    scope, _ = chart_scope(rep, values)
     return any(p.wirtinger(f"u{k}", f"v{k}", conjugate=True)
-               for p in _chi_polys(rep.chart, frozenset(scope.items())).values()
+               for p in _chi_polys(rep, frozenset(values.items())).values()
                for k in range(1, 4))

@@ -109,9 +109,6 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def is_real(self) -> bool:
         return self.im == 0
 
@@ -159,7 +156,7 @@ class MultiPoly:
         if terms:
             for e, c in terms.items():
                 c = GaussianRational.coerce(c)
-                if not c.is_zero():
+                if c:
                     if len(e) != len(vs):
                         raise ValueError("exponent arity mismatch")
                     tt[tuple(e)] = c
@@ -174,7 +171,7 @@ class MultiPoly:
     def const(c, vars: Iterable[str] = ()) -> "MultiPoly":
         vs = tuple(sorted(vars))
         c = GaussianRational.coerce(c)
-        if c.is_zero():
+        if not c:
             return MultiPoly(vs)
         return MultiPoly(vs, {(0,) * len(vs): c})
 
@@ -221,7 +218,7 @@ class MultiPoly:
         terms = dict(p.terms)
         for e, c in q.terms.items():
             s = terms.get(e, ZERO) + c
-            if s.is_zero():
+            if not s:
                 terms.pop(e, None)
             else:
                 terms[e] = s
@@ -246,7 +243,7 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = terms.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero():
+                if not s:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
@@ -262,7 +259,7 @@ class MultiPoly:
                 raise ZeroDivisionError("polynomial division is out of scope")
             other = c
         o = GaussianRational.coerce(other)
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("division by zero")
         inv = GaussianRational(1) / o
         return self * inv
@@ -273,9 +270,6 @@ class MultiPoly:
         return _power(self, n, MultiPoly.const(1, self.vars))
 
     # -- structure -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -408,7 +402,7 @@ class MultiPoly:
             ee[i] = k - 1
             ee = tuple(ee)
             s = terms.get(ee, ZERO) + c * k
-            if s.is_zero():
+            if not s:
                 terms.pop(ee, None)
             else:
                 terms[ee] = s

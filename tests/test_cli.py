@@ -146,6 +146,25 @@ def test_chart_verify_single(capsys):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("argv", [[], ["--json"]], ids=["text", "json"])
+def test_chart_verify_of_a_representative_without_a_chart_is_a_usage_error(capsys, argv):
+    # nothing would be checked, so the command must not report success
+    code, out = run(capsys, "chart-verify", "G6,3", "--rep", "J1", *argv)
+    message = "--rep J1: no chart catalogued for G6,3"
+    if argv:
+        assert code == 2 and json.loads(out) == {"error": "UsageError", "message": message}
+    else:
+        assert_usage_error(code, out)
+        assert out == f"error: {message}\n"
+
+
+def test_a_chart_point_is_validated_by_its_draw_and_one_derivation(check_domain_calls):
+    e = catalogue.get("M10")
+    rep = e.representative("J_case1")
+    assert cli.chart_point(e, rep, 0, jacobian_points=1, pairs=2)["status"] == "pass"
+    assert check_domain_calls == ["J_case1", "J_case1"]
+
+
 def test_unknown_algebra_fails(capsys):
     code, out = run(capsys, "show", "M2")
     assert_usage_error(code, out)

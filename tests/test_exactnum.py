@@ -66,7 +66,7 @@ class TestPolyArith:
         assert X * X == X ** 2
 
     def test_sub(self):
-        assert (X - X).is_zero()
+        assert not (X - X)
 
     @settings(max_examples=60)
     @given(polys, polys, polys)
@@ -88,8 +88,8 @@ class TestPolyArith:
 class TestDerivatives:
     def test_partial_examples(self):
         assert (X ** 2 * Y).partial("x") == X * Y * 2
-        assert (X ** 2).partial("y").is_zero()
-        assert MultiPoly.const(5).partial("x").is_zero()
+        assert not (X ** 2).partial("y")
+        assert not MultiPoly.const(5).partial("x")
 
     @settings(max_examples=60)
     @given(polys, polys)
@@ -99,8 +99,8 @@ class TestDerivatives:
     def test_wirtinger_examples(self):
         z = X + Y * I
         zbar = X - Y * I
-        assert z.wirtinger("x", "y", conjugate=True).is_zero()
-        assert zbar.wirtinger("x", "y", conjugate=False).is_zero()
+        assert not z.wirtinger("x", "y", conjugate=True)
+        assert not zbar.wirtinger("x", "y", conjugate=False)
         assert (X * X + Y * Y).wirtinger("x", "y", conjugate=True) == z
 
     @settings(max_examples=60)

@@ -3,11 +3,16 @@
 Every function and class the package defines is used by the package or by
 the benchmark, and only the catalogue data builds Lie algebras, so the
 per-algebra caches in acs and group hold the registry's algebras alone.
+Every other cache is bounded, except a few named ones whose keys are
+source strings or small integers: sampled points come without end.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import nilcomplex
 
@@ -18,6 +23,8 @@ GENERATED = {"_families.py", "_chartsrc.py"}
 TEST_ONLY = {"apply_derivation", "translated_chart_is_holomorphic",
              "chi_depends_on_conjugate", "m10_equivalence_relation",
              "m5_case21_relation"}
+# unbounded caches whose first parameter is not a LieAlgebra
+UNBOUNDED = {"expr._compile", "acs._square_forms", "group.m5_natural_fields"}
 
 sys.path.insert(0, str(PERFBENCH))
 import tracer  # noqa: E402
@@ -64,3 +71,78 @@ def test_only_the_catalogue_data_builds_lie_algebras():
                  and (getattr(node.func, "id", None) == "LieAlgebra"
                       or getattr(node.func, "attr", None) == "LieAlgebra")]
     assert offenders == []
+
+
+CACHES = ("cache", "lru_cache")
+
+
+def _cache_name(node: ast.expr):
+    """The node's name if it names a functools cache, else None."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in CACHES else None
+
+
+def _bounded(deco: ast.expr) -> bool:
+    """An lru_cache call that gives an integer maxsize."""
+    if not isinstance(deco, ast.Call):
+        return False
+    sizes = deco.args[:1] + [k.value for k in deco.keywords if k.arg == "maxsize"]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+        and type(sizes[0].value) is int
+
+
+def _on_an_algebra(fn: ast.FunctionDef) -> bool:
+    args = fn.args.posonlyargs + fn.args.args
+    return bool(args) and getattr(args[0].annotation, "id", None) == "LieAlgebra"
+
+
+def cache_offenders(module: str, tree: ast.AST) -> list:
+    """Caches in one module that break the rule, named module.function."""
+    offenders, decorators = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in fn.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            kind, name = _cache_name(target), f"{module}.{fn.name}"
+            decorators.add(target)
+            if kind == "lru_cache" and not _bounded(deco):
+                offenders.append(f"{name}: lru_cache without an integer maxsize")
+            elif kind == "cache" and not (_on_an_algebra(fn) or name in UNBOUNDED):
+                offenders.append(f"{name}: unbounded cache off the allow-list")
+    offenders += [f"{module}:{node.lineno}: a cache made other than by a decorator"
+                  for node in ast.walk(tree)
+                  if _cache_name(node) and node not in decorators]
+    return offenders
+
+
+def test_every_cache_is_bounded_or_per_algebra():
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        offenders += cache_offenders(module, tree)
+    assert offenders == []
+    for name in UNBOUNDED:  # each allowed name is an unbounded cache today
+        module, fn = name.rsplit(".", 1)
+        cached = getattr(importlib.import_module(f"nilcomplex.{module}"), fn)
+        assert cached.cache_info().maxsize is None, name
+
+
+@pytest.mark.parametrize("source", [
+    "@functools.lru_cache\ndef f(x): pass",
+    "@lru_cache(maxsize=None)\ndef f(x): pass",
+    "@functools.lru_cache(None)\ndef f(x): pass",
+    "@functools.cache\ndef f(point: frozenset): pass",
+    "@cache\ndef f(n, L: LieAlgebra): pass",
+    "f = functools.lru_cache(maxsize=8)(g)",
+], ids=["bare", "maxsize-none", "positional-none", "off-list", "algebra-second", "call"])
+def test_the_cache_rule_refuses(source):
+    assert len(cache_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_cache_rule_accepts():
+    source = ("@functools.lru_cache(maxsize=256)\ndef f(point): pass\n"
+              "@lru_cache(64)\ndef g(point): pass\n"
+              "@cache\ndef h(L: LieAlgebra, n: int): pass\n"
+              "@functools.cache\ndef _compile(s: str): pass\n")
+    assert cache_offenders("expr", ast.parse(source)) == []
