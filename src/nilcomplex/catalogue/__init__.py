@@ -7,7 +7,8 @@ group as a parametric matrix family, the displayed left-invariant vector
 fields, and the expected moduli dimension.
 
 All formulas are expression strings (see nilcomplex.expr); instantiation
-and admissible sampling happen here.
+and admissible sampling happen here.  A matrix's entries are evaluated in
+ints over the validated scope's common denominator, one Fraction each.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exactnum import GaussianRational, rational_str
-from ..expr import evaluate, free_symbols
+from ..expr import evaluate, evaluate_ints, free_symbols, over_one_denominator
 from ..liecore import LieAlgebra
 from ..acs import AlmostComplexStructure, is_integrable
 
@@ -134,12 +135,13 @@ class MatrixFamily:
 
     def matrix(self, env: Mapping[str, Fraction]) -> AlmostComplexStructure:
         """The entries evaluated in a scope that check_domain returned."""
+        point = over_one_denominator(env)
         rows = []
         for row in self.entries:
             out = []
             for cell in row:
                 try:
-                    out.append(_as_real(evaluate(cell, env)))
+                    out.append(Fraction(*evaluate_ints(cell, point)))
                 except ZeroDivisionError:
                     raise DomainViolation(f"{self.name}: entry {cell} undefined here") from None
             rows.append(out)

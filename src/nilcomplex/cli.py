@@ -47,6 +47,18 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _tol(text: str) -> float:
+    """argparse type of the SVD rank tolerance: finite, with 0 < tol < 0.1,
+    so that the guard's second threshold 10*tol stays below 1."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0 < tol < 0.1:  # false for nan and inf too
+        raise argparse.ArgumentTypeError(f"expected a tolerance in (0, 0.1), got {text!r}")
+    return tol
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -431,7 +443,7 @@ def build_parser():
     common(p, "algebra")
     p.add_argument("--family")
     p.add_argument("--samples", type=_count, default=10)
-    p.add_argument("--tol", type=float, default=moduli.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=moduli.DEFAULT_TOL)
     p.set_defaults(fn=cmd_moduli_dim)
 
     p = sub.add_parser("nonexistence-check",
@@ -444,7 +456,7 @@ def build_parser():
     common(p, "algebra")
     p.add_argument("--samples", type=_count,
                    help="family samples per algebra (default 5), or twin samples (default 20)")
-    p.add_argument("--tol", type=float, default=moduli.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=moduli.DEFAULT_TOL)
     p.set_defaults(fn=cmd_report)
     return ap
 

@@ -82,19 +82,26 @@ class LieAlgebra:
         return out
 
     def jacobi_check(self) -> bool:
-        n = self.dim
-        basis = [[Fraction(1) if t == s else Fraction(0) for t in range(n)] for s in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    x, y, z = basis[a], basis[b], basis[c]
-                    s = [p + q + r for p, q, r in zip(
-                        self.bracket(x, self.bracket(y, z)),
-                        self.bracket(y, self.bracket(z, x)),
-                        self.bracket(z, self.bracket(x, y)))]
-                    if any(s):
-                        return False
-        return True
+        """The Jacobi identity, summed over the nonzero structure constants.
+
+        Each [[x_i, x_j], x_l] with [x_i, x_j] != 0 and l not in {i, j}
+        enters the cyclic sum of the triple {i, j, l}, negated when l lies
+        between i and j; every sum must vanish in every output x_m.
+        """
+        sums: Dict[Tuple[int, int, int, int], Fraction] = {}
+        for (i, j), row in self.table.items():
+            for l in range(1, self.dim + 1):
+                if l == i or l == j:
+                    continue
+                triple = tuple(sorted((i, j, l)))
+                sign = -1 if i < l < j else 1
+                for k, c in row.items():  # [x_k, x_l] = ±table[(min, max)]
+                    out = self.table.get((k, l) if k < l else (l, k), {})
+                    sk = sign * c if k < l else -sign * c
+                    for m, d in out.items():
+                        key = triple + (m,)
+                        sums[key] = sums.get(key, 0) + sk * d
+        return not any(sums.values())
 
     # -- central series -----------------------------------------------------
 

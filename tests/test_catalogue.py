@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue, moduli
+from nilcomplex import catalogue, expr, moduli
 from nilcomplex.acs import is_integrable
 from nilcomplex.catalogue import (DomainViolation, JFamily, ParamSpec,
                                   SamplingExhausted, UnknownAlgebra)
@@ -87,6 +87,68 @@ def test_an_entry_undefined_on_the_domain_is_caught():
     mutant = dataclasses.replace(fam, entries=tuple(tuple(r) for r in rows))
     bad = _undefined_entries(mutant)
     assert bad and all(v["j11"] == 0 and "1/j11" in msg for v, msg in bad)
+
+
+def _integer_mismatches(members, draws, seed=0):
+    """Entries whose integer form differs from the generic evaluation at
+    seeded admissible points of the members, and the entries compared."""
+    bad, compared = [], 0
+    for member in members:
+        rng = random.Random(f"{seed}:{member.name}")
+        for _ in range(draws):
+            env = member.check_domain(member.random_admissible(rng))
+            J = member.matrix(env)
+            for r, row in enumerate(member.entries):
+                for c, cell in enumerate(row):
+                    compared += 1
+                    if J.m[r][c] != catalogue._as_real(expr.evaluate(cell, env)):
+                        bad.append((member.name, cell))
+    return bad, compared
+
+
+def _all_matrix_members():
+    for e in catalogue.entries():
+        yield from (f for f in e.families if f.samplable)
+        yield from e.representatives
+        yield from e.automorphisms
+
+
+def test_integer_entries_equal_the_generic_evaluation():
+    members = list(_all_matrix_members())
+    kinds = {p.kind for m in members for p in m.params}
+    assert len(members) == 60 and kinds == {"rational", "unit", "pm_one"}
+    bad, compared = _integer_mismatches(members, draws=6)
+    assert bad == [] and compared == 60 * 6 * 36
+
+
+def test_every_catalogued_entry_has_an_integer_form():
+    # matrix has no other path, so no entry may use i (the metadata-only
+    # family included)
+    cells = {cell for e in catalogue.entries()
+             for m in e.families + e.representatives + e.automorphisms
+             for row in m.entries for cell in row}
+    assert len(cells) == 452
+    for cell in cells:
+        expr._compile_ints(cell)
+
+
+def test_an_off_by_one_power_of_the_denominator_fails_the_oracle(monkeypatch):
+    scaled = expr._scaled
+    monkeypatch.setattr(expr, "_scaled", lambda p, k: scaled(p, k + 1 if k else 0))
+    expr._compile_ints.cache_clear()
+    try:
+        bad, _ = _integer_mismatches(catalogue.get("G6,3").families, draws=3)
+    finally:
+        expr._compile_ints.cache_clear()
+    assert bad
+
+
+@pytest.mark.parametrize("cell", ["1/(a - a/(a - a))", "(a - 1)^-2", "a/((a - 1)^-1)"])
+def test_an_entry_with_a_zero_divisor_is_named(cell):
+    fam = JFamily(name="toy", params=(ParamSpec("a"),), entries=(("a", cell), ("1", "a")))
+    with pytest.raises(DomainViolation) as err:
+        fam.instantiate({"a": Fraction(1)})
+    assert str(err.value) == f"toy: entry {cell} undefined here"
 
 
 def test_sample_family_g67():

@@ -296,6 +296,25 @@ def test_counts_must_be_positive(capsys, argv):
     assert "expected an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", [["moduli-dim", "G6,3"], ["report", "G6,3"]],
+                         ids=["moduli-dim", "report"])
+@pytest.mark.parametrize("tol", ["-1", "0", "0.1", "1", "inf", "-inf", "nan", "1e-9x", ""])
+def test_the_tolerance_must_be_finite_and_below_a_tenth(capsys, command, tol, json_flag):
+    # a tolerance out of (0, 0.1) sent every draw to the exact elimination
+    with pytest.raises(SystemExit) as ex:
+        cli.main(command + [f"--tol={tol}"] + json_flag)
+    assert ex.value.code == 2
+    assert f"expected a tolerance in (0, 0.1), got {tol!r}" in capsys.readouterr().err
+
+
+def test_a_tolerance_inside_the_interval_is_taken():
+    parser = cli.build_parser()
+    assert parser.parse_args(["moduli-dim", "M10", "--tol", "0.099"]).tol == 0.099
+    assert parser.parse_args(["report", "M10", "--tol", "1e-12"]).tol == 1e-12
+    assert parser.parse_args(["report", "M10"]).tol == cli.moduli.DEFAULT_TOL
+
+
 def test_verify_checks_the_given_param(capsys):
     # case-1 requires j21 != 0: the family sweep must not drop --param
     code, out = run(capsys, "verify", "--algebra", "M10", "--family", "case-1",

@@ -90,3 +90,64 @@ def test_each_string_compiles_once():
     assert values == [Fraction(25, 7)] * 5
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 5
+
+
+def _ints(s, **values):
+    """The integer form of s at the given rational values, as a Fraction."""
+    return Fraction(*expr.evaluate_ints(s, expr.over_one_denominator(values)))
+
+
+PQR = {"p": Fraction(-3, 4), "q": Fraction(1), "r": Fraction(5, 6)}
+
+
+@pytest.mark.parametrize("s", [
+    "p", "-p", "p + q - r", "p*q*r", "p/r", "q/p - r", "-(p - q)^3/(r*q)",
+    "p^-2*q + r/p", "(p/r + q/(p - r))/(r + 1/p)", "-p^2 + 3*p*q^2 - r^3/2",
+    "conj(p)*r^0 - (q/r)^-2", "(p*r - 1)^2/(q + r)^3 - 7", "2*p*-r",
+])
+def test_the_integer_form_equals_evaluate(s):
+    assert _ints(s, **PQR) == evaluate(s, PQR)
+
+
+@pytest.mark.parametrize("s,value", [
+    ("0", 0), ("-1", -1), ("1/2", Fraction(1, 2)), ("-3^2", -9), ("2^-3", Fraction(1, 8)),
+    ("(1 - 1)^0", 1), ("4/6 - 2/3", 0),
+])
+def test_literal_formulas_in_integers(s, value):
+    assert _ints(s) == value == _ints(s, p=Fraction(7, 3))
+
+
+@pytest.mark.parametrize("s", [
+    "p/(q/(r - r))", "p/(r - r)", "(r - r)^-1", "p/((r - r)^-2)", "((r - r)^-1)^0",
+    "(q - 1)^-3*0", "0*(1/(p - p))", "p/(q - q)^2 + 1",
+])
+def test_a_zero_divisor_raises_in_both_forms(s):
+    # checked where it divides: a zero factor elsewhere must not hide it
+    with pytest.raises(ZeroDivisionError):
+        evaluate(s, PQR)
+    with pytest.raises(ZeroDivisionError):
+        _ints(s, **PQR)
+
+
+def test_the_integer_form_needs_a_real_formula_and_bound_symbols():
+    with pytest.raises(ExprError, match="not a real formula"):
+        _ints("p + i", **PQR)
+    with pytest.raises(ExprError, match="unbound symbol 'x'"):
+        _ints("p + x", **PQR)
+
+
+def test_each_integer_form_compiles_once():
+    s = "(q1 - q2)^3/11 - q1^-1"
+    before = expr._compile_ints.cache_info()
+    values = [_ints(s, q1=Fraction(3, 2), q2=Fraction(-1, 3)) for _ in range(5)]
+    after = expr._compile_ints.cache_info()
+    assert values == [evaluate(s, {"q1": Fraction(3, 2), "q2": Fraction(-1, 3)})] * 5
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 4
+    assert type(after.maxsize) is int
+
+
+def test_one_common_denominator():
+    point = expr.over_one_denominator({"a": Fraction(1, 6), "b": Fraction(-3, 4), "c": Fraction(2)})
+    assert point == {"a": 2, "b": -9, "c": 24, "_D": 12}
+    assert expr.over_one_denominator({}) == {"_D": 1}

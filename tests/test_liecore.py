@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,8 +39,12 @@ def test_bracket_bilinear(u, v, w, a):
 
 
 def test_jacobi_all_catalogue():
-    for entry in catalogue.entries():
-        assert entry.algebra.jacobi_check()
+    # the eleven entries and the two twins: all 13 registry algebras
+    algebras = [e.algebra for e in catalogue.entries()]
+    algebras += [algebra for algebra, _ in catalogue._SPOTCHECK.values()]
+    assert len(algebras) == 13
+    for L in algebras:
+        assert L.jacobi_check()
 
 
 def test_jacobi_abelian():
@@ -50,6 +55,51 @@ def test_jacobi_rejects_bad_table():
     # cyclic sum on (x1, x2, x3) is x3 here, so construction must fail
     with pytest.raises(JacobiError):
         LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+
+
+def _dense_jacobi(dim, table) -> bool:
+    """The oracle: the cyclic sum of dense brackets of every basis triple."""
+    L = object.__new__(LieAlgebra)  # the table, unchecked
+    L.dim, L.table = dim, table
+    basis = [[Fraction(int(k == i)) for k in range(dim)] for i in range(dim)]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
+                x, y, z = basis[a], basis[b], basis[c]
+                if any(p + q + r for p, q, r in zip(L.bracket(x, L.bracket(y, z)),
+                                                    L.bracket(y, L.bracket(z, x)),
+                                                    L.bracket(z, L.bracket(x, y)))):
+                    return False
+    return True
+
+
+# sl(2) + sl(2), on the bases (e, h, f) and (e, f, h): its Jacobi sums
+# vanish only by cancellation between terms, which the nilpotent catalogue
+# tables never need
+SL2_SL2 = {(1, 2): {1: -2}, (1, 3): {2: 1}, (2, 3): {3: -2},
+           (4, 5): {6: 1}, (4, 6): {4: -2}, (5, 6): {5: 2}}
+
+
+def test_jacobi_agrees_with_dense_brackets_on_perturbed_tables():
+    rng = random.Random(0)
+    assert LieAlgebra(6, SL2_SL2).jacobi_check() and _dense_jacobi(6, SL2_SL2)
+    tables = [e.algebra.table for e in catalogue.entries()] + [SL2_SL2] * 4
+    verdicts = []
+    for _ in range(300):
+        table = {pair: dict(row) for pair, row in rng.choice(tables).items()}
+        for _ in range(rng.randint(1, 2)):  # one or two constants set anew
+            i = rng.randint(1, 5)
+            k, c = rng.randint(1, 6), Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            table.setdefault((i, rng.randint(i + 1, 6)), {})[k] = c
+        expected = _dense_jacobi(6, table)
+        try:
+            LieAlgebra(6, table)
+            built = True
+        except JacobiError:
+            built = False
+        assert built == expected, table
+        verdicts.append(built)
+    assert 50 < sum(verdicts) < 250  # both verdicts occur often
 
 
 def test_central_series():
