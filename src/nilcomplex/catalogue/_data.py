@@ -31,9 +31,11 @@ def _rows(*rows):
     out = []
     for r in rows:
         cells = [c.strip() for c in r.split(";")]
-        assert len(cells) == 6, r
+        if len(cells) != 6:
+            raise ValueError(f"expected 6 cells: {r}")
         out.append(tuple(cells))
-    assert len(out) == 6
+    if len(out) != 6:
+        raise ValueError(f"expected 6 rows, got {len(out)}")
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 from . import catalogue, charts, group, moduli, orbits
@@ -368,8 +369,17 @@ def cmd_report(args):
     return 0 if all(v == "pass" for v in sections.values()) else 1
 
 
+class _Rejected(Exception):
+    """argparse's rejection of the command line: (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Rejected(self, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nilcomplex",
         description="Exact verification of the catalogue of complex "
                     "structures on 6-dimensional nilpotent Lie algebras")
@@ -463,10 +473,16 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Run one command; a verification failure exits 1 and a usage error 2,
-    printed as a line of text or, under --json, as a JSON object."""
-    args = build_parser().parse_args(argv)
+    printed as a line of text or, under --json, as a JSON object; argparse's
+    own rejections keep its usage message on stderr unless --json is given."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except _Rejected as ex:
+        if "--json" not in argv:
+            argparse.ArgumentParser.error(*ex.args)  # usage on stderr, exit 2
+        args, code, error, message = argparse.Namespace(json=True), 2, "UsageError", ex.args[1]
     except (DomainViolation, SamplingExhausted, BadSquare, NotClosed, Unclassifiable,
             orbits.NotAutomorphism) as ex:
         code, error, message = 1, type(ex).__name__, str(ex)

@@ -21,17 +21,22 @@ Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
 from it, without further collection: the inverse (mu(a, x) = 0 solved by
 back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
 the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
-sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled into
-straight-line exact rational arithmetic and takes Fraction or MultiPoly
-coordinates.  Each fact of an algebra (its class check, the three laws,
-the fields) is a functools.cache'd function of the LieAlgebra, derived on
-first use.  `collect` stays as the derivation and the test oracle.
+sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
+into straight-line integer code: at int or Fraction coordinates it sums
+over their common denominator in ints and builds one Fraction per
+component; any other coordinates (MultiPoly ones, say) go through
+MultiPoly.eval of the law's polynomials.  Each fact of an algebra (its
+class check, the three laws, the fields) is a functools.cache'd function
+of the LieAlgebra, derived on first use.  `collect` stays as the
+derivation and the test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
+from math import lcm
 from typing import List, Sequence
 
 from .exactnum import MultiPoly
@@ -42,6 +47,7 @@ COORDS = ("x1", "y1", "x2", "y2", "x3", "y3")
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
 QUARTER = Fraction(1, 4)
+_RATIONAL = {int, Fraction}
 
 
 class ClassTooHigh(ValueError):
@@ -53,16 +59,6 @@ def _check_class(L: LieAlgebra) -> None:
     cls = L.nilpotency_class()
     if cls > 4:
         raise ClassTooHigh(f"class {cls} > 4")
-
-
-def _abelian_tail_start(L: LieAlgebra) -> int:
-    """Smallest t with span(x_t .. x_dim) abelian: no bracket has both i, j >= t."""
-    return max((i + 1 for (i, j) in L.table), default=1)
-
-
-def _triangular_check(L: LieAlgebra) -> None:
-    if any(k <= j for (i, j), row in L.table.items() for k in row):
-        raise ValueError("basis is not triangular; normal ordering unsupported")
 
 
 def commutator_correction(L: LieAlgebra, X: Sequence, Y: Sequence) -> List:
@@ -101,8 +97,8 @@ def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
         C = commutator_correction(L, _basis_vector(L, g, c), _basis_vector(L, k, r))
         support = [m + 1 for m in range(L.dim) if C[m]]
         if support:
-            # progress: corrections live strictly deeper in the flag/central series
-            assert min(support) > max(g, k)
+            if min(support) <= max(g, k):  # corrections must live strictly deeper
+                raise ValueError(f"correction of x{g}, x{k} does not go deeper")
             corrections.append((k, C))
     coords[g - 1] = coords[g - 1] + c
     for k, C in reversed(corrections):
@@ -111,9 +107,11 @@ def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
 
 def _push_vector(L: LieAlgebra, v: Sequence, coords: list, start: int) -> None:
     support = [m + 1 for m in range(L.dim) if v[m]]
-    # a correction is one generator or lies in the abelian tail, so e^v
-    # splits exactly into single-generator factors
-    assert len(support) <= 1 or min(support) >= _abelian_tail_start(L)
+    # a correction is one generator or lies in the abelian tail span(x_t .. x_dim),
+    # t past the first index of every bracket, so e^v splits exactly into
+    # single-generator factors
+    if len(support) > 1 and min(support) <= max((i for i, j in L.table), default=0):
+        raise ValueError(f"correction on {support} does not split into generators")
     for g in reversed(support):
         _push_single(L, g, v[g - 1], coords, start)
 
@@ -121,7 +119,8 @@ def _push_vector(L: LieAlgebra, v: Sequence, coords: list, start: int) -> None:
 def collect(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
     """Product a*x by normal ordering: the derivation of the law and its oracle."""
     _check_class(L)
-    _triangular_check(L)
+    if any(k <= j for (i, j), row in L.table.items() for k in row):
+        raise ValueError("basis is not triangular; normal ordering unsupported")
     coords = list(x)
     for g in range(L.dim, 0, -1):
         _push_single(L, g, a[g - 1], coords, start=1)
@@ -135,53 +134,82 @@ def _formal(prefix: str, n: int) -> List[MultiPoly]:
     return [MultiPoly.var(f"{prefix}{i}") for i in range(n)]
 
 
+def _term(k: int, factors: List[str], pad: int) -> str:
+    """Source of the integer k times factors times D^pad."""
+    src = "*".join(factors + [f"D{pad}"] * bool(pad))
+    if not src:
+        return str(k)
+    return src if k == 1 else f"-{src}" if k == -1 else f"{k}*{src}"
+
+
 def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
-    """Straight-line evaluator of polys at values for names (Fractions or
-    MultiPoly), with the exact rational coefficients bound as constants."""
-    consts = {}
-    rows = []
+    """The law (polys, names, code): code is straight-line integer arithmetic
+    for rational values of names.  Over their common denominator D, with
+    numerators n, component m is sum_e k_e n^e D^(deg - |e|) over C D^deg,
+    k_e its coefficients over their common denominator C."""
+    rows, top = [], 1
     for p in polys:
-        terms = []
-        for e, c in sorted(p.terms.items()):
-            if not c.is_real():
-                raise ValueError("group law coefficients must be rational")
-            mono = "".join(f"*{v}" * x for v, x in zip(p.vars, e))
-            if c.re != 1 or not mono:
-                consts[f"k{len(consts)}"] = c.re
-                mono = f"*k{len(consts) - 1}{mono}"
-            terms.append(mono[1:])
-        rows.append(" + ".join(terms) or "0")
-    return eval(f"lambda {', '.join(names)}: [{', '.join(rows)}]", consts)
+        if not all(c.is_real() for c in p.terms.values()):
+            raise ValueError("group law coefficients must be rational")
+        C = lcm(*(c.re.denominator for c in p.terms.values()))
+        deg = max(map(sum, p.terms), default=0)
+        top = max(top, deg)
+        terms = [_term(c.re.numerator * (C // c.re.denominator),
+                       [v for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
+                 for e, c in sorted(p.terms.items())]
+        rows.append(f"F({' + '.join(terms) or '0'}, {_term(C, [], deg)})")
+    src = "\n ".join([f"def law({', '.join(names)}):",
+                       f"D1 = lcm({', '.join(f'{v}.denominator' for v in names)})",
+                       *(f"{v} = {v}.numerator * (D1 // {v}.denominator)" for v in names),
+                       *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
+                       f"return [{', '.join(rows)}]"])
+    scope = {"F": Fraction, "lcm": lcm}
+    exec(src, scope)
+    return polys, names, scope["law"]
+
+
+def _evaluate(law, *coords) -> List:
+    """law at coordinate tuples: its integer code when every coordinate is an
+    int or Fraction, else MultiPoly.eval of its polynomials."""
+    polys, names, code = law
+    if any(len(c) != len(polys) for c in coords):
+        raise ValueError("coordinate tuples must match the algebra dimension")
+    args = [*chain.from_iterable(coords)]
+    if _RATIONAL.issuperset(map(type, args)):
+        return code(*args)
+    env = dict(zip(names, args))
+    return [p.eval(env) for p in polys]
 
 
 @cache
 def _mul(L: LieAlgebra):
-    """(polynomials, compiled map) of the product law, collected once."""
+    """The product law, collected once."""
     a, b = _formal("a", L.dim), _formal("b", L.dim)
     mu = [MultiPoly.coerce(p) for p in collect(L, a, b)]
-    for m in range(L.dim):
-        assert (mu[m] - a[m] - b[m]).used_vars() <= {f"{s}{i}" for s in "ab" for i in range(m)}
-    return mu, _compile(mu, [p.vars[0] for p in a + b])
+    for m in range(L.dim):  # what _inv's back-substitution needs
+        if not (mu[m] - a[m] - b[m]).used_vars() <= {f"{s}{i}" for s in "ab" for i in range(m)}:
+            raise ValueError(f"product coordinate {m} is not triangular")
+    return _compile(mu, [p.vars[0] for p in a + b])
 
 
 @cache
 def _inv(L: LieAlgebra):
-    """(polynomials, compiled map) of the inverse: mu(a, x) = 0 solved for x
-    by back-substitution, coordinate by coordinate."""
+    """The inverse law: mu(a, x) = 0 solved for x by back-substitution,
+    coordinate by coordinate."""
     mu = _mul(L)[0]
     a, b = _formal("a", L.dim), _formal("b", L.dim)
     env = {p.vars[0]: p for p in a}
     for m in range(L.dim):
         env[f"b{m}"] = -a[m] - MultiPoly.coerce((mu[m] - a[m] - b[m]).eval(env))
     inv = [env[f"b{m}"] for m in range(L.dim)]
-    return inv, _compile(inv, [p.vars[0] for p in a])
+    return _compile(inv, [p.vars[0] for p in a])
 
 
 @cache
 def _exp(L: LieAlgebra):
-    """(polynomials, compiled map) of exp: the flow c'(t) = sum_k v_k X_k(c(t)),
-    c(0) = 0 solved exactly in Q[t, v] at t = 1; the triangular fields make it
-    solvable coordinate by coordinate."""
+    """The exp law: the flow c'(t) = sum_k v_k X_k(c(t)), c(0) = 0 solved
+    exactly in Q[t, v] at t = 1; the triangular fields make it solvable
+    coordinate by coordinate."""
     fields = left_invariant_fields(L)
     v = _formal("v", L.dim)
     sol: List[MultiPoly] = []
@@ -189,37 +217,35 @@ def _exp(L: LieAlgebra):
         env = {COORDS[j]: sol[j] for j in range(m)}
         rhs = MultiPoly.const(0)
         for k in range(L.dim):
-            assert fields[k][m].used_vars() <= set(COORDS[:m])
+            if not fields[k][m].used_vars() <= set(COORDS[:m]):
+                raise ValueError(f"field {k + 1} is not triangular")
             rhs = rhs + MultiPoly.coerce(fields[k][m].eval(env)) * v[k]
         sol.append(_integrate_t(rhs))
     at_one = {"t": 1, **{p.vars[0]: p for p in v}}
     ex = [MultiPoly.coerce(p.eval(at_one)) for p in sol]
-    return ex, _compile(ex, [p.vars[0] for p in v])
+    return _compile(ex, [p.vars[0] for p in v])
 
 
 def multiply(L: LieAlgebra, a: Sequence, x: Sequence) -> List:
     """Product a*x in second-kind coordinates."""
-    if len(a) != L.dim or len(x) != L.dim:
-        raise ValueError("coordinate tuples must match the algebra dimension")
-    return _mul(L)[1](*a, *x)
+    return _evaluate(_mul(L), a, x)
 
 
 def inverse(L: LieAlgebra, a: Sequence) -> List:
     """Coordinates of a^{-1}."""
-    return _inv(L)[1](*a)
+    return _evaluate(_inv(L), a)
 
 
 def exp_coords(L: LieAlgebra, v: Sequence) -> List:
     """Second-kind coordinates of exp(v) for a general Lie algebra element."""
-    return _exp(L)[1](*v)
+    return _evaluate(_exp(L), v)
 
 
 def normal_order(L: LieAlgebra, word: Sequence[Sequence]) -> List:
     """Second-kind coordinates of the product of exponentials exp(v) in word."""
-    mul = _mul(L)[1]
     out = [Fraction(0)] * L.dim
     for v in word:
-        out = mul(*out, *exp_coords(L, v))
+        out = multiply(L, out, exp_coords(L, v))
     return out
 
 
@@ -236,16 +262,9 @@ def left_invariant_fields(L: LieAlgebra) -> List[List[MultiPoly]]:
 
 def _integrate_t(p: MultiPoly) -> MultiPoly:
     """Exact antiderivative in the variable t with zero constant term."""
-    if "t" not in p.vars:
-        return p * MultiPoly.var("t")
-    ti = p.vars.index("t")
-    terms = {}
-    for e, c in p.terms.items():
-        ee = list(e)
-        n = ee[ti]
-        ee[ti] = n + 1
-        terms[tuple(ee)] = c * Fraction(1, n + 1)
-    return MultiPoly(p.vars, terms)
+    q = p * MultiPoly.var("t")  # each term t^n becomes t^(n+1), then is divided by n + 1
+    ti = q.vars.index("t")
+    return MultiPoly(q.vars, {e: c * Fraction(1, e[ti]) for e, c in q.terms.items()})
 
 
 # -- M5: natural coordinates on the complex Heisenberg group ---------------
@@ -272,19 +291,10 @@ def m5_natural_fields() -> List[List[MultiPoly]]:
     formal = [MultiPoly.var(c) for c in COORDS]
     t = MultiPoly.var("t")
     zero = MultiPoly.const(0)
-    gens = [
-        [t, zero, zero, zero, zero, zero],       # exp(t x1)
-        [zero, -t, zero, zero, zero, zero],      # exp(t x2)
-        [zero, zero, t, zero, zero, zero],       # exp(t x3)
-        [zero, zero, zero, t, zero, zero],       # exp(t x4)
-        [zero, zero, zero, zero, t, zero],       # exp(t x5)
-        [zero, zero, zero, zero, zero, t],       # exp(t x6)
-    ]
-    fields = []
-    for g in gens:
-        prod = m5_matrix_multiply(formal, g)
-        fields.append([MultiPoly.coerce(p).coefficient_of("t", 1) for p in prod])
-    return fields
+    gens = [[t if k == j else zero for k in range(6)] for j in range(6)]  # exp(t x_j)
+    gens[1][1] = -t  # x2 is -y1 in the model's coordinates
+    return [[MultiPoly.coerce(p).coefficient_of("t", 1) for p in m5_matrix_multiply(formal, g)]
+            for g in gens]
 
 
 def m5_natural_to_word(coords: Sequence):

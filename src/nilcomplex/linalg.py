@@ -11,7 +11,8 @@ from fractions import Fraction
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
-    assert len(A[0]) == m
+    if len(A[0]) != m:
+        raise ValueError(f"cannot multiply {n}x{len(A[0])} by {m}x{p}")
     return [[sum((A[i][k] * B[k][j] for k in range(m) if A[i][k] and B[k][j]),
                  start=A[0][0] * 0) for j in range(p)] for i in range(n)]
 

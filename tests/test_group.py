@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcomplex import catalogue, group
-from nilcomplex.exactnum import MultiPoly
+from nilcomplex.exactnum import GaussianRational, MultiPoly
 from nilcomplex.expr import evaluate
 from nilcomplex.liecore import LieAlgebra
 
@@ -190,7 +190,8 @@ ALGEBRAS = [e.name for e in catalogue.entries()]
 A = [MultiPoly.var(f"a{i}") for i in range(6)]
 B = [MultiPoly.var(f"b{i}") for i in range(6)]
 V = [MultiPoly.var(f"v{i}") for i in range(6)]
-LAW_ARGS = {"mul": A + B, "inv": A, "exp": V}
+LAW_ARGS = {"mul": (A, B), "inv": (A,), "exp": (V,)}
+PUBLIC = {"mul": group.multiply, "inv": group.inverse, "exp": group.exp_coords}
 
 
 def mul_matches_collector(L):
@@ -246,15 +247,112 @@ def test_laws_match_collector(name):
 @pytest.mark.parametrize("law", sorted(ORACLES))
 def test_perturbed_law_fails_its_oracle(monkeypatch, law):
     L = brackets_of("M18+1")
-    polys, _ = getattr(group, "_" + law)(L)
+    polys, names, _ = getattr(group, "_" + law)(L)
     p = polys[-1]
     e, c = max(p.terms.items())
     bad = polys[:-1] + [MultiPoly(p.vars, {**p.terms, e: c + 1})]
-    names = [q.vars[0] for q in LAW_ARGS[law]]
     assert ORACLES[law](L)
-    compiled = group._compile(bad, names)
-    monkeypatch.setattr(group, "_" + law, lambda _: (bad, compiled))
+    monkeypatch.setattr(group, "_" + law, lambda _: group._compile(bad, names))
     assert not ORACLES[law](L)
+
+
+def _coordinate(rng, kind):
+    """One coordinate: an int, a small or a large fraction, often zero or negative."""
+    if rng.random() < 0.2:
+        return 0 if kind != "fraction" else Fraction(0)
+    if kind == "int" or kind == "mixed" and rng.random() < 0.5:
+        return rng.randint(-9, 9)
+    den = rng.choice([rng.randint(1, 4), rng.randint(1, 10 ** 6)])
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), den)
+
+
+def rational_points(seed, count=9):
+    """Seeded coordinate tuples of ints, of Fractions and of both, with the
+    all-zero tuple first; denominators reach 10^6."""
+    rng = random.Random(seed)
+    points = [[0] * 6]
+    for n in range(count):
+        kind = ("int", "fraction", "mixed")[n % 3]
+        points.append([_coordinate(rng, kind) for _ in range(6)])
+    return points
+
+
+def integer_law_mismatches(L, seed):
+    """(law, arguments) wherever a law's integer code differs from the
+    collector or from MultiPoly.eval of its polynomials."""
+    bad = []
+    points = rational_points(seed)
+    for a, x in zip(points, points[1:] + points[:1]):
+        for law, args in (("mul", (a, x)), ("inv", (a,)), ("exp", (a,))):
+            got = PUBLIC[law](L, *args)
+            polys, names, _ = getattr(group, "_" + law)(L)
+            env = dict(zip(names, (v for c in args for v in c)))
+            # Gaussian values take MultiPoly.eval's generic loop, rational ones its integer sum
+            generic = {k: GaussianRational(v) for k, v in env.items()}
+            if law == "mul":
+                collected = got == group.collect(L, a, x)
+            elif law == "inv":  # a^-1 a = a a^-1 = 1
+                collected = not any(group.collect(L, got, a) + group.collect(L, a, got))
+            else:  # exp(a) = exp(a/2) exp(a/2)
+                half = group.exp_coords(L, [Fraction(v, 2) for v in a])
+                collected = got == group.collect(L, half, half)
+            if not (collected and got == [p.eval(env) for p in polys]
+                    == [p.eval(generic) for p in polys]):
+                bad.append((law, args))
+    return bad
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_integer_laws_equal_their_oracles(name):
+    L = brackets_of(name)
+    assert integer_law_mismatches(L, seed=ALGEBRAS.index(name)) == []
+    for law in ("mul", "inv", "exp"):
+        assert PUBLIC[law](L, *([0] * 6 for _ in LAW_ARGS[law])) == [0] * 6
+        assert all(type(v) is Fraction for v in PUBLIC[law](L, *([1] * 6 for _ in LAW_ARGS[law])))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_formal_coordinates_give_the_law_polynomials(name):
+    L = brackets_of(name)
+    for law, args in LAW_ARGS.items():
+        assert PUBLIC[law](L, *args) == getattr(group, "_" + law)(L)[0]
+
+
+@pytest.mark.parametrize("length", [5, 7])
+@pytest.mark.parametrize("law", sorted(PUBLIC))
+def test_every_law_checks_the_length(law, length):
+    L = brackets_of("M10")
+    for k in range(len(LAW_ARGS[law])):
+        args = [[Fraction(1, 2)] * 6 for _ in LAW_ARGS[law]]
+        args[k] = [Fraction(1, 2)] * length
+        with pytest.raises(ValueError, match="must match the algebra dimension"):
+            PUBLIC[law](L, *args)
+
+
+def test_an_off_by_one_power_of_the_denominator_fails_the_oracle(monkeypatch):
+    term = group._term
+    monkeypatch.setattr(group, "_term", lambda k, factors, pad: term(k, factors, pad + bool(factors)))
+    L = LieAlgebra(6, brackets_of("M18+1").table)  # a fresh algebra: its laws compile here
+    bad = integer_law_mismatches(L, seed=0)
+    assert {law for law, _ in bad} == {"mul", "inv", "exp"}
+
+
+def test_a_law_that_is_not_triangular_is_refused(monkeypatch):
+    # the inverse's back-substitution and exp's flow need triangular laws
+    L = LieAlgebra(6, brackets_of("G6,3").table)  # a fresh algebra: nothing derived yet
+
+    def collect(L, a, b):
+        return [a[0] + b[0] + a[1] * b[1]] + [p + q for p, q in zip(a[1:], b[1:])]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(group, "collect", collect)
+        with pytest.raises(ValueError, match="product coordinate 0 is not triangular"):
+            group.multiply(L, [1] * 6, [1] * 6)
+    fields = [[MultiPoly.const(int(j == m)) for m in range(6)] for j in range(6)]
+    fields[1][0] = MultiPoly.var("x1")
+    monkeypatch.setattr(group, "left_invariant_fields", lambda L: fields)
+    with pytest.raises(ValueError, match="field 2 is not triangular"):
+        group.exp_coords(L, [1] * 6)
 
 
 def test_each_law_is_derived_once():

@@ -4,7 +4,8 @@ Every function and class the package defines is used by the package or by
 the benchmark, and only the catalogue data builds Lie algebras, so the
 per-algebra caches in acs and group hold the registry's algebras alone.
 Every other cache is bounded, except a few named ones whose keys are
-source strings or small integers: sampled points come without end.
+source strings or small integers: sampled points come without end.  No
+check is an assert, which python -O strips.
 """
 
 import ast
@@ -146,3 +147,27 @@ def test_the_cache_rule_accepts():
               "@cache\ndef h(L: LieAlgebra, n: int): pass\n"
               "@functools.cache\ndef _compile(s: str): pass\n")
     assert cache_offenders("expr", ast.parse(source)) == []
+
+
+def assert_offenders(module: str, tree: ast.AST) -> list:
+    """Assert statements in one module, named module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_in_the_package():
+    # python -O strips an assert, and the check or verdict it held goes with it
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        offenders += assert_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+def test_the_assert_rule_refuses():
+    source = "def f(A):\n    assert len(A) == 6, A\n    return [assert_ for assert_ in A]\n"
+    assert assert_offenders("m", ast.parse(source)) == ["m:2"]
+
+
+def test_the_assert_rule_accepts():
+    source = ("def f(A):\n    if len(A) != 6:\n        raise ValueError('assert len(A) == 6')\n"
+              "    return [assert_ for assert_ in A]\n")
+    assert assert_offenders("m", ast.parse(source)) == []
