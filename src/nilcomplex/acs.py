@@ -11,12 +11,11 @@ by its generators x~_j = x_j - i Jx_j; `nijenhuis` is the per-pair oracle."""
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import GaussianRational, rational_str
+from .exactnum import GaussianRational, common_denominator, rational_str
 from .liecore import DimensionMismatch, LieAlgebra
 from . import linalg
 
@@ -119,7 +118,7 @@ def _square_forms(n: int, scale: int = 1) -> Tuple:
 def map_denominator(L: LieAlgebra) -> int:
     """E, the lcm of the structure-constant denominators (cached): the
     components of constraint_map(L) are E times the constraint map."""
-    return math.lcm(*(c.denominator for row in L.table.values() for c in row.values()))
+    return common_denominator([c for row in L.table.values() for c in row.values()])[1]
 
 
 @functools.cache
@@ -143,13 +142,11 @@ def constraint_map(L: LieAlgebra) -> Tuple:
 
 
 def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
-    """(M, D) with J = M/D: M the integer entries row by row, D the lcm of
-    the entries' denominators.  J must be n x n."""
+    """(M, D) with J = M/D over one common denominator D, M the integer
+    entries row by row.  J must be n x n."""
     if J.dim != n:
         raise DimensionMismatch(f"expected a {n}x{n} matrix")
-    f = [x for row in J.m for x in row]
-    D = math.lcm(*(x.denominator for x in f))
-    return [x.numerator * (D // x.denominator) for x in f], D
+    return common_denominator([x for row in J.m for x in row])
 
 
 def _values(forms, M: Sequence[int], D: int) -> Iterator[int]:

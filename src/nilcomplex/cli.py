@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -22,13 +24,20 @@ class UsageError(Exception):
     """Bad input from the command line or an input file (exit code 2)."""
 
 
+# "p" or "p/q", as rational_str writes them: no decimal point or exponent,
+# so a string like 1e99999999 cannot make Fraction build a huge power of 10
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+
+
 def _rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise UsageError(f"{what}: expected a rational string, got {value!r}")
     try:
-        return Fraction(value)
+        if isinstance(value, int) or _RATIONAL.fullmatch(value):
+            return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what}: {value!r} is not a rational") from None
+        pass
+    raise UsageError(f'{what}: {value!r} is not a rational "p" or "p/q"')
 
 
 def _params_from_args(pairs):
@@ -64,10 +73,10 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as ex:
-        raise UsageError(f"{path}: malformed JSON ({ex})") from None
     except (OSError, UnicodeDecodeError) as ex:
         raise UsageError(f"{path}: unreadable ({ex})") from None
+    except ValueError as ex:  # a JSONDecodeError, or an int of more digits than int() takes
+        raise UsageError(f"{path}: malformed JSON ({ex})") from None
 
 
 def _matrix(doc, n: int, what: str):
@@ -474,8 +483,19 @@ def build_parser():
 def main(argv=None) -> int:
     """Run one command; a verification failure exits 1 and a usage error 2,
     printed as a line of text or, under --json, as a JSON object; argparse's
-    own rejections keep its usage message on stderr unless --json is given."""
-    argv = sys.argv[1:] if argv is None else argv
+    own rejections keep its usage message on stderr unless --json is given.
+    A stdout closed by its reader exits 1, without a traceback."""
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # the note on SIGPIPE in the signal docs: the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

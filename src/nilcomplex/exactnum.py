@@ -4,9 +4,10 @@ Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  ``GaussianRational`` adds an exact imaginary part, and
 ``MultiPoly`` is a sparse multivariate polynomial with Gaussian-rational
 coefficients over a named, lexicographically ordered variable list.
-Formal partial and Wirtinger derivatives are exact.  At a rational point
-(every variable bound to an int or Fraction) ``MultiPoly.eval`` sums in
-integers over one common denominator and builds one Fraction per part.
+Formal partial and Wirtinger derivatives are exact.  ``common_denominator``
+puts rationals over one denominator (the package's only lcm) and
+``MultiPoly.integer_form`` a polynomial's coefficients; at a rational point
+``MultiPoly.eval`` sums the two in ints, as the compiled group laws do.
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -26,6 +27,18 @@ def rational_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def common_denominator(values) -> tuple:
+    """(N, D) with values[k] = N[k]/D for ints and Fractions: D the lcm of
+    their denominators, N the scaled numerators."""
+    ratios = [x.as_integer_ratio() for x in values]  # one call, not two properties
+    # lcm is folded pairwise: one call over an unpacked generator raised
+    # the process's peak RSS by about 1 MB over a long run of chart checks
+    D = 1
+    for _, d in ratios:
+        D = lcm(D, d)
+    return [n * (D // d) for n, d in ratios], D
 
 
 def _power(x, n: int, one):
@@ -108,9 +121,6 @@ class GaussianRational:
 
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other):
         try:
@@ -358,33 +368,30 @@ class MultiPoly:
             return ZERO
         return out
 
+    def integer_form(self) -> tuple:
+        """(C, deg, [(e, re, im), ...]): C the lcm of the coefficients'
+        denominators, deg the total degree (0 for the zero polynomial), and
+        each term's exponents with its coefficient's parts times C, as ints."""
+        nums, C = common_denominator([x for c in self.terms.values() for x in (c.re, c.im)])
+        return C, max(map(sum, self.terms), default=0), [*zip(self.terms, nums[::2], nums[1::2])]
+
     def _eval_rational(self, vals) -> GaussianRational:
         """The value at rational vals (None for an unbound variable):
-        sum_e k_e n^e D^(deg - |e|) in ints, over C*D^deg, where D is the
-        point's common denominator and C the coefficients'."""
-        if not self.terms:
-            return ZERO
+        sum_e k_e n^e D^(deg - |e|) in ints, over C*D^deg, with the point
+        as n/D and the polynomial as k_e/C in its integer form."""
         for i, x in enumerate(vals):
             if x is None and any(e[i] for e in self.terms):
                 raise KeyError(f"no value for variable {self.vars[i]}")
-        # lcm is folded pairwise: one call over an unpacked generator raised
-        # the process's peak RSS by about 1 MB over a long run of chart checks
-        D = C = 1
-        for x in vals:
-            if x is not None:
-                D = lcm(D, x.denominator)
-        for c in self.terms.values():
-            C = lcm(C, c.re.denominator, c.im.denominator)
-        nums = [0 if x is None else x.numerator * (D // x.denominator) for x in vals]
-        deg = max(sum(e) for e in self.terms)
+        nums, D = common_denominator([0 if x is None else x for x in vals])
+        C, deg, terms = self.integer_form()
         re = im = 0
-        for e, c in self.terms.items():
+        for e, k_re, k_im in terms:
             m = D ** (deg - sum(e))
             for n, k in zip(nums, e):
                 if k:
                     m *= n ** k
-            re += c.re.numerator * (C // c.re.denominator) * m
-            im += c.im.numerator * (C // c.im.denominator) * m
+            re += k_re * m
+            im += k_im * m
         den = C * D ** deg
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 

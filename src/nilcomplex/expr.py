@@ -9,9 +9,10 @@ functions, multiplication corrections) are stored as strings like
 One parse of a string emits two Python sources.  ``evaluate`` runs the
 generic one, exact over every scalar ring of the package (Fraction,
 GaussianRational, MultiPoly; integer literals are Fraction constants).
-``evaluate_ints`` runs the integer one of a real formula at a point over one
-common denominator D and returns ints P, Q: each subexpression is P/Q*D^s,
-with no Q in polynomial parts and each s fixed when the string is compiled.
+``evaluate_ints`` runs the integer one of a real formula at a point that
+``over_one_denominator`` put over one common denominator D (with
+``exactnum.common_denominator``) and returns ints P, Q: each subexpression
+is P/Q*D^s, with no Q in polynomial parts and each s fixed at compile time.
 
 The only constant symbol is ``i`` (the imaginary unit); ``conj`` is
 coefficient conjugation.  ``^`` (or ``**``) raises to an integer literal;
@@ -26,9 +27,8 @@ import keyword
 import re
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import lcm
 
-from .exactnum import I, MultiPoly
+from .exactnum import I, MultiPoly, common_denominator
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^,])|(\S))")
 
@@ -229,12 +229,8 @@ def evaluate(s: str, env):
 def over_one_denominator(env) -> dict:
     """A rational point as the integer forms read it: each symbol's value
     N/D as N, with the common denominator D under the name _D."""
-    D = 1
-    for v in env.values():  # lcm folded pairwise, as in MultiPoly.eval
-        D = lcm(D, v.denominator)
-    point = {k: v.numerator * (D // v.denominator) for k, v in env.items()}
-    point["_D"] = D
-    return point
+    nums, D = common_denominator(env.values())
+    return dict(zip(env, nums), _D=D)
 
 
 def evaluate_ints(s: str, point) -> tuple:

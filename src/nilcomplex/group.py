@@ -21,9 +21,10 @@ Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
 from it, without further collection: the inverse (mu(a, x) = 0 solved by
 back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
 the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
-sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
-into straight-line integer code: at int or Fraction coordinates it sums
-over their common denominator in ints and builds one Fraction per
+sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once,
+from its polynomials' integer forms, into straight-line integer code: at
+int or Fraction coordinates, put over one denominator by
+exactnum.common_denominator, it sums in ints and builds one Fraction per
 component; any other coordinates (MultiPoly ones, say) go through
 MultiPoly.eval of the law's polynomials.  Each fact of an algebra (its
 class check, the three laws, the fields) is a functools.cache'd function
@@ -36,10 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import lcm
 from typing import List, Sequence
 
-from .exactnum import MultiPoly
+from .exactnum import MultiPoly, common_denominator
 from .liecore import LieAlgebra
 
 COORDS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -144,26 +144,23 @@ def _term(k: int, factors: List[str], pad: int) -> str:
 
 def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
     """The law (polys, names, code): code is straight-line integer arithmetic
-    for rational values of names.  Over their common denominator D, with
-    numerators n, component m is sum_e k_e n^e D^(deg - |e|) over C D^deg,
-    k_e its coefficients over their common denominator C."""
+    for a sequence of rational values of names.  Over their common denominator D,
+    with numerators n, component m is sum_e k_e n^e D^(deg - |e|) over C D^deg,
+    (C, deg, k_e) its integer form."""
     rows, top = [], 1
     for p in polys:
-        if not all(c.is_real() for c in p.terms.values()):
+        C, deg, form = p.integer_form()
+        if any(k_im for _, _, k_im in form):
             raise ValueError("group law coefficients must be rational")
-        C = lcm(*(c.re.denominator for c in p.terms.values()))
-        deg = max(map(sum, p.terms), default=0)
         top = max(top, deg)
-        terms = [_term(c.re.numerator * (C // c.re.denominator),
-                       [v for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
-                 for e, c in sorted(p.terms.items())]
+        terms = [_term(k, [v for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
+                 for e, k, _ in form]
         rows.append(f"F({' + '.join(terms) or '0'}, {_term(C, [], deg)})")
-    src = "\n ".join([f"def law({', '.join(names)}):",
-                       f"D1 = lcm({', '.join(f'{v}.denominator' for v in names)})",
-                       *(f"{v} = {v}.numerator * (D1 // {v}.denominator)" for v in names),
+    src = "\n ".join(["def law(args):",
+                       f"[{', '.join(names)}], D1 = common_denominator(args)",
                        *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
                        f"return [{', '.join(rows)}]"])
-    scope = {"F": Fraction, "lcm": lcm}
+    scope = {"F": Fraction, "common_denominator": common_denominator}
     exec(src, scope)
     return polys, names, scope["law"]
 
@@ -176,7 +173,7 @@ def _evaluate(law, *coords) -> List:
         raise ValueError("coordinate tuples must match the algebra dimension")
     args = [*chain.from_iterable(coords)]
     if _RATIONAL.issuperset(map(type, args)):
-        return code(*args)
+        return code(args)
     env = dict(zip(names, args))
     return [p.eval(env) for p in polys]
 

@@ -122,13 +122,61 @@ def test_mul(tmp_path, capsys):
     '["0", "1", "0"',                             # malformed JSON
     '["0", "1", "0", "x", "0", "0"]',             # non-rational entry
     '["0", "1", "0", "0", "0"]',                  # five coordinates
-], ids=["malformed-json", "non-rational", "wrong-length"])
+    f'[{"7" * 5000}, "0", "0", "0", "0", "0"]',   # past int()'s digit limit
+], ids=["malformed-json", "non-rational", "wrong-length", "huge-int"])
 def test_mul_usage_errors(tmp_path, capsys, text):
     a = tmp_path / "a.json"
     x = tmp_path / "x.json"
     a.write_text(text)
     x.write_text(json.dumps(["1", "0", "0", "0", "0", "0"]))
     assert_usage_error(*run(capsys, "mul", "G6,3", str(a), str(x)))
+
+
+@pytest.mark.parametrize("text", ["1e3", "0.5", "1/0", "abc"])
+def test_a_rational_is_p_or_p_over_q(tmp_path, capsys, text):
+    assert_usage_error(*run(capsys, "verify", "--algebra", "G6,3", "--param", f"j11={text}"))
+    J = tmp_path / "j.json"
+    J.write_text(json.dumps([[text] + row[1:] for row in SIX]))
+    assert_usage_error(*run(capsys, "verify", "--algebra", "G6,3", "--j", str(J)))
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps([text] + ["0"] * 5))
+    assert_usage_error(*run(capsys, "mul", "G6,3", str(a), str(a)))
+
+
+@pytest.mark.parametrize("text, value", [("-3/4", "-3/4"), (" 5 ", "5"), ("+2", "2")])
+def test_a_rational_may_be_signed_and_padded(tmp_path, capsys, text, value):
+    a = tmp_path / "a.json"
+    x = tmp_path / "x.json"
+    a.write_text(json.dumps([text] + ["0"] * 5))
+    x.write_text(json.dumps(["0"] * 6))
+    code, out = run(capsys, "mul", "G6,3", str(a), str(x))
+    assert code == 0 and json.loads(out) == [value] + ["0"] * 5
+    assert run(capsys, "verify", "--algebra", "G6,3", "--param", f"j11={text}")[0] == 0
+
+
+def test_a_huge_exponent_is_refused_at_once():
+    # no decimal point or exponent: Fraction("1e99999999") would build 10^99999999
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "nilcomplex.cli", "verify", "--algebra", "G6,3",
+                           "--param", "j11=1e99999999", "--json"], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 2 and json.loads(done.stdout)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("flag", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(flag):
+    # buffered, the write fails in main's flush; unbuffered, in the command's print
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run([sys.executable, *flag, "-m", "nilcomplex.cli", "list", "--json"],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": src}, timeout=300)
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and b"Traceback" not in done.stderr, done.stderr
 
 
 def test_nonexistence_check(capsys):

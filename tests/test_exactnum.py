@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcomplex.exactnum import GaussianRational, MultiPoly, rational_str
+from nilcomplex.exactnum import GaussianRational, MultiPoly, common_denominator, rational_str
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -192,3 +193,39 @@ class TestRationalEval:
         value = p.eval({"x": Y + 1, "y": Fraction(1, 2)})
         assert type(value) is MultiPoly
         assert value == (Y + 1) * (Y + 1) * 3 + I / 2
+
+
+@pytest.mark.parametrize("values, numerators, D", [
+    ([], [], 1),
+    ([Fraction(1, 4), Fraction(1, 6)], [3, 2], 12),  # the lcm, not the product 24 or the max 6
+    ([3, Fraction(-2, 5), 0, Fraction(7, 10), -1], [30, -4, 0, 7, -10], 10),
+    ([Fraction(1, 6), Fraction(-3, 4), Fraction(2)], [2, -9, 24], 12),  # a point of expr's
+], ids=["empty", "lcm", "mixed", "expr-point"])
+def test_common_denominator(values, numerators, D):
+    assert common_denominator(values) == (numerators, D)
+    assert [Fraction(n, D) for n in numerators] == values
+
+
+@given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=8))
+def test_common_denominator_reconstructs_over_the_lcm(values):
+    N, D = common_denominator(values)
+    assert [Fraction(n, D) for n in N] == values
+    assert D == math.lcm(*(x.denominator for x in values))
+
+
+def test_integer_form():
+    p = MultiPoly(("x", "y"), {(2, 0): Fraction(1, 4), (0, 1): GaussianRational(Fraction(-1, 6), 3),
+                               (0, 0): I / 2})
+    C, deg, form = p.integer_form()
+    assert (C, deg) == (12, 2)
+    assert sorted(form) == [((0, 0), 0, 6), ((0, 1), -2, 36), ((2, 0), 3, 0)]
+    assert MultiPoly(("x",)).integer_form() == (1, 0, [])
+
+
+@given(polys)
+def test_the_integer_form_is_the_polynomial_over_one_denominator(p):
+    C, deg, form = p.integer_form()
+    assert MultiPoly(p.vars, {e: GaussianRational(Fraction(re, C), Fraction(im, C))
+                              for e, re, im in form}) == p
+    assert C == math.lcm(*(x.denominator for c in p.terms.values() for x in (c.re, c.im)))
+    assert deg == max(map(sum, p.terms), default=0)

@@ -145,9 +145,3 @@ def test_each_integer_form_compiles_once():
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 4
     assert type(after.maxsize) is int
-
-
-def test_one_common_denominator():
-    point = expr.over_one_denominator({"a": Fraction(1, 6), "b": Fraction(-3, 4), "c": Fraction(2)})
-    assert point == {"a": 2, "b": -9, "c": 24, "_D": 12}
-    assert expr.over_one_denominator({}) == {"_D": 1}

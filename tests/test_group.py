@@ -337,6 +337,13 @@ def test_an_off_by_one_power_of_the_denominator_fails_the_oracle(monkeypatch):
     assert {law for law, _ in bad} == {"mul", "inv", "exp"}
 
 
+def test_a_law_with_an_imaginary_coefficient_is_refused():
+    a0 = MultiPoly.var("a0")
+    assert group._compile([a0 * Fraction(1, 2)], ["a0"])[2]([3]) == [Fraction(3, 2)]
+    with pytest.raises(ValueError, match="coefficients must be rational"):
+        group._compile([a0 * GaussianRational(1, 2)], ["a0"])
+
+
 def test_a_law_that_is_not_triangular_is_refused(monkeypatch):
     # the inverse's back-substitution and exp's flow need triangular laws
     L = LieAlgebra(6, brackets_of("G6,3").table)  # a fresh algebra: nothing derived yet

@@ -5,7 +5,8 @@ the benchmark, and only the catalogue data builds Lie algebras, so the
 per-algebra caches in acs and group hold the registry's algebras alone.
 Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
-check is an assert, which python -O strips.
+check is an assert, which python -O strips.  Only exactnum takes an lcm:
+every other module puts rationals over one denominator through it.
 """
 
 import ast
@@ -171,3 +172,34 @@ def test_the_assert_rule_accepts():
     source = ("def f(A):\n    if len(A) != 6:\n        raise ValueError('assert len(A) == 6')\n"
               "    return [assert_ for assert_ in A]\n")
     assert assert_offenders("m", ast.parse(source)) == []
+
+
+def lcm_offenders(module: str, tree: ast.AST) -> list:
+    """Every import, call or other use of lcm in one module, named module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if getattr(node, "id", None) == "lcm" or getattr(node, "attr", None) == "lcm"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names)]
+
+
+def test_only_exactnum_takes_an_lcm():
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        if path.name not in GENERATED and path.relative_to(PACKAGE) != Path("exactnum.py"):
+            offenders += lcm_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "from math import lcm\n",
+    "import math\nD = math.lcm(*ds)\n",
+    "D = functools.reduce(math.lcm, ds, 1)\n",
+    "scope = {'F': Fraction, 'lcm': lcm}\n",
+], ids=["import", "call", "reference", "scope"])
+def test_the_lcm_rule_refuses(source):
+    assert len(lcm_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_lcm_rule_accepts():
+    source = ('def f(J):\n    """M/D, D the lcm of the denominators."""\n'
+              "    lcm_ = 'lcm'\n    return common_denominator(J.entries)\n")
+    assert lcm_offenders("acs", ast.parse(source)) == []
