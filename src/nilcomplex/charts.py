@@ -8,8 +8,8 @@ normal-ordering engine at sampled pairs.  Every check reads one cached
 derivation of the chart point (J, the validated scope and the chart
 functions), and (a) and (b) both read one gradient of the chart functions.
 For (c), chi is derived once per chart point as polynomials in the real
-and imaginary parts of phi(a) and phi(x); phi and chi then evaluate at
-each rational pair in integers.
+and imaginary parts of phi(a) and phi(x); at each rational pair, phi and
+chi then run their integer code, compiled once per polynomial.
 Complex combinations are always eliminated into the real polynomial ring
 before comparison.
 """

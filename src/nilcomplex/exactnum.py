@@ -6,8 +6,10 @@ denominator).  ``GaussianRational`` adds an exact imaginary part, and
 coefficients over a named, lexicographically ordered variable list.
 Formal partial and Wirtinger derivatives are exact.  ``common_denominator``
 puts rationals over one denominator (the package's only lcm) and
-``MultiPoly.integer_form`` a polynomial's coefficients; at a rational point
-``MultiPoly.eval`` sums the two in ints, as the compiled group laws do.
+``MultiPoly.integer_form`` a polynomial's coefficients; ``integer_code``,
+the one integer evaluator of polynomials, compiles them into code that sums
+the two in ints.  The group laws are such code, and ``MultiPoly.eval`` at a
+rational point runs the polynomial's own, built on first use.
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, List, Mapping, Sequence
 
 
 def rational_str(q: Fraction) -> str:
@@ -39,6 +41,39 @@ def common_denominator(values) -> tuple:
     for _, d in ratios:
         D = lcm(D, d)
     return [n * (D // d) for n, d in ratios], D
+
+
+def _term(k: int, factors: List[str], pad: int) -> str:
+    """Source of the integer k times factors times D^pad."""
+    src = "*".join(factors + [f"D{pad}"] * bool(pad))
+    if not src:
+        return str(k)
+    return src if k == 1 else f"-{src}" if k == -1 else f"{k}*{src}"
+
+
+def integer_code(polys: Sequence["MultiPoly"], names: Sequence[str]):
+    """Straight-line code from int or Fraction values of names to one Fraction
+    per polynomial (rational coefficients only): over the values' common
+    denominator D, with numerators n, it sums k_e n^e D^(deg - |e|) in ints
+    over C D^deg, (C, deg, k_e) the integer form.  Values are named by
+    position and each sum is one flat list: no name or length can break it."""
+    n = {v: f"n{i}" for i, v in enumerate(names)}
+    rows, top = [], 1
+    for p in polys:
+        C, deg, form = p.integer_form()
+        if any(k_im for _, _, k_im in form):
+            raise ValueError("compiled coefficients must be rational")
+        top = max(top, deg)
+        terms = [_term(k, [n[v] for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
+                 for e, k, _ in form]
+        rows.append(f"F(sum([{', '.join(terms)}]), {_term(C, [], deg)})")
+    src = "\n ".join(["def code(args):",
+                       f"[{', '.join(n.values())}], D1 = common_denominator(args)",
+                       *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
+                       f"return [{', '.join(rows)}]"])
+    scope = {"F": Fraction, "common_denominator": common_denominator}
+    exec(src, scope)
+    return scope["code"]
 
 
 def _power(x, n: int, one):
@@ -155,7 +190,7 @@ class MultiPoly:
     structural once both sides are aligned to a common variable list.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_code")  # _code: integer_code of (re, im), set once
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, GaussianRational] | None = None):
         vs = tuple(vars)
@@ -296,12 +331,7 @@ class MultiPoly:
 
     def used_vars(self) -> set:
         """Variables that actually occur with a nonzero exponent."""
-        out = set()
-        for e in self.terms:
-            for v, x in zip(self.vars, e):
-                if x:
-                    out.add(v)
-        return out
+        return {v for e in self.terms for v, x in zip(self.vars, e) if x}
 
     def conj(self) -> "MultiPoly":
         """Coefficient conjugation (valid because all variables are real)."""
@@ -347,9 +377,9 @@ class MultiPoly:
     def eval(self, env: Mapping[str, object]):
         """Substitute values (scalars or polynomials) for all variables.
 
-        At a rational point (every bound value an int or Fraction) the sum
-        runs in integers over one common denominator; any other values go
-        through the ring operations term by term.
+        At a rational point (every bound value an int or Fraction) the
+        polynomial's integer code runs; any other values go through the ring
+        operations term by term.
         """
         vals = [env.get(v) for v in self.vars]
         if all(x is None or type(x) is int or type(x) is Fraction for x in vals):
@@ -358,15 +388,12 @@ class MultiPoly:
         for e, c in self.terms.items():
             term = c
             for v, x in zip(self.vars, e):
-                if x == 0:
-                    continue
-                if v not in env:
-                    raise KeyError(f"no value for variable {v}")
-                term = term * (env[v] ** x if x != 1 else env[v])
+                if x:
+                    if v not in env:
+                        raise KeyError(f"no value for variable {v}")
+                    term = term * (env[v] ** x if x != 1 else env[v])
             out = term if out is None else out + term
-        if out is None:
-            return ZERO
-        return out
+        return ZERO if out is None else out
 
     def integer_form(self) -> tuple:
         """(C, deg, [(e, re, im), ...]): C the lcm of the coefficients'
@@ -376,24 +403,21 @@ class MultiPoly:
         return C, max(map(sum, self.terms), default=0), [*zip(self.terms, nums[::2], nums[1::2])]
 
     def _eval_rational(self, vals) -> GaussianRational:
-        """The value at rational vals (None for an unbound variable):
-        sum_e k_e n^e D^(deg - |e|) in ints, over C*D^deg, with the point
-        as n/D and the polynomial as k_e/C in its integer form."""
-        for i, x in enumerate(vals):
-            if x is None and any(e[i] for e in self.terms):
-                raise KeyError(f"no value for variable {self.vars[i]}")
-        nums, D = common_denominator([0 if x is None else x for x in vals])
-        C, deg, terms = self.integer_form()
-        re = im = 0
-        for e, k_re, k_im in terms:
-            m = D ** (deg - sum(e))
-            for n, k in zip(nums, e):
-                if k:
-                    m *= n ** k
-            re += k_re * m
-            im += k_im * m
-        den = C * D ** deg
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        """The value at rational vals (None for an unbound variable, 0 where no
+        term uses it) by the integer code of its parts, built on first use."""
+        if any(x is None for x in vals):
+            unbound = {v for v, x in zip(self.vars, vals) if x is None} & self.used_vars()
+            if unbound:
+                raise KeyError(f"no value for variable {min(unbound)}")
+            vals = [0 if x is None else x for x in vals]
+        try:
+            code = self._code
+        except AttributeError:
+            parts = [MultiPoly(self.vars, {e: getattr(c, part) for e, c in self.terms.items()})
+                     for part in ("re", "im")]
+            code = integer_code(parts, self.vars)
+            object.__setattr__(self, "_code", code)
+        return GaussianRational(*code(vals))
 
     def partial(self, var: str) -> "MultiPoly":
         """Exact formal partial derivative; zero for unknown variables."""

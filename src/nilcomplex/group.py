@@ -21,15 +21,13 @@ Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
 from it, without further collection: the inverse (mu(a, x) = 0 solved by
 back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
 the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
-sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once,
-from its polynomials' integer forms, into straight-line integer code: at
-int or Fraction coordinates, put over one denominator by
-exactnum.common_denominator, it sums in ints and builds one Fraction per
-component; any other coordinates (MultiPoly ones, say) go through
-MultiPoly.eval of the law's polynomials.  Each fact of an algebra (its
-class check, the three laws, the fields) is a functools.cache'd function
-of the LieAlgebra, derived on first use.  `collect` stays as the
-derivation and the test oracle.
+sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
+by exactnum.integer_code: int or Fraction coordinates run that code, any
+other coordinates (MultiPoly ones, say) go through MultiPoly.eval of the
+law's polynomials.  Each fact of an algebra (its class check, the three
+laws, the fields) is a functools.cache'd function of the LieAlgebra,
+derived on first use.  `collect` stays as the derivation and the test
+oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from functools import cache
 from itertools import chain
 from typing import List, Sequence
 
-from .exactnum import MultiPoly, common_denominator
+from .exactnum import MultiPoly, integer_code
 from .liecore import LieAlgebra
 
 COORDS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -134,35 +132,9 @@ def _formal(prefix: str, n: int) -> List[MultiPoly]:
     return [MultiPoly.var(f"{prefix}{i}") for i in range(n)]
 
 
-def _term(k: int, factors: List[str], pad: int) -> str:
-    """Source of the integer k times factors times D^pad."""
-    src = "*".join(factors + [f"D{pad}"] * bool(pad))
-    if not src:
-        return str(k)
-    return src if k == 1 else f"-{src}" if k == -1 else f"{k}*{src}"
-
-
 def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
-    """The law (polys, names, code): code is straight-line integer arithmetic
-    for a sequence of rational values of names.  Over their common denominator D,
-    with numerators n, component m is sum_e k_e n^e D^(deg - |e|) over C D^deg,
-    (C, deg, k_e) its integer form."""
-    rows, top = [], 1
-    for p in polys:
-        C, deg, form = p.integer_form()
-        if any(k_im for _, _, k_im in form):
-            raise ValueError("group law coefficients must be rational")
-        top = max(top, deg)
-        terms = [_term(k, [v for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
-                 for e, k, _ in form]
-        rows.append(f"F({' + '.join(terms) or '0'}, {_term(C, [], deg)})")
-    src = "\n ".join(["def law(args):",
-                       f"[{', '.join(names)}], D1 = common_denominator(args)",
-                       *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
-                       f"return [{', '.join(rows)}]"])
-    scope = {"F": Fraction, "common_denominator": common_denominator}
-    exec(src, scope)
-    return polys, names, scope["law"]
+    """The law (polys, names, code), code the polys' integer code."""
+    return polys, names, integer_code(polys, names)
 
 
 def _evaluate(law, *coords) -> List:

@@ -112,7 +112,8 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
     L = entry.algebra
     out = []
     resamples = 0
-    prank = family_rank(fam)
+    # a metadata-only family has no rank certificate; its first draw raises SamplingExhausted
+    prank = family_rank(fam) if fam.samplable else None
     for _ in range(samples):
         while True:
             values = fam.random_admissible(rng)

@@ -575,6 +575,22 @@ def test_an_error_under_json_is_a_json_object(capsys, argv, expected_code, error
     assert doc["error"] == error and doc["message"].startswith(message), doc
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "M5"], ["sample", "--algebra", "M5"],
+    ["classify-m", "--algebra", "M5"], ["moduli-dim", "M5"],
+], ids=["verify", "sample", "classify-m", "moduli-dim"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_metadata_only_family_cannot_be_sampled(capsys, argv, json_flag):
+    code = cli.main(argv + ["--family", "case-xi21-xi24"] + json_flag)
+    out, err = capsys.readouterr()
+    message = "case-xi21-xi24: family is catalogued metadata-only"
+    assert code == 1 and "Traceback" not in err
+    if json_flag:
+        assert json.loads(out) == {"error": "SamplingExhausted", "message": message}
+    else:
+        assert out == f"FAIL: SamplingExhausted: {message}\n"
+
+
 def _catches_everything(handler: ast.ExceptHandler) -> bool:
     if handler.type is None:
         return True

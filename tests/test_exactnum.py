@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilcomplex import exactnum
 from nilcomplex.exactnum import GaussianRational, MultiPoly, common_denominator, rational_str
 
 X = MultiPoly.var("x")
@@ -187,6 +189,46 @@ class TestRationalEval:
                      (Fraction(-1, 6), 4), (Fraction(9, 8), Fraction(-8, 9))):
             env = {"x": x, "y": y}
             assert p.eval(env) == self.oracle(p, env)
+
+    def test_variable_names_do_not_reach_the_code(self):
+        names = ("D1", "F", "args", "code", "n0", "x-1")
+        p = MultiPoly.const(1)
+        for k, v in enumerate(names, 1):
+            p = p * (MultiPoly.var(v) * GaussianRational(k, Fraction(-1, k)) + Fraction(1, k))
+        env = dict(zip(names, (Fraction(-3, 2), 2, Fraction(5, 7), 0, Fraction(1, 9), -4)))
+        assert p.eval(env) == self.oracle(p, env)
+
+    def test_ten_thousand_terms_evaluate(self):
+        names = tuple(f"x{i:03d}" for i in range(140))
+        monomials = itertools.chain([()], ((i,) for i in range(140)),
+                                    itertools.combinations_with_replacement(range(140), 2))
+        terms = {}
+        for n, mono in enumerate(itertools.islice(monomials, 10_000)):
+            e = [0] * len(names)
+            for i in mono:
+                e[i] += 1
+            terms[tuple(e)] = GaussianRational(Fraction(n % 7 - 7, n % 5 + 1), n % 3 - 1)
+        p = MultiPoly(names, terms)
+        assert len(p.terms) == 10_000
+        env = {v: Fraction(i % 11 - 5, i % 4 + 1) for i, v in enumerate(names)}
+        assert p.eval(env) == self.oracle(p, env)
+
+    def test_each_polynomial_compiles_once(self, monkeypatch):
+        calls = []
+        compile_ = exactnum.integer_code
+        monkeypatch.setattr(exactnum, "integer_code", lambda *a: calls.append(a) or compile_(*a))
+        p = (X * Fraction(1, 3) + Y * I) ** 2
+        first, second = p.eval({"x": 1, "y": Fraction(1, 2)}), p.eval({"x": Fraction(-2, 5), "y": 3})
+        assert len(calls) == 1
+        assert first == self.oracle(p, {"x": 1, "y": Fraction(1, 2)})
+        assert second == self.oracle(p, {"x": Fraction(-2, 5), "y": 3})
+
+    def test_an_off_by_one_power_of_the_denominator_fails_the_oracle(self, monkeypatch):
+        term = exactnum._term
+        monkeypatch.setattr(exactnum, "_term", lambda k, factors, pad: term(k, factors, pad + bool(factors)))
+        p = (X * GaussianRational(Fraction(1, 2), -1) + Y * I) * (X - Fraction(1, 3))
+        env = {"x": Fraction(3, 4), "y": Fraction(-1, 5)}
+        assert p.eval(env) != self.oracle(p, env)
 
     def test_polynomial_values_give_a_polynomial(self):
         p = X * X * 3 + Y * I

@@ -6,7 +6,8 @@ per-algebra caches in acs and group hold the registry's algebras alone.
 Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
 check is an assert, which python -O strips.  Only exactnum takes an lcm:
-every other module puts rationals over one denominator through it.
+every other module puts rationals over one denominator through it.  Only
+exactnum (integer code) and expr (formula code) generate code.
 """
 
 import ast
@@ -203,3 +204,38 @@ def test_the_lcm_rule_accepts():
     source = ('def f(J):\n    """M/D, D the lcm of the denominators."""\n'
               "    lcm_ = 'lcm'\n    return common_denominator(J.entries)\n")
     assert lcm_offenders("acs", ast.parse(source)) == []
+
+
+CODEGEN = {"exec", "compile", "eval"}
+CODEGEN_MODULES = {Path("exactnum.py"), Path("expr.py")}
+
+
+def codegen_offenders(module: str, tree: ast.AST) -> list:
+    """Every call of or other reference to the exec, compile or eval builtin
+    in one module, named module:line; re.compile and p.eval are attributes."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in CODEGEN]
+
+
+def test_only_exactnum_and_expr_generate_code():
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        if path.relative_to(PACKAGE) not in CODEGEN_MODULES:
+            offenders += codegen_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "exec(src, scope)\n",
+    "code = compile(src, '<law>', 'exec')\n",
+    "value = eval(code, scope, env)\n",
+    "run = exec\n",
+], ids=["exec", "compile", "eval", "reference"])
+def test_the_codegen_rule_refuses(source):
+    assert len(codegen_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_codegen_rule_accepts():
+    source = ('def f(p, env):\n    """eval p; exec nothing."""\n'
+              "    pattern = re.compile(r'\\d+')\n    return p.eval(env), 'exec'\n")
+    assert codegen_offenders("group", ast.parse(source)) == []
