@@ -1,12 +1,15 @@
 """Almost complex structures: J^2 = -1, Nijenhuis torsion, the holomorphic
 subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
 
-J is read through one object, `constraint_map`: `square_check` evaluates
-its J^2 + 1 rows, and integrability, closure of m and the moduli Jacobian
-evaluate all of it.  Its forms have int coefficients over one denominator E
-per algebra, so at J = M/D (M integer) each component times E*D^2 is an
-int; the checks test those against zero and never divide.  m is represented
-by its generators x~_j = x_j - i Jx_j; `nijenhuis` is the per-pair oracle."""
+A J is an exact rational matrix, held as ints M over one denominator D
+when it is built that way (a family member is) and as Fraction rows once
+they are read.  J is read through one object, `constraint_map`:
+`square_check` evaluates its J^2 + 1 rows, and integrability, closure of m
+and the moduli Jacobian evaluate all of it.  Its forms have int
+coefficients over one denominator E per algebra, so at J = M/D each
+component times E*D^2 is an int; the checks test those against zero and
+never divide.  m is represented by its generators x~_j = x_j - i Jx_j;
+`nijenhuis` is the per-pair oracle."""
 
 from __future__ import annotations
 
@@ -33,40 +36,71 @@ class Unclassifiable(ValueError):
 
 
 class AlmostComplexStructure:
-    """A candidate complex structure: an exact 6x6 rational matrix."""
+    """A candidate complex structure: an exact n x n rational matrix.
+
+    `from_integers` builds one from ints M over one denominator D without
+    a Fraction; the rows are then built when first read.  `.m` hands out
+    the mutable rows, so reading it makes them the truth from then on: a
+    change to an entry reaches every check.  The package's read-only
+    accessors read the rows and keep (M, D)."""
+
+    __slots__ = ("dim", "_rows", "_ints")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        m = [[Fraction(x) for x in row] for row in entries]
+        m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
         n = len(m)
         if any(len(r) != n for r in m):
             raise ValueError("matrix must be square")
         self.dim = n
-        self.m = m
+        self._rows = m
+        self._ints = None
+
+    @classmethod
+    def from_integers(cls, M: List[int], D: int, n: int) -> "AlmostComplexStructure":
+        """J = M/D, M the n*n integer entries row by row and D > 0 the least
+        common denominator of the entries (as integer_point gives it)."""
+        J = cls.__new__(cls)
+        J.dim, J._rows, J._ints = n, None, (M, D)
+        return J
+
+    def _entries(self) -> List[List[Fraction]]:
+        """The Fraction rows, built on first read, for read-only use."""
+        if self._rows is None:
+            (M, D), n = self._ints, self.dim
+            self._rows = [[Fraction(x, D) for x in M[r:r + n]] for r in range(0, n * n, n)]
+        return self._rows
+
+    @property
+    def m(self) -> List[List[Fraction]]:
+        rows = self._entries()
+        self._ints = None  # the caller may change the rows
+        return rows
 
     def __getitem__(self, rc: Tuple[int, int]) -> Fraction:
         r, c = rc
-        return self.m[r - 1][c - 1]
+        return self._entries()[r - 1][c - 1]
 
     def column(self, j: int) -> List[Fraction]:
-        return [self.m[k][j - 1] for k in range(self.dim)]
+        return [row[j - 1] for row in self._entries()]
 
     def __eq__(self, other):
         if not isinstance(other, AlmostComplexStructure):
             return NotImplemented
-        return self.m == other.m
+        return self._entries() == other._entries()
 
     def __neg__(self):
-        return AlmostComplexStructure([[-x for x in row] for row in self.m])
+        return AlmostComplexStructure([[-x for x in row] for row in self._entries()])
 
     def square_check(self) -> bool:
         """J^2 = -1: the J^2 + 1 rows of the constraint map vanish."""
         return not any(_values(_square_forms(self.dim), *integer_point(self, self.dim)))
 
     def to_json(self):
-        return [[rational_str(x) for x in row] for row in self.m]
+        return [[rational_str(x) for x in row] for row in self._entries()]
 
     def __repr__(self):
-        return "ACS(" + "; ".join(" ".join(rational_str(x) for x in row) for row in self.m) + ")"
+        return "ACS(" + "; ".join(" ".join(rational_str(x) for x in row)
+                                  for row in self._entries()) + ")"
 
 
 def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[Fraction]:
@@ -77,8 +111,9 @@ def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[
     Jj = J.column(j)
     t1 = L.bracket(Ji, Jj)
     t2 = L.bracket(ei, ej)
-    t3 = linalg.mat_vec(J.m, L.bracket(Ji, ej))
-    t4 = linalg.mat_vec(J.m, L.bracket(ei, Jj))
+    rows = J._entries()
+    t3 = linalg.mat_vec(rows, L.bracket(Ji, ej))
+    t4 = linalg.mat_vec(rows, L.bracket(ei, Jj))
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
 
 
@@ -142,11 +177,15 @@ def constraint_map(L: LieAlgebra) -> Tuple:
 
 
 def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
-    """(M, D) with J = M/D over one common denominator D, M the integer
-    entries row by row.  J must be n x n."""
+    """(M, D) with J = M/D over one common denominator D, the lcm of the
+    entries' denominators, M the integer entries row by row: the stored
+    form if J has one, else from its rows.  J must be n x n."""
     if J.dim != n:
         raise DimensionMismatch(f"expected a {n}x{n} matrix")
-    return common_denominator([x for row in J.m for x in row])
+    if J._ints is not None:
+        M, D = J._ints
+        return list(M), D
+    return common_denominator([x for row in J._rows for x in row])
 
 
 def _values(forms, M: Sequence[int], D: int) -> Iterator[int]:
@@ -179,7 +218,8 @@ def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Gaussian
             if row < L.dim ** 2:
                 raise BadSquare("J^2 != -1")
             raise NotClosed("m is not a subalgebra; J is not integrable")
-    return [[GaussianRational(int(k == j), -J.m[k][j]) for k in range(L.dim)]
+    rows = J._entries()
+    return [[GaussianRational(int(k == j), -rows[k][j]) for k in range(L.dim)]
             for j in range(L.dim)]
 
 

@@ -8,7 +8,8 @@ fields, and the expected moduli dimension.
 
 All formulas are expression strings (see nilcomplex.expr); instantiation
 and admissible sampling happen here.  A matrix's entries are evaluated in
-ints over the validated scope's common denominator, one Fraction each.
+ints over the validated scope's common denominator and put over one
+denominator of their own: a member is born as ints, with no Fraction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..exactnum import GaussianRational, rational_str
+from ..exactnum import GaussianRational, rational_str, reduced_common_denominator
 from ..expr import evaluate, evaluate_ints, free_symbols, over_one_denominator
 from ..liecore import LieAlgebra
 from ..acs import AlmostComplexStructure, is_integrable
@@ -101,12 +102,14 @@ class MatrixFamily:
         if missing:
             raise DomainViolation(f"{self.name}: unassigned parameters {missing}")
         for p in self.params:
-            v = Fraction(values[p.name])
+            v = values[p.name]
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if p.kind == "pm_one" and v * v != 1:
                 raise DomainViolation(f"{self.name}: {p.name} = {v} must be +1 or -1")
             if p.kind == "unit" and not 0 < v <= 1:
                 raise DomainViolation(f"{self.name}: {p.name} = {v} must lie in (0, 1]")
-        env = {k: Fraction(v) for k, v in values.items()}
+        env = {k: v if type(v) is Fraction else Fraction(v) for k, v in values.items()}
         conds = tuple(self.conditions) + tuple(extra_conditions)
         pnames = set(env)
 
@@ -134,18 +137,21 @@ class MatrixFamily:
         return env
 
     def matrix(self, env: Mapping[str, Fraction]) -> AlmostComplexStructure:
-        """The entries evaluated in a scope that check_domain returned."""
+        """The entries evaluated in a scope that check_domain returned, each
+        as an int pair (expr.evaluate_ints), then all over one denominator:
+        J = M/D with D the lcm of the reduced denominators."""
         point = over_one_denominator(env)
-        rows = []
+        pairs = []
         for row in self.entries:
-            out = []
+            if len(row) != len(self.entries):
+                raise ValueError("matrix must be square")
             for cell in row:
                 try:
-                    out.append(Fraction(*evaluate_ints(cell, point)))
+                    pairs.append(evaluate_ints(cell, point))
                 except ZeroDivisionError:
                     raise DomainViolation(f"{self.name}: entry {cell} undefined here") from None
-            rows.append(out)
-        return AlmostComplexStructure(rows)
+        return AlmostComplexStructure.from_integers(*reduced_common_denominator(pairs),
+                                                    len(self.entries))
 
     def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
         return self.matrix(self.check_domain(values))

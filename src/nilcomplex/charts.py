@@ -6,10 +6,12 @@ invertible real 6x6 Jacobian of (Re phi, Im phi) at sampled points, and
 (c) exact agreement of the closed-form chart multiplication with the
 normal-ordering engine at sampled pairs.  Every check reads one cached
 derivation of the chart point (J, the validated scope and the chart
-functions), and (a) and (b) both read one gradient of the chart functions.
-For (c), chi is derived once per chart point as polynomials in the real
-and imaginary parts of phi(a) and phi(x); at each rational pair, phi and
-chi then run their integer code, compiled once per polynomial.
+functions), and (a) and (b) both read one gradient of the chart functions;
+for (b), its real and imaginary parts compile to one integer code per
+check, which runs at each point.  For (c), chi is derived once per chart
+point as polynomials in the real and imaginary parts of phi(a) and phi(x);
+at each rational pair, phi and chi then run their integer code, compiled
+once per polynomial.
 Complex combinations are always eliminated into the real polynomial ring
 before comparison.
 """
@@ -20,12 +22,12 @@ import functools
 import random
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import group, linalg
 from .acs import AlmostComplexStructure, BadSquare
 from .catalogue import AlgebraEntry, Chart, Representative
-from .exactnum import GaussianRational, I, MultiPoly
+from .exactnum import GaussianRational, I, MultiPoly, integer_code
 from .expr import evaluate, free_symbols
 
 
@@ -160,21 +162,26 @@ def verify_relations(chart: Chart, J: AlmostComplexStructure, scope: Mapping) ->
     return True
 
 
-def real_jacobian(grads: Sequence[Sequence[MultiPoly]],
-                  point: Mapping[str, Fraction]) -> List[List[Fraction]]:
-    """The full real 6x6 Jacobian of (Re phi, Im phi) at point.
+def real_jacobian(grads: Sequence[Sequence[MultiPoly]]
+                  ) -> Callable[[Mapping[str, Fraction]], List[List[Fraction]]]:
+    """The full real 6x6 Jacobian of (Re phi, Im phi), as a function of the
+    point: the real and imaginary rows of the gradient compile once, to one
+    integer code, which each point runs.
 
     Its rank is the convention-free invertibility certificate: the charts
     are holomorphic for J, not for the standard complex structure, so the
     3x3 matrix d(phi)/d(z) in standard z's can be singular for perfectly
     good charts.
     """
-    rows = []
-    for grad in grads:
-        d = [GaussianRational.coerce(g.eval(point)) for g in grad]
-        rows.append([x.re for x in d])
-        rows.append([x.im for x in d])
-    return rows
+    code = integer_code([p for grad in grads for part in zip(*(g.parts() for g in grad))
+                         for p in part], group.COORDS)
+    width = len(group.COORDS)
+
+    def at(point: Mapping[str, Fraction]) -> List[List[Fraction]]:
+        values = code([point[c] for c in group.COORDS])
+        return [values[k:k + width] for k in range(0, len(values), width)]
+
+    return at
 
 
 def verify_chart(entry: AlgebraEntry, rep: Representative,
@@ -194,10 +201,11 @@ def verify_chart(entry: AlgebraEntry, rep: Representative,
         raise AssertionError(f"{entry.name}/{rep.name}: displayed field "
                              "dependencies fail")
     rng = random.Random(seed)
+    jacobian = real_jacobian(grads)
     for _ in range(jacobian_points):
         point = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                  for c in group.COORDS}
-        if linalg.rank(real_jacobian(grads, point)) != 6:
+        if linalg.rank(jacobian(point)) != 6:
             raise DegenerateJacobian(point)
     return {"identities": len(residuals), "jacobian_points": jacobian_points,
             "generators": list(rep.chart.generators)}

@@ -5,11 +5,13 @@ denominator).  ``GaussianRational`` adds an exact imaginary part, and
 ``MultiPoly`` is a sparse multivariate polynomial with Gaussian-rational
 coefficients over a named, lexicographically ordered variable list.
 Formal partial and Wirtinger derivatives are exact.  ``common_denominator``
-puts rationals over one denominator (the package's only lcm) and
-``MultiPoly.integer_form`` a polynomial's coefficients; ``integer_code``,
-the one integer evaluator of polynomials, compiles them into code that sums
-the two in ints.  The group laws are such code, and ``MultiPoly.eval`` at a
-rational point runs the polynomial's own, built on first use.
+puts rationals over one denominator, ``reduced_common_denominator`` does so
+for ratios of ints (the two hold the package's only lcm and gcd), and
+``MultiPoly.integer_form`` puts a polynomial's coefficients over theirs;
+``integer_code``, the one integer evaluator of polynomials, compiles them
+into code that sums the two in ints.  The group laws and the chart
+Jacobian are such code, and ``MultiPoly.eval`` at a rational point runs the
+polynomial's own, built on first use.
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -20,7 +22,7 @@ a constant ``MultiPoly`` as its constant).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Mapping, Sequence
 
 
@@ -34,7 +36,24 @@ def rational_str(q: Fraction) -> str:
 def common_denominator(values) -> tuple:
     """(N, D) with values[k] = N[k]/D for ints and Fractions: D the lcm of
     their denominators, N the scaled numerators."""
-    ratios = [x.as_integer_ratio() for x in values]  # one call, not two properties
+    return _over_lcm([x.as_integer_ratio() for x in values])  # one call, not two properties
+
+
+def reduced_common_denominator(pairs) -> tuple:
+    """(N, D) with P/Q = N[k]/D for each (P, Q) of pairs, Q a nonzero int:
+    each ratio is reduced by its gcd first, so D is the lcm of the reduced
+    denominators, as common_denominator gives for the same rationals.  A
+    negative Q needs no sign step: the lcm is positive, and dividing it by
+    Q carries the sign into the numerator."""
+    ratios = []
+    for p, q in pairs:
+        g = gcd(p, q)
+        ratios.append((p // g, q // g))
+    return _over_lcm(ratios)
+
+
+def _over_lcm(ratios) -> tuple:
+    """(N, D) over D, the lcm of the denominators of the (n, d) ratios."""
     # lcm is folded pairwise: one call over an unpacked generator raised
     # the process's peak RSS by about 1 MB over a long run of chart checks
     D = 1
@@ -402,6 +421,11 @@ class MultiPoly:
         nums, C = common_denominator([x for c in self.terms.values() for x in (c.re, c.im)])
         return C, max(map(sum, self.terms), default=0), [*zip(self.terms, nums[::2], nums[1::2])]
 
+    def parts(self) -> tuple:
+        """(re, im): the real and imaginary parts, over the same variables."""
+        return tuple(MultiPoly(self.vars, {e: getattr(c, part) for e, c in self.terms.items()})
+                     for part in ("re", "im"))
+
     def _eval_rational(self, vals) -> GaussianRational:
         """The value at rational vals (None for an unbound variable, 0 where no
         term uses it) by the integer code of its parts, built on first use."""
@@ -413,9 +437,7 @@ class MultiPoly:
         try:
             code = self._code
         except AttributeError:
-            parts = [MultiPoly(self.vars, {e: getattr(c, part) for e, c in self.terms.items()})
-                     for part in ("re", "im")]
-            code = integer_code(parts, self.vars)
+            code = integer_code(self.parts(), self.vars)
             object.__setattr__(self, "_code", code)
         return GaussianRational(*code(vals))
 

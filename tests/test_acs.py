@@ -10,6 +10,7 @@ from nilcomplex import acs, catalogue, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, Unclassifiable, check_m_table,
                             classify_m, is_integrable, m_subalgebra, nijenhuis)
+from nilcomplex.exactnum import common_denominator
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
@@ -286,3 +287,47 @@ def test_is_integrable_is_square_and_torsion():
 def test_constraint_values_need_a_matrix_of_the_algebra_dimension():
     with pytest.raises(DimensionMismatch):
         is_integrable(LieAlgebra(4, {}), J0)
+
+
+def _read(J, how):
+    """Read J through one of the read-only accessors, or not at all."""
+    if how == "column":
+        J.column(1)
+    elif how == "to_json":
+        J.to_json()
+    elif how == "index":
+        J[1, 1]
+    elif how == "repr":
+        repr(J)
+
+
+@pytest.mark.parametrize("how", [None, "column", "to_json", "index", "repr"])
+def test_a_changed_entry_reaches_every_check(how):
+    # reading J.m hands out the rows, so an entry changed through them is
+    # what square_check, is_integrable and integer_point then read
+    for e in catalogue.entries():
+        for fam in (f for f in e.families if f.samplable):
+            J = fam.instantiate(fam.random_admissible(random.Random(fam.name)))
+            M, D = acs.integer_point(J, 6)
+            assert J.square_check() and is_integrable(e.algebra, J), fam.name
+            _read(J, how)
+            J.m[0][0] += 1
+            assert acs.integer_point(J, 6) == common_denominator(
+                [Fraction(M[0], D) + 1] + [Fraction(x, D) for x in M[1:]]), fam.name
+            assert not J.square_check() and not is_integrable(e.algebra, J), fam.name
+
+
+def test_a_member_holds_its_integers_until_its_rows_are_handed_out():
+    fam = catalogue.get("G6,3").families[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(3)))
+    stored = J._ints
+    assert stored is not None and J._rows is None
+    _read(J, "column")
+    assert J._ints is stored and J._rows is not None
+    assert J.m is J.m and J._ints is None
+    assert acs.integer_point(J, 6) == (list(stored[0]), stored[1])
+
+
+def test_from_integers_is_m_over_d():
+    J = AlmostComplexStructure.from_integers([0, -1, 1, 0], 2, 2)
+    assert J == AlmostComplexStructure([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])

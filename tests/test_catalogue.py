@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue, expr, moduli
-from nilcomplex.acs import is_integrable
+from nilcomplex import catalogue, exactnum, expr, moduli
+from nilcomplex.acs import integer_point, is_integrable
 from nilcomplex.catalogue import (DomainViolation, JFamily, ParamSpec,
                                   SamplingExhausted, UnknownAlgebra)
+from nilcomplex.exactnum import common_denominator
 
 
 def test_get_and_aliases():
@@ -91,17 +92,22 @@ def test_an_entry_undefined_on_the_domain_is_caught():
 
 def _integer_mismatches(members, draws, seed=0):
     """Entries whose integer form differs from the generic evaluation at
-    seeded admissible points of the members, and the entries compared."""
+    seeded admissible points of the members, and the entries compared; a
+    member whose (M, D) is not that of the generic Fractions is named too."""
     bad, compared = [], 0
     for member in members:
         rng = random.Random(f"{seed}:{member.name}")
         for _ in range(draws):
             env = member.check_domain(member.random_admissible(rng))
             J = member.matrix(env)
+            generic = [catalogue._as_real(expr.evaluate(cell, env))
+                       for row in member.entries for cell in row]
+            if integer_point(J, len(member.entries)) != common_denominator(generic):
+                bad.append((member.name, "integer_point"))
             for r, row in enumerate(member.entries):
                 for c, cell in enumerate(row):
                     compared += 1
-                    if J.m[r][c] != catalogue._as_real(expr.evaluate(cell, env)):
+                    if J[r + 1, c + 1] != generic[r * len(row) + c]:
                         bad.append((member.name, cell))
     return bad, compared
 
@@ -141,6 +147,32 @@ def test_an_off_by_one_power_of_the_denominator_fails_the_oracle(monkeypatch):
     finally:
         expr._compile_ints.cache_clear()
     assert bad
+
+
+def _unreduced(pairs):
+    return exactnum._over_lcm(list(pairs))
+
+
+def _sign_dropped(pairs):
+    return exactnum.reduced_common_denominator([(p, abs(q)) for p, q in pairs])
+
+
+@pytest.mark.parametrize("helper", [None, _unreduced, _sign_dropped],
+                         ids=["reduced", "unreduced", "sign-dropped"])
+def test_a_negative_denominator_over_the_reduced_lcm(monkeypatch, helper):
+    # 1/(a - b) at a = 1/2, b = 5/6 is the pair (6, -2) over D = 6, and
+    # b - a is (2, 6): reduced, the member is (-9, 1, 0, 3)/3, unreduced
+    # its D is 6, and a dropped sign turns -3 into 3
+    toy = JFamily(name="toy", params=(ParamSpec("a"), ParamSpec("b")),
+                  entries=(("1/(a - b)", "b - a"), ("0", "1")))
+    env = toy.check_domain({"a": Fraction(1, 2), "b": Fraction(5, 6)})
+    assert expr.evaluate_ints("1/(a - b)", expr.over_one_denominator(env)) == (6, -2)
+    if helper:
+        monkeypatch.setattr(catalogue, "reduced_common_denominator", helper)
+    J = toy.matrix(env)
+    ok = (integer_point(J, 2) == ([-9, 1, 0, 3], 3)
+          and J.m == [[Fraction(-3), Fraction(1, 3)], [0, 1]])
+    assert ok == (helper is None)
 
 
 @pytest.mark.parametrize("cell", ["1/(a - a/(a - a))", "(a - 1)^-2", "a/((a - 1)^-1)"])

@@ -133,7 +133,32 @@ def test_real_jacobian_nonzero_at_origin():
     rep = e.representative("J_pm")
     phis = charts.chart_polys(rep, {"j36": Fraction(1)})
     origin = {c: Fraction(0) for c in group.COORDS}
-    assert linalg.rank(charts.real_jacobian(charts.gradient(phis), origin)) == 6
+    assert linalg.rank(charts.real_jacobian(charts.gradient(phis))(origin)) == 6
+
+
+def _term_by_term(p, point):
+    """p at point through the ring operations, one term at a time."""
+    out = GaussianRational(0)
+    for e, c in p.terms.items():
+        for v, x in zip(p.vars, e):
+            c = c * point[v] ** x
+        out = out + c
+    return out
+
+
+def test_the_compiled_jacobian_is_the_gradient_at_each_point():
+    rng = random.Random(5)
+    for rep in (r for e in catalogue.entries() for r in e.representatives if r.chart):
+        values = rep.random_admissible(rng, extra_conditions=rep.chart.conditions)
+        grads = charts.gradient(charts.chart_polys(rep, values))
+        jacobian = charts.real_jacobian(grads)
+        for _ in range(2):
+            point = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for c in group.COORDS}
+            expected = []
+            for grad in grads:
+                d = [_term_by_term(g, point) for g in grad]
+                expected += [[x.re for x in d], [x.im for x in d]]
+            assert jacobian(point) == expected, rep.name
 
 
 def test_chi_skips_only_coordinate_dependent_defs():

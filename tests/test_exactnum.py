@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcomplex import exactnum
-from nilcomplex.exactnum import GaussianRational, MultiPoly, common_denominator, rational_str
+from nilcomplex.exactnum import (GaussianRational, MultiPoly, common_denominator, rational_str,
+                                 reduced_common_denominator)
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -253,6 +254,28 @@ def test_common_denominator_reconstructs_over_the_lcm(values):
     N, D = common_denominator(values)
     assert [Fraction(n, D) for n in N] == values
     assert D == math.lcm(*(x.denominator for x in values))
+
+
+@pytest.mark.parametrize("pairs, numerators, D", [
+    ([], [], 1),
+    ([(6, -2), (2, 6), (0, -5), (1, 1)], [-9, 1, 0, 3], 3),  # reduced first: D is 3, not 6
+    ([(-4, -6), (3, -9)], [2, -1], 3),
+], ids=["empty", "reduced", "negative"])
+def test_reduced_common_denominator(pairs, numerators, D):
+    assert reduced_common_denominator(pairs) == (numerators, D)
+    assert [Fraction(n, D) for n in numerators] == [Fraction(p, q) for p, q in pairs]
+
+
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(-10 ** 6, 10 ** 6).filter(bool)), max_size=8))
+def test_reduced_common_denominator_is_that_of_the_fractions(pairs):
+    assert reduced_common_denominator(pairs) == common_denominator(
+        [Fraction(p, q) for p, q in pairs])
+
+
+def test_a_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        reduced_common_denominator([(1, 2), (3, 0)])
 
 
 def test_integer_form():

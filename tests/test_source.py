@@ -5,8 +5,8 @@ the benchmark, and only the catalogue data builds Lie algebras, so the
 per-algebra caches in acs and group hold the registry's algebras alone.
 Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
-check is an assert, which python -O strips.  Only exactnum takes an lcm:
-every other module puts rationals over one denominator through it.  Only
+check is an assert, which python -O strips.  Only exactnum takes an lcm or
+a gcd: every other module puts rationals over one denominator through it.  Only
 exactnum (integer code) and expr (formula code) generate code.
 """
 
@@ -175,11 +175,17 @@ def test_the_assert_rule_accepts():
     assert assert_offenders("m", ast.parse(source)) == []
 
 
+DENOMINATORS = {"lcm", "gcd"}
+
+
 def lcm_offenders(module: str, tree: ast.AST) -> list:
-    """Every import, call or other use of lcm in one module, named module:line."""
+    """Every import, call or other use of lcm or gcd in one module, named
+    module:line."""
     return [f"{module}:{node.lineno}" for node in ast.walk(tree)
-            if getattr(node, "id", None) == "lcm" or getattr(node, "attr", None) == "lcm"
-            or isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names)]
+            if getattr(node, "id", None) in DENOMINATORS
+            or getattr(node, "attr", None) in DENOMINATORS
+            or isinstance(node, ast.ImportFrom) and any(a.name in DENOMINATORS
+                                                         for a in node.names)]
 
 
 def test_only_exactnum_takes_an_lcm():
@@ -195,14 +201,17 @@ def test_only_exactnum_takes_an_lcm():
     "import math\nD = math.lcm(*ds)\n",
     "D = functools.reduce(math.lcm, ds, 1)\n",
     "scope = {'F': Fraction, 'lcm': lcm}\n",
-], ids=["import", "call", "reference", "scope"])
+    "from math import gcd as g\n",
+    "import math\ng = math.gcd(p, q)\n",
+    "g = gcd(p, q)\n",
+], ids=["import", "call", "reference", "scope", "gcd-import", "gcd-attribute", "gcd-call"])
 def test_the_lcm_rule_refuses(source):
     assert len(lcm_offenders("m", ast.parse(source))) == 1
 
 
 def test_the_lcm_rule_accepts():
-    source = ('def f(J):\n    """M/D, D the lcm of the denominators."""\n'
-              "    lcm_ = 'lcm'\n    return common_denominator(J.entries)\n")
+    source = ('def f(J):\n    """M/D, D the lcm of the gcd-reduced denominators."""\n'
+              "    lcm_, gcd_ = 'lcm', 'gcd'\n    return common_denominator(J.entries)\n")
     assert lcm_offenders("acs", ast.parse(source)) == []
 
 
