@@ -117,16 +117,14 @@ def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
 
 
-def _quadratic_form(const, triples, scale: int = 1):
-    """scale * (const + sum c*f_p*f_q) over the triples, like terms merged,
-    p <= q; scale must clear every denominator, so the result is in ints."""
-    terms: Dict[Tuple[int, int], Fraction] = {}
+def _quadratic_form(const: int, triples):
+    """const + sum c*f_p*f_q over the int triples, like terms merged, p <= q."""
+    terms: Dict[Tuple[int, int], int] = {}
     for p, q, c in triples:
         if c:
             key = (p, q) if p <= q else (q, p)
             terms[key] = terms.get(key, 0) + c
-    return int(scale * const), tuple((p, q, int(scale * c))
-                                     for (p, q), c in sorted(terms.items()) if c)
+    return const, tuple((p, q, c) for (p, q), c in sorted(terms.items()) if c)
 
 
 def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
@@ -144,8 +142,8 @@ def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
 @functools.cache
 def _square_forms(n: int, scale: int = 1) -> Tuple:
     """The entries of scale * (J^2 + 1) as quadratic forms; row j*n + k is entry (k, j)."""
-    return tuple(_quadratic_form(int(k == j), ((k * n + r, r * n + j, 1) for r in range(n)),
-                                 scale)
+    return tuple(_quadratic_form(scale * (k == j),
+                                 ((k * n + r, r * n + j, scale) for r in range(n)))
                  for j in range(n) for k in range(n))
 
 
@@ -168,11 +166,12 @@ def constraint_map(L: LieAlgebra) -> Tuple:
     for i < j, one row per component.
     """
     n, E = L.dim, map_denominator(L)
-    ad = [[L.bracket_basis(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    ad = [[[int(E * c) for c in L.bracket_basis(a, b)] for b in range(1, n + 1)]
+          for a in range(1, n + 1)]  # E times the structure constants, in ints
     nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
                for m, c in enumerate(ad[a][b]) if c]
     return _square_forms(n, E) + tuple(
-        _quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k), E)
+        _quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 

@@ -17,6 +17,13 @@ triangular basis (brackets raise the basis index) whose tail span(x_3..x_6)
 is abelian, so every swap correction splits exactly into single-generator
 factors and the bubbling terminates.
 
+Collection only ever swaps multiples c x_g, r x_k of basis vectors, and
+C(c x_g, r x_k) is a sum of q c^i r^j, one term per nested bracket of
+degree (i, j).  So the brackets are taken once per algebra, on the basis
+in Fractions, into a cached swap table, and a swap only multiplies its
+scalar monomials by the table's constants.  `commutator_correction`, the
+rule for any X and Y, is the table's oracle; both expand C by one helper.
+
 Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
 from it, without further collection: the inverse (mu(a, x) = 0 solved by
 back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
@@ -24,10 +31,10 @@ the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
 sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
 by exactnum.integer_code: int or Fraction coordinates run that code, any
 other coordinates (MultiPoly ones, say) go through MultiPoly.eval of the
-law's polynomials.  Each fact of an algebra (its class check, the three
-laws, the fields) is a functools.cache'd function of the LieAlgebra,
-derived on first use.  `collect` stays as the derivation and the test
-oracle.
+law's polynomials.  Each fact of an algebra (its class check, the swap
+table, the three laws, the fields) is a functools.cache'd function of the
+LieAlgebra, derived on first use.  `collect` stays as the derivation and
+the test oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .exactnum import MultiPoly, integer_code
 from .liecore import LieAlgebra
@@ -59,28 +66,58 @@ def _check_class(L: LieAlgebra) -> None:
         raise ClassTooHigh(f"class {cls} > 4")
 
 
-def commutator_correction(L: LieAlgebra, X: Sequence, Y: Sequence) -> List:
-    """C(X, Y) in the swap rule e^X e^Y = e^C e^Y e^X (exact for class <= 4)."""
+def _swap_terms(L: LieAlgebra, X: Sequence, Y: Sequence) -> List[Tuple]:
+    """The nested brackets of the swap rule as (bracket, i, j, weight), i and
+    j the bracket's degrees in X and Y: C(X, Y) is their weighted sum."""
     _check_class(L)
     xy = L.bracket(X, Y)
-    xxy = L.bracket(X, xy)
-    yxy = L.bracket(Y, xy)
-    xxxy = L.bracket(X, xxy)
-    yyxy = L.bracket(Y, yxy)
-    xyxy = L.bracket(X, yxy)
-    out = []
-    for k in range(L.dim):
-        out.append(xy[k]
-                   + (xxy[k] + yxy[k]) * HALF
-                   + (xxxy[k] + yyxy[k]) * SIXTH
-                   + xyxy[k] * QUARTER)
-    return out
+    xxy, yxy = L.bracket(X, xy), L.bracket(Y, xy)
+    return [(xy, 1, 1, 1), (xxy, 2, 1, HALF), (yxy, 1, 2, HALF),
+            (L.bracket(X, xxy), 3, 1, SIXTH), (L.bracket(Y, yxy), 1, 3, SIXTH),
+            (L.bracket(X, yxy), 2, 2, QUARTER)]
+
+
+def commutator_correction(L: LieAlgebra, X: Sequence, Y: Sequence) -> List:
+    """C(X, Y) in the swap rule e^X e^Y = e^C e^Y e^X (exact for class <= 4):
+    the oracle of the swap table."""
+    terms = _swap_terms(L, X, Y)
+    return [sum(v[m] * w for v, _, _, w in terms) for m in range(L.dim)]
 
 
 def _basis_vector(L: LieAlgebra, g: int, c):
     v = [Fraction(0)] * L.dim
     v[g - 1] = c
     return v
+
+
+@cache
+def _swap_table(L: LieAlgebra) -> Dict[Tuple[int, int], List[List[Tuple]]]:
+    """The swap corrections of the basis pairs, split by degree (cached):
+    for g > k, table[g, k][m] lists ((i, j), q) with
+    C(c x_g, r x_k)[m] = sum q c^i r^j over the list (m 0-based)."""
+    one = Fraction(1)
+    table = {}
+    for g in range(2, L.dim + 1):
+        for k in range(1, g):
+            terms = _swap_terms(L, _basis_vector(L, g, one), _basis_vector(L, k, one))
+            table[g, k] = [[((i, j), v[m] * w) for v, i, j, w in terms if v[m]]
+                           for m in range(L.dim)]
+    return table
+
+
+def _swap_correction(L: LieAlgebra, g: int, k: int, c, r) -> List:
+    """C(c x_g, r x_k) for g > k from the swap table, each monomial c^i r^j
+    made once."""
+    monomials = {}
+    C = []
+    for terms in _swap_table(L)[g, k]:
+        value = 0
+        for (i, j), q in terms:
+            if (i, j) not in monomials:
+                monomials[i, j] = c ** i * r ** j
+            value = value + monomials[i, j] * q
+        C.append(value)
+    return C
 
 
 def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
@@ -92,7 +129,7 @@ def _push_single(L: LieAlgebra, g: int, c, coords: list, start: int) -> None:
         r = coords[k - 1]
         if not r:
             continue
-        C = commutator_correction(L, _basis_vector(L, g, c), _basis_vector(L, k, r))
+        C = _swap_correction(L, g, k, c, r)
         support = [m + 1 for m in range(L.dim) if C[m]]
         if support:
             if min(support) <= max(g, k):  # corrections must live strictly deeper

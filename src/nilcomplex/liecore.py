@@ -64,17 +64,26 @@ class LieAlgebra:
         return v
 
     def bracket(self, u: Sequence, v: Sequence):
-        """Bilinear extension of the bracket table.
+        """Bilinear extension of the bracket table: each row (i, j) adds
+        u_i v_j - u_j v_i times its structure constants.  Only products of
+        two nonzero factors are formed, and a row with neither is skipped.
 
         Coefficients may be Fraction, GaussianRational or MultiPoly; the
-        result uses whatever ring the inputs live in.
+        result uses whatever ring the inputs live in and, for vectors over
+        one ring, equals the dense formula in value and in repr.
         """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch(f"expected vectors of length {self.dim}")
         zero = u[0] * 0
         out = [zero] * self.dim
         for (i, j), row in self.table.items():
-            coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+            a, b, p, q = u[i - 1], v[j - 1], u[j - 1], v[i - 1]
+            if a and b:
+                coef = a * b - p * q if p and q else a * b
+            elif p and q:
+                coef = -(p * q)
+            else:
+                continue
             if not coef:
                 continue
             for k, c in row.items():

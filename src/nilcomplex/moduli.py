@@ -10,7 +10,8 @@ per point: `jacobian_matrix` divides it into exact Fractions, and
 `jacobian_rank` decides its rank (scaling moves no relative threshold)
 from floating singular values with a two-threshold guard.  The SVD can
 miss rank but never invent it, so a rank short of the expected one is
-re-decided by exact elimination.
+re-decided exactly, by fraction-free elimination of the same int gradient
+(linalg.integer_rank).
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
 continuous parameter is a cell p or -p of the family's matrix, so those
@@ -127,7 +128,7 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
                 dim = None
             break
         if dim != entry.expected_dim:
-            dim = 36 - linalg.rank(jacobian_matrix(L, J))
+            dim = 36 - linalg.integer_rank(_gradient(L, J)[0])
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
                     "tangent_dim": dim, "family_rank": prank})
     dims = [r["tangent_dim"] for r in out]

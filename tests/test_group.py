@@ -370,3 +370,66 @@ def test_each_law_is_derived_once():
             group.multiply(L, x, x), group.inverse(L, x), group.exp_coords(L, x)
             group.left_invariant_fields(L)
     assert collect.call_count == 1
+
+
+# -- the swap table against the swap rule ------------------------------------
+
+REGISTRY = {e.name: e.algebra for e in catalogue.entries()}
+REGISTRY.update((algebra.name, algebra) for algebra, _ in catalogue._SPOTCHECK.values())
+C, R = MultiPoly.var("c"), MultiPoly.var("r")
+
+
+def swap_table_mismatches(L):
+    """Basis pairs (g, k), g > k, where the swap table at formal c, r differs
+    from the swap rule C(c x_g, r x_k)."""
+    return [(g, k) for g in range(2, L.dim + 1) for k in range(1, g)
+            if group._swap_correction(L, g, k, C, R)
+            != group.commutator_correction(L, e(g, C), e(k, R))]
+
+
+def swap_degrees(L):
+    """The degrees (i, j) in c, r of the terms of L's swap table."""
+    return {ij for rows in group._swap_table(L).values() for terms in rows for ij, _ in terms}
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_the_swap_table_is_the_swap_rule(name):
+    assert swap_table_mismatches(REGISTRY[name]) == []
+
+
+def test_a_mutated_weight_fails_the_swap_table_oracle(monkeypatch):
+    halves = {(2, 1), (1, 2)}
+    mutated = {}
+    for name, L in REGISTRY.items():  # the table with 1/2 turned into 1/3
+        mutated[L] = {gk: [[(ij, q * Fraction(2, 3) if ij in halves else q) for ij, q in terms]
+                           for terms in rows]
+                      for gk, rows in group._swap_table(L).items()}
+    monkeypatch.setattr(group, "_swap_table", mutated.__getitem__)
+    failing = {name for name, L in REGISTRY.items() if swap_table_mismatches(L)}
+    assert failing == {name for name, L in REGISTRY.items() if swap_degrees(L) & halves}
+    assert len(failing) == 10
+
+
+def test_no_algebra_reaches_the_quarter_term_and_only_m18_the_sixths():
+    # [x_g, [x_k, [x_g, x_k]]] vanishes on every basis pair of the registry
+    degrees = {name: swap_degrees(L) for name, L in REGISTRY.items()}
+    assert not any((2, 2) in d for d in degrees.values())
+    assert {name for name, d in degrees.items() if d & {(3, 1), (1, 3)}} == {"M18+1", "M18-1"}
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_the_law_is_collected_from_the_swap_table(name):
+    L = LieAlgebra(6, REGISTRY[name].table)  # a fresh algebra: nothing derived yet
+    seen = set()
+    bracket = L.bracket
+
+    def spy(u, v):
+        seen.update(map(type, [*u, *v]))
+        return bracket(u, v)
+
+    L.bracket = spy
+    misses = group._swap_table.cache_info().misses
+    with mock.patch.object(group, "commutator_correction") as rule:
+        group.multiply(L, A, B)
+    assert group._swap_table.cache_info().misses == misses + 1
+    assert rule.call_count == 0 and seen == {Fraction}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcomplex import catalogue
-from nilcomplex.liecore import JacobiError, LieAlgebra
+from nilcomplex.exactnum import GaussianRational, MultiPoly
+from nilcomplex.liecore import DimensionMismatch, JacobiError, LieAlgebra
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 vectors = st.lists(fractions, min_size=6, max_size=6)
@@ -38,12 +39,60 @@ def test_bracket_bilinear(u, v, w, a):
     assert lhs == rhs
 
 
+ALGEBRAS = [e.algebra for e in catalogue.entries()] + [
+    algebra for algebra, _ in catalogue._SPOTCHECK.values()]
+
+
+def _dense_bracket(L, u, v):
+    """The reference: u_i v_j - u_j v_i formed for every table row."""
+    zero = u[0] * 0
+    out = [zero] * L.dim
+    for (i, j), row in L.table.items():
+        coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+        if not coef:
+            continue
+        for k, c in row.items():
+            out[k - 1] = out[k - 1] + coef * c
+    return out
+
+
+def _with_zeros(scalars, zero):
+    return st.lists(st.one_of(st.just(zero), scalars), min_size=6, max_size=6)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_monomials = st.tuples(_small, st.integers(0, 2), st.integers(0, 2)).map(
+    lambda t: MultiPoly.var("s") ** t[1] * MultiPoly.var("t") ** t[2] * t[0])
+RINGS = {
+    "fraction": _with_zeros(fractions, Fraction(0)),
+    "gaussian": _with_zeros(st.builds(GaussianRational, _small, _small), GaussianRational(0)),
+    "multipoly": _with_zeros(st.lists(_monomials, min_size=1, max_size=3).map(sum),
+                             MultiPoly.const(0)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_equals_the_dense_formula(ring, data):
+    L = data.draw(st.sampled_from(ALGEBRAS))
+    u, v = data.draw(RINGS[ring]), data.draw(RINGS[ring])
+    got, dense = L.bracket(u, v), _dense_bracket(L, u, v)
+    assert got == dense and repr(got) == repr(dense)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_a_vector_of_the_wrong_length_is_a_dimension_mismatch(length):
+    L = catalogue.get("M18+1").algebra
+    for u, v in (([Fraction(1)] * length, e(1)), (e(1), [Fraction(1)] * length)):
+        with pytest.raises(DimensionMismatch):
+            L.bracket(u, v)
+
+
 def test_jacobi_all_catalogue():
     # the eleven entries and the two twins: all 13 registry algebras
-    algebras = [e.algebra for e in catalogue.entries()]
-    algebras += [algebra for algebra, _ in catalogue._SPOTCHECK.values()]
-    assert len(algebras) == 13
-    for L in algebras:
+    assert len(ALGEBRAS) == 13
+    for L in ALGEBRAS:
         assert L.jacobi_check()
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nilcomplex import acs, catalogue, moduli
+from nilcomplex import acs, catalogue, linalg, moduli
 from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import JFamily, ParamSpec
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
@@ -134,11 +134,16 @@ DEFECT_SEEDS = [("M18+1", 421811493), ("G6,4", 1267734702), ("G6,7", 2939367331)
 @pytest.mark.parametrize("name, seed", DEFECT_SEEDS)
 def test_m18_defect_seed_gives_the_paper_dimension(name, seed):
     # The SVD misses rank here: it gives tangent 9 on M18+1, 12 on G6,4 and
-    # 11 on G6,7.  Exact elimination decides.
+    # 11 on G6,7.  Exact elimination decides: fraction-free on the int
+    # gradient, as Gaussian elimination in Fractions would.
     e = catalogue.get(name)
     rep = moduli.dimension_report(e, samples=1, seed=seed)
     assert rep["tangent_dims"] == [e.expected_dim]
     assert rep["samples"][0]["family_rank"] == rep["n_free_params"]
+    fam = e.families[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(seed)))
+    assert linalg.integer_rank(moduli._gradient(e.algebra, J)[0]) \
+        == linalg.rank(moduli.jacobian_matrix(e.algebra, J)) == 36 - e.expected_dim
 
 
 def _reference_ranks(rows, tol=moduli.DEFAULT_TOL):
