@@ -96,13 +96,14 @@ def integer_code(polys: Sequence["MultiPoly"], names: Sequence[str]):
 
 
 def _power(x, n: int, one):
-    """x ** n for n >= 0 by square-and-multiply."""
+    """x ** n for n >= 0 by square-and-multiply: floor(log2 n) squarings."""
     out = one
     while n:
         if n & 1:
             out = out * x
-        x = x * x
         n >>= 1
+        if n:
+            x = x * x
     return out
 
 

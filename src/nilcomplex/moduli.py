@@ -8,10 +8,14 @@ Each component is a quadratic form with int coefficients over the
 algebra's denominator E, so at J = M/D one int gradient E*D*Jac is built
 per point: `jacobian_matrix` divides it into exact Fractions, and
 `jacobian_rank` decides its rank (scaling moves no relative threshold)
-from floating singular values with a two-threshold guard.  The SVD can
-miss rank but never invent it, so a rank short of the expected one is
-re-decided exactly, by fraction-free elimination of the same int gradient
-(linalg.integer_rank).
+from floating singular values with a two-threshold guard.  The gradient is
+linear in M, so the SVD's input is scattered in int64 from a per-algebra
+pattern of (cell, entry, c); while max|M| times the largest per-cell sum
+of |c| is below 2^63 every int64 step is exact and the float matrix is the
+one the Python ints give, bit for bit, and beyond that bound it is built
+from the Python ints.  The SVD can miss rank but never invent it, so a
+rank short of the expected one is re-decided exactly, by fraction-free
+elimination of the same int gradient (linalg.integer_rank).
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
 continuous parameter is a cell p or -p of the family's matrix, so those
@@ -20,6 +24,7 @@ rows form a +-identity minor and the rank is the parameter count.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -67,12 +72,55 @@ def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fract
     return [[Fraction(v, scale) if v else zero for v in row] for row in grad]
 
 
+@functools.cache
+def _gradient_pattern(L: LieAlgebra) -> Tuple[Tuple, int, Tuple[int, int]]:
+    """_gradient as a scatter, read once from constraint_map (cached): cell
+    pos of the flat E*D*Jac is the sum of c*M[src] over its (pos, src, c),
+    kept in layers of unique positions as int64 arrays, with the largest
+    per-cell sum of |c| and the matrix shape."""
+    n2 = L.dim * L.dim
+    cmap = constraint_map(L)
+    coef: Dict[Tuple[int, int], int] = {}  # (pos, src) -> c
+    for r, (_, terms) in enumerate(cmap):
+        for p, q, c in terms:
+            for key in ((r * n2 + p, q), (r * n2 + q, p)):
+                coef[key] = coef.get(key, 0) + c
+    depth: Dict[int, int] = {}
+    weight: Dict[int, int] = {}
+    layers: List[List[Tuple[int, int, int]]] = []
+    for (pos, src), c in coef.items():
+        if c:
+            k = depth[pos] = depth.get(pos, -1) + 1
+            weight[pos] = weight.get(pos, 0) + abs(c)
+            if k == len(layers):
+                layers.append([])
+            layers[k].append((pos, src, c))
+    return (tuple(tuple(np.array(col, dtype=np.int64) for col in zip(*layer))
+                  for layer in layers), max(weight.values()), (len(cmap), n2))
+
+
 def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
                   tol: float = DEFAULT_TOL) -> int:
     """Rank of the exact Jacobian, decided by singular values s > tol * s[0]
     of one SVD of E*D*Jac, entry for entry the float of an integer.  Raises
-    RankUnstable when the decision flips between tol and 10*tol."""
-    s = np.linalg.svd(np.array(_gradient(L, J)[0], dtype=float), compute_uv=False)
+    RankUnstable when the decision flips between tol and 10*tol.
+
+    While max|M| times the pattern's largest sum of |c| is below 2^63, every
+    product and partial sum of the scatter is an exact int64, and the cast
+    rounds each cell as float() rounds the Python int; beyond that bound the
+    matrix comes from _gradient's Python ints.  Either way it is
+    np.array(_gradient(L, J)[0], dtype=float), bit for bit."""
+    layers, csum, shape = _gradient_pattern(L)
+    M, _ = integer_point(J, L.dim)
+    if max(map(abs, M)) * csum < 2 ** 63:
+        Mi = np.array(M, dtype=np.int64)
+        G = np.zeros(shape[0] * shape[1], dtype=np.int64)
+        for pos, src, c in layers:
+            G[pos] += c * Mi[src]
+        A = G.astype(float).reshape(shape)
+    else:
+        A = np.array(_gradient(L, J)[0], dtype=float)
+    s = np.linalg.svd(A, compute_uv=False)
     r1, r2 = (int(np.sum(s > t * s[0])) for t in (tol, tol * 10))
     if r1 != r2:
         raise RankUnstable(f"rank {r1} at tol vs {r2} at 10*tol")

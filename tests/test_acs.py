@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -216,6 +217,9 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     rows, floats = moduli.jacobian_matrix(L, J), _svd_input(L, J)
     for reader in (acs, moduli):
         monkeypatch.setattr(reader, "constraint_map", lambda _: cmap)
+    # the SVD reads the map through its cached pattern: build a fresh one
+    monkeypatch.setattr(moduli, "_gradient_pattern",
+                        functools.cache(moduli._gradient_pattern.__wrapped__))
     assert acs.constraint_map(L) is cmap
     assert moduli.constraint_eval(L, J) != _oracle(L, J)
     # a constant has no derivative; a coefficient moves both Jacobian views

@@ -141,10 +141,27 @@ class TestProtocol:
     @pytest.mark.parametrize("p", [Fraction(-2, 3), GaussianRational(Fraction(1, 2), -1),
                                    X - Y * I + 2], ids=["Q", "Q(i)", "Q(i)[x,y]"])
     def test_power_is_the_repeated_product(self, p):
-        product = p * 0 + 1
-        for n in range(7):
-            assert p ** n == product
+        one = product = p * 0 + 1
+        for n in range(10):
+            assert p ** n == exactnum._power(p, n, one) == product
             product = product * p
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_power_squares_only_while_bits_remain(self, n):
+        squarings = []
+
+        class Power:
+            """x ** e that records each product of a value with itself."""
+            def __init__(self, e):
+                self.e = e
+
+            def __mul__(self, other):
+                if other is self:
+                    squarings.append(self.e)
+                return Power(self.e + other.e)
+
+        assert exactnum._power(Power(1), n, Power(0)).e == n
+        assert len(squarings) == n.bit_length() - 1  # floor(log2 n)
 
     def test_negative_powers(self):
         z = GaussianRational(Fraction(1, 2), -1)

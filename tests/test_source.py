@@ -7,7 +7,8 @@ Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
 check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
-exactnum (integer code) and expr (formula code) generate code.
+exactnum (integer code) and expr (formula code) generate code.  Only moduli
+imports numpy, for its one SVD.
 """
 
 import ast
@@ -248,3 +249,40 @@ def test_the_codegen_rule_accepts():
     source = ('def f(p, env):\n    """eval p; exec nothing."""\n'
               "    pattern = re.compile(r'\\d+')\n    return p.eval(env), 'exec'\n")
     assert codegen_offenders("group", ast.parse(source)) == []
+
+
+NUMPY_MODULES = {Path("moduli.py")}
+
+
+def numpy_offenders(module: str, tree: ast.AST) -> list:
+    """Every import of numpy or of a numpy submodule in one module, named
+    module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "numpy"]
+
+
+def test_only_moduli_imports_numpy():
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        if path.relative_to(PACKAGE) not in NUMPY_MODULES:
+            offenders += numpy_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\n",
+    "import numpy.linalg\n",
+    "from numpy import linalg\n",
+    "def f(A):\n    from numpy.linalg import svd\n    return svd(A)\n",
+], ids=["import", "submodule", "from", "local"])
+def test_the_numpy_rule_refuses(source):
+    assert len(numpy_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_numpy_rule_accepts():
+    source = ('"""No numpy: import numpy is for moduli."""\nfrom . import linalg\n'
+              "import numbers\nfrom .numpy_free import np\nnumpy = linalg.rank\n")
+    assert numpy_offenders("linalg", ast.parse(source)) == []
