@@ -3,12 +3,14 @@ subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
 
 A J is an exact rational matrix, held as ints M over one denominator D
 when it is built that way (a family member is) and as Fraction rows once
-they are read.  J is read through one object, `constraint_map`:
-`square_check` evaluates its J^2 + 1 rows, and integrability, closure of m
-and the moduli Jacobian evaluate all of it.  Its forms have int
-coefficients over one denominator E per algebra, so at J = M/D each
-component times E*D^2 is an int; the checks test those against zero and
-never divide.  m is represented by its generators x~_j = x_j - i Jx_j;
+they are read.  J is read through one object, `constraint_map`: its forms
+have int coefficients over one denominator E per algebra, so at J = M/D
+each component times E*D^2 is an int.  One integer evaluator,
+exactnum.quadratic_code, compiles the map once per algebra and the J^2 + 1
+forms once per dimension into straight-line code; `square_check`,
+integrability, closure of m and `constraint_values` run that code, test
+its ints against zero and never divide, and the moduli Jacobian reads the
+map's terms.  m is represented by its generators x~_j = x_j - i Jx_j;
 `nijenhuis` is the per-pair oracle."""
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import GaussianRational, common_denominator, rational_str
+from .exactnum import GaussianRational, common_denominator, quadratic_code, rational_str
 from .liecore import DimensionMismatch, LieAlgebra
 from . import linalg
 
@@ -93,7 +95,7 @@ class AlmostComplexStructure:
 
     def square_check(self) -> bool:
         """J^2 = -1: the J^2 + 1 rows of the constraint map vanish."""
-        return not any(_values(_square_forms(self.dim), *integer_point(self, self.dim)))
+        return not any(_square_code(self.dim)(*integer_point(self, self.dim)))
 
     def to_json(self):
         return [[rational_str(x) for x in row] for row in self._entries()]
@@ -139,12 +141,18 @@ def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
             yield k * n + m, b * n + j, -c
 
 
-@functools.cache
 def _square_forms(n: int, scale: int = 1) -> Tuple:
     """The entries of scale * (J^2 + 1) as quadratic forms; row j*n + k is entry (k, j)."""
     return tuple(_quadratic_form(scale * (k == j),
                                  ((k * n + r, r * n + j, scale) for r in range(n)))
                  for j in range(n) for k in range(n))
+
+
+@functools.cache
+def _square_code(n: int):
+    """The J^2 + 1 forms of an n x n J, compiled (cached): (M, D) -> D^2
+    times each entry, in ints."""
+    return quadratic_code(_square_forms(n), n * n)
 
 
 @functools.cache
@@ -187,32 +195,31 @@ def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
     return common_denominator([x for row in J._rows for x in row])
 
 
-def _values(forms, M: Sequence[int], D: int) -> Iterator[int]:
-    """D^2 times the forms at the entries M/D, in order, lazily, in ints."""
-    D2 = D * D
-    for const, terms in forms:
-        v = const * D2
-        for p, q, c in terms:
-            v += c * M[p] * M[q]
-        yield v
+@functools.cache
+def _constraint_code(L: LieAlgebra):
+    """constraint_map(L), compiled (cached): (M, D) -> E*D^2 times each
+    component at J = M/D, in ints."""
+    return quadratic_code(constraint_map(L), L.dim * L.dim)
 
 
 def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:
-    """The components of the constraint map at J, in order, computed lazily."""
+    """The components of the constraint map at J, in order, as Fractions
+    made lazily from one run of the compiled map."""
     M, D = integer_point(J, L.dim)
     scale = map_denominator(L) * D * D
-    return (Fraction(v, scale) for v in _values(constraint_map(L), M, D))
+    return (Fraction(v, scale) for v in _constraint_code(L)(M, D))
 
 
 def is_integrable(L: LieAlgebra, J: AlmostComplexStructure) -> bool:
-    """J^2 = -1 and N = 0; stops at the first nonzero component."""
-    return not any(_values(constraint_map(L), *integer_point(J, L.dim)))
+    """J^2 = -1 and N = 0: every component of the compiled map is zero.  All
+    126 are computed in one run; none is skipped after a nonzero one."""
+    return not any(_constraint_code(L)(*integer_point(J, L.dim)))
 
 
 def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[GaussianRational]]:
     """The generators x~_j = x_j - i Jx_j (j = 1..n) of m = g^(1,0), as complex
     vectors.  For J^2 = -1 they span a subalgebra exactly when N = 0."""
-    for row, v in enumerate(_values(constraint_map(L), *integer_point(J, L.dim))):
+    for row, v in enumerate(_constraint_code(L)(*integer_point(J, L.dim))):
         if v:
             if row < L.dim ** 2:
                 raise BadSquare("J^2 != -1")

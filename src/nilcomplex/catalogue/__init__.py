@@ -7,9 +7,13 @@ group as a parametric matrix family, the displayed left-invariant vector
 fields, and the expected moduli dimension.
 
 All formulas are expression strings (see nilcomplex.expr); instantiation
-and admissible sampling happen here.  A matrix's entries are evaluated in
-ints over the validated scope's common denominator and put over one
-denominator of their own: a member is born as ints, with no Fraction.
+and admissible sampling happen here.  A sampled value is read from a table
+of the small rationals, and a draw is a Draw: the values with the scope
+check_domain validated them to, which instantiating the unchanged draw
+reuses, so a sampled member is validated once.  A matrix's entries are
+evaluated in ints over the validated scope's common denominator and put
+over one denominator of their own: a member is born as ints, with no
+Fraction.
 """
 
 from __future__ import annotations
@@ -43,25 +47,45 @@ class SamplingExhausted(RuntimeError):
     """Rejection sampling failed to find an admissible point in budget."""
 
 
+# _SMALL[p + 9][q] is Fraction(p, q) for -9 <= p <= 9 and 1 <= q <= 9:
+# every value a draw can take, normalised once
+_SMALL = [[None] + [Fraction(p, q) for q in range(1, 10)] for p in range(-9, 10)]
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """A named free parameter and how to sample it.
 
     kind: 'rational' (any small rational), 'pm_one' (either sign of 1),
-    'unit' (rational in (0, 1]).
+    'unit' (rational in (0, 1]).  A draw reads its value from _SMALL: the
+    same rng calls, in the same order, as Fraction(p, q) would make.
     """
     name: str
     kind: str = "rational"
 
     def sample(self, rng: random.Random) -> Fraction:
         if self.kind == "rational":
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return _SMALL[rng.randint(-9, 9) + 9][rng.randint(1, 9)]
         if self.kind == "pm_one":
-            return Fraction(rng.choice((-1, 1)))
+            return _SMALL[rng.choice((-1, 1)) + 9][1]
         if self.kind == "unit":
             den = rng.randint(1, 9)
-            return Fraction(rng.randint(1, den), den)
+            return _SMALL[rng.randint(1, den) + 9][den]
         raise ValueError(f"unknown parameter kind {self.kind!r}")
+
+
+class Draw(dict):
+    """A parameter point that random_admissible drew: the values, with the
+    family that drew them, the scope its check_domain returned, and a
+    snapshot of the values then.  A change to the values after the draw
+    leaves them unequal to the snapshot, so the scope is not reused."""
+
+    __slots__ = ("family", "scope", "snapshot")
+
+    def __init__(self, values: Dict[str, Fraction], family: "MatrixFamily",
+                 scope: Dict[str, Fraction]):
+        super().__init__(values)
+        self.family, self.scope, self.snapshot = family, scope, values
 
 
 def _as_real(v) -> Fraction:
@@ -153,24 +177,32 @@ class MatrixFamily:
         return AlmostComplexStructure.from_integers(*reduced_common_denominator(pairs),
                                                     len(self.entries))
 
+    def scope(self, values: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+        """The validated scope of values, read-only: the one an unchanged Draw
+        of this same family object carries, else check_domain(values)."""
+        if type(values) is Draw and values.family is self and values == values.snapshot:
+            return values.scope
+        return self.check_domain(values)
+
     def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
-        return self.matrix(self.check_domain(values))
+        return self.matrix(self.scope(values))
 
     def instantiate_matrix(self, values: Mapping[str, Fraction]) -> List[List[Fraction]]:
         return self.instantiate(values).m
 
     def random_admissible(self, rng, attempts: int = 400,
-                          extra_conditions: Sequence[str] = ()) -> Dict[str, Fraction]:
-        """Rejection-sample a rational parameter point in the domain."""
+                          extra_conditions: Sequence[str] = ()) -> Draw:
+        """Rejection-sample a rational parameter point in the domain, as a
+        Draw that carries its validated scope."""
         if isinstance(rng, int):
             rng = random.Random(rng)
         for _ in range(attempts):
             values = {p.name: p.sample(rng) for p in self.params}
             try:
-                self.check_domain(values, extra_conditions)
+                scope = self.check_domain(values, extra_conditions)
             except DomainViolation:
                 continue
-            return values
+            return Draw(values, self, scope)
         raise SamplingExhausted(f"{self.name}: no admissible point in {attempts} attempts")
 
 
@@ -224,7 +256,7 @@ class Representative(MatrixFamily):
                         ) -> Dict[Tuple[int, int], List[GaussianRational]]:
         """The catalogued bracket table of m at a parameter point, in the
         form acs.check_m_table takes: pair -> coefficients of x~_1..x~_n."""
-        env = self.check_domain(values)
+        env = self.scope(values)
         out = {}
         for pair, co in self.m_table:
             coeffs = [GaussianRational(0)] * len(self.entries)

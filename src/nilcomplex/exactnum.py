@@ -11,7 +11,9 @@ for ratios of ints (the two hold the package's only lcm and gcd), and
 ``integer_code``, the one integer evaluator of polynomials, compiles them
 into code that sums the two in ints.  The group laws and the chart
 Jacobian are such code, and ``MultiPoly.eval`` at a rational point runs the
-polynomial's own, built on first use.
+polynomial's own, built on first use.  ``quadratic_code`` compiles int
+quadratic forms the same way: it is the one evaluator of the constraint
+map of ``acs``.
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -91,6 +93,25 @@ def integer_code(polys: Sequence["MultiPoly"], names: Sequence[str]):
                        *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
                        f"return [{', '.join(rows)}]"])
     scope = {"F": Fraction, "common_denominator": common_denominator}
+    exec(src, scope)
+    return scope["code"]
+
+
+def quadratic_code(forms: Sequence[tuple], size: int):
+    """Straight-line code from (M, D), the size ints M of a point f = M/D over
+    one denominator D, to the tuple of D^2 times each quadratic form
+    (const, ((p, q, c), ...)) at f, i.e. const*D^2 + sum c*M[p]*M[q], in
+    ints.  M is unpacked into locals once, so each term is two local reads."""
+    m = [f"m{p}" for p in range(size)]
+    rows = []
+    for const, terms in forms:
+        parts = [_term(c, [m[p], m[q]], 0) for p, q, c in terms]
+        rows.append(" + ".join(parts + [_term(const, [], 2)] * bool(const)) or "0")
+    src = "\n ".join(["def code(M, D):",
+                       f"({''.join(x + ', ' for x in m)}) = M",
+                       "D2 = D*D",
+                       f"return ({''.join(r + ', ' for r in rows)})"])
+    scope = {}
     exec(src, scope)
     return scope["code"]
 

@@ -32,8 +32,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import linalg
-from .acs import (AlmostComplexStructure, constraint_map, constraint_values, integer_point,
-                  is_integrable, map_denominator)
+from .acs import (AlmostComplexStructure, constraint_map, integer_point, is_integrable,
+                  map_denominator)
 from .catalogue import AlgebraEntry, JFamily
 from .exactnum import rational_str
 from .liecore import LieAlgebra
@@ -43,11 +43,6 @@ DEFAULT_TOL = 1e-9
 
 class RankUnstable(RuntimeError):
     """Rank differs between tol and 10*tol; resample the point."""
-
-
-def constraint_eval(L: LieAlgebra, J: AlmostComplexStructure) -> List[Fraction]:
-    """Exact values of all 126 constraint components at J (see acs.constraint_map)."""
-    return list(constraint_values(L, J))
 
 
 def _gradient(L: LieAlgebra, J: AlmostComplexStructure) -> Tuple[List[List[int]], int]:
@@ -134,13 +129,16 @@ def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure,
     return 36 - jacobian_rank(L, J, tol)
 
 
+@functools.lru_cache(maxsize=64)
 def family_rank(family: JFamily) -> int:
-    """Rank of d(entries)/d(params), read once from the formulas.
+    """Rank of d(entries)/d(params), read once per family from the formulas
+    (cached; the catalogue has fewer than 64 families).
 
     Every continuous parameter p must be a cell whose text is p or -p, and
     no def may rebind p.  The rows of those cells then form a +-identity
     k x k minor, so the rank is k at every admissible point.  A family
-    without that certificate raises ValueError naming the parameter."""
+    without that certificate raises ValueError naming the parameter, on
+    every call: a raise is not cached."""
     cells = {cell.replace(" ", "") for row in family.entries for cell in row}
     defs = dict(family.defs)
     params = family.continuous_params()

@@ -11,7 +11,7 @@ from nilcomplex import acs, catalogue, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, Unclassifiable, check_m_table,
                             classify_m, is_integrable, m_subalgebra, nijenhuis)
-from nilcomplex.exactnum import common_denominator
+from nilcomplex.exactnum import common_denominator, quadratic_code
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
@@ -198,7 +198,7 @@ def test_constraint_map_matches_its_oracle(name):
     L, fam = ALGEBRAS[name]
     rng = random.Random(name)
     for J in (fam.instantiate(fam.random_admissible(rng)), _dense(rng)):
-        assert moduli.constraint_eval(L, J) == _oracle(L, J)
+        assert list(acs.constraint_values(L, J)) == _oracle(L, J)
 
 
 @pytest.mark.parametrize("row", [0, 57, 125])
@@ -206,7 +206,7 @@ def test_constraint_map_matches_its_oracle(name):
 def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     L = catalogue.get("M18+1").algebra
     J = _dense(random.Random(row))
-    assert moduli.constraint_eval(L, J) == _oracle(L, J)
+    assert list(acs.constraint_values(L, J)) == _oracle(L, J)
     cmap = list(acs.constraint_map(L))
     const, terms = cmap[row]
     if part == "constant":
@@ -217,11 +217,14 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     rows, floats = moduli.jacobian_matrix(L, J), _svd_input(L, J)
     for reader in (acs, moduli):
         monkeypatch.setattr(reader, "constraint_map", lambda _: cmap)
-    # the SVD reads the map through its cached pattern: build a fresh one
+    # the values and the SVD read the map through their cached compiled code
+    # and pattern: build fresh ones
+    monkeypatch.setattr(acs, "_constraint_code",
+                        functools.cache(acs._constraint_code.__wrapped__))
     monkeypatch.setattr(moduli, "_gradient_pattern",
                         functools.cache(moduli._gradient_pattern.__wrapped__))
     assert acs.constraint_map(L) is cmap
-    assert moduli.constraint_eval(L, J) != _oracle(L, J)
+    assert list(acs.constraint_values(L, J)) != _oracle(L, J)
     # a constant has no derivative; a coefficient moves both Jacobian views
     moved = part == "coefficient"
     assert (moduli.jacobian_matrix(L, J) != rows) == moved
@@ -259,17 +262,44 @@ def test_square_check_is_the_dense_square(name):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("row", [0, 14, 35])
-def test_perturbed_square_forms_fail_the_dense_square(monkeypatch, row):
-    forms = list(acs._square_forms(6))
+def _perturbed(forms, row, J):
+    """forms with one coefficient of the given row moved by 1, at a term
+    that is nonzero at J, so the row's value at J moves."""
+    forms = list(forms)
     const, terms = forms[row]
-    f = [x for r in J0.m for x in r]
+    f = [x for r in J.m for x in r]
     t = next(t for t, (p, q, _) in enumerate(terms) if f[p] and f[q])
     p, q, c = terms[t]
     forms[row] = (const, terms[:t] + ((p, q, c + 1),) + terms[t + 1:])
+    return forms
+
+
+@pytest.mark.parametrize("row", [0, 14, 35])
+def test_perturbed_square_forms_fail_the_dense_square(monkeypatch, row):
+    # square_check runs the compiled J^2 + 1 forms, cached per dimension:
+    # compile the perturbed forms and put them in its place
+    forms = _perturbed(acs._square_forms(6), row, J0)
     assert J0.square_check() and not any(_oracle(ABELIAN_ALG, J0)[:36])
-    monkeypatch.setattr(acs, "_square_forms", lambda n: forms)
+    monkeypatch.setattr(acs, "_square_code", lambda n: quadratic_code(forms, n * n))
     assert not J0.square_check()
+
+
+@pytest.mark.parametrize("row", [3, 40, 77, 89])
+def test_a_perturbed_compiled_map_fails_the_oracles(monkeypatch, row):
+    """One coefficient of constraint_map(L) moved before compiling: the
+    compiled checks call an integrable J what the dense square (rows below
+    36) or the nijenhuis oracle (the rest) does not."""
+    e = catalogue.get("M18+1")
+    L, fam = e.algebra, e.families[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(row)))
+    assert is_integrable(L, J) and not any(_oracle(L, J))
+    code = quadratic_code(_perturbed(acs.constraint_map(L), row, J), 36)
+    monkeypatch.setattr(acs, "_constraint_code", lambda _: code)
+    assert not is_integrable(L, J)
+    moved = [k for k, v in enumerate(acs.constraint_values(L, J)) if v]
+    assert moved == [row]
+    with pytest.raises(BadSquare if row < 36 else NotClosed):
+        m_subalgebra(L, J)
 
 
 def test_is_integrable_is_square_and_torsion():

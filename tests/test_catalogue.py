@@ -285,3 +285,99 @@ def test_random_admissible_validates_once_per_attempt(monkeypatch):
     with pytest.raises(SamplingExhausted):
         fam.random_admissible(random.Random(5), attempts=7, extra_conditions=("a - a",))
     assert len(calls) == 7
+
+
+def test_each_sampled_member_is_validated_once(check_domain_calls):
+    # the draw runs check_domain once per attempt; instantiating the draw,
+    # or reading a representative's claimed table at it, runs it no more
+    tables = 0
+    for member, extra in _sampled_members():
+        rng = random.Random(member.name)
+        for _ in range(3):
+            values = member.random_admissible(rng, extra_conditions=extra)
+            drawn = len(check_domain_calls)
+            member.instantiate(values)
+            if getattr(member, "m_table", ()):
+                tables += bool(member.claimed_m_table(values))
+            assert len(check_domain_calls) == drawn and drawn > 0, member.name
+        check_domain_calls.clear()
+    assert tables > 0
+    fam = catalogue.get("G6,3").families[0]
+    fam.instantiate(fam.random_admissible(random.Random(0)))
+    assert check_domain_calls == [fam.name]  # admissible at the first attempt
+
+
+def _violation(fam, values) -> str:
+    with pytest.raises(DomainViolation) as err:
+        fam.instantiate(values)
+    return str(err.value)
+
+
+CASE_1_CONDITION = "j21*j43*(j21 - j43)"
+
+
+def test_a_mutated_draw_is_validated_again(check_domain_calls):
+    fam = catalogue.get("M10").family("case-1")
+    values = fam.random_admissible(random.Random(0))
+    values["j43"] = values["j21"]
+    check_domain_calls.clear()
+    assert _violation(fam, values) == f"case-1: condition {CASE_1_CONDITION} != 0 violated"
+    assert check_domain_calls == ["case-1"]
+    assert _violation(fam, values) == _violation(fam, dict(values))
+
+
+def test_a_draw_moved_inside_the_domain_gives_the_moved_member():
+    fam = catalogue.get("M10").family("case-1")
+    values = fam.random_admissible(random.Random(0))
+    before = fam.instantiate(values)
+    values["j11"] += 1
+    assert fam.instantiate(values) == fam.instantiate(dict(values)) != before
+
+
+def test_a_merged_draw_is_validated_again(check_domain_calls):
+    fam = catalogue.get("M10").family("case-1")
+    values = fam.random_admissible(random.Random(0))
+    merged = {**values, "j21": Fraction(0)}
+    check_domain_calls.clear()
+    assert _violation(fam, merged) == f"case-1: condition {CASE_1_CONDITION} != 0 violated"
+    assert check_domain_calls == ["case-1"]
+    # a merge that changes nothing is still a plain dict, and is validated
+    assert fam.instantiate({**values}) == fam.instantiate(values)
+    assert check_domain_calls == ["case-1", "case-1"]
+
+
+def test_a_draw_handed_to_another_family_is_validated_again(check_domain_calls):
+    fam = catalogue.get("M10").family("case-1")
+    values = fam.random_admissible(random.Random(0))
+    cond = f"j21 - ({exactnum.rational_str(values['j21'])})"  # zero at this draw
+    mutant = dataclasses.replace(fam, conditions=fam.conditions + (cond,))
+    check_domain_calls.clear()
+    assert _violation(mutant, values) == f"case-1: condition {cond} != 0 violated"
+    # an equal family is another object: it validates the draw too
+    twin = dataclasses.replace(fam)
+    assert twin == fam and twin.instantiate(values) == fam.instantiate(values)
+    assert check_domain_calls == ["case-1", "case-1"]
+
+
+@pytest.mark.parametrize("kind", ["rational", "pm_one", "unit"])
+def test_a_sampled_value_is_the_fraction_of_the_same_draws(kind):
+    spec = ParamSpec("t", kind)
+    if kind == "rational":
+        def oracle(rng):
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    elif kind == "pm_one":
+        def oracle(rng):
+            return Fraction(rng.choice((-1, 1)))
+    else:
+        def oracle(rng):
+            den = rng.randint(1, 9)
+            return Fraction(rng.randint(1, den), den)
+    rng, twin = random.Random(kind), random.Random(kind)
+    values = [spec.sample(rng) for _ in range(2000)]
+    assert values == [oracle(twin) for _ in range(2000)]
+    assert all(type(v) is Fraction for v in values)
+    assert rng.getstate() == twin.getstate()
+    reach = {"rational": {Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)},
+             "pm_one": {Fraction(1), Fraction(-1)},
+             "unit": {Fraction(p, q) for q in range(1, 10) for p in range(1, q + 1)}}
+    assert set(values) == reach[kind]  # every value of the kind is drawn

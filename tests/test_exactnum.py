@@ -311,3 +311,24 @@ def test_the_integer_form_is_the_polynomial_over_one_denominator(p):
                               for e, re, im in form}) == p
     assert C == math.lcm(*(x.denominator for c in p.terms.values() for x in (c.re, c.im)))
     assert deg == max(map(sum, p.terms), default=0)
+
+
+ints = st.integers(min_value=-50, max_value=50)
+quadratic_forms = st.lists(st.tuples(ints, st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 3), ints), max_size=5)), max_size=4)
+
+
+@given(quadratic_forms, st.lists(ints, min_size=4, max_size=4), st.integers(1, 30))
+def test_quadratic_code_is_each_form_times_d_squared(forms, M, D):
+    code = exactnum.quadratic_code(forms, 4)
+    f = [Fraction(m, D) for m in M]
+    values = code(M, D)
+    assert type(values) is tuple and all(type(v) is int for v in values)
+    assert [Fraction(v, D * D) for v in values] == \
+        [const + sum(c * f[p] * f[q] for p, q, c in terms) for const, terms in forms]
+
+
+def test_quadratic_code_of_no_forms_and_of_empty_forms():
+    assert exactnum.quadratic_code([], 0)([], 7) == ()
+    assert exactnum.quadratic_code([(0, ()), (-2, ()), (0, ((1, 1, -1),))], 2)([3, 5], 7) == \
+        (0, -98, -25)

@@ -19,20 +19,20 @@ J0 = AlmostComplexStructure([
     [0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 1, 0]])
 
 
-def test_constraint_eval_zero_iff_integrable():
+def test_constraint_values_zero_iff_integrable():
     g63 = catalogue.get("G6,3").algebra
-    vals = moduli.constraint_eval(g63, J0)
+    vals = list(acs.constraint_values(g63, J0))
     assert len(vals) == 126
     assert all(v == 0 for v in vals)
     identity = AlmostComplexStructure([[1 if i == j else 0 for j in range(6)]
                                        for i in range(6)])
-    vals = moduli.constraint_eval(g63, identity)
+    vals = list(acs.constraint_values(g63, identity))
     # J^2 + 1 block contributes 2 on the diagonal rows
     assert vals[0] == 2 and any(v != 0 for v in vals)
     rng = random.Random(0)
     fam = catalogue.get("G6,3").families[0]
     J = fam.instantiate(fam.random_admissible(rng))
-    assert all(v == 0 for v in moduli.constraint_eval(g63, J))
+    assert all(v == 0 for v in acs.constraint_values(g63, J))
 
 
 def test_rank_and_tangent_examples():
@@ -89,10 +89,10 @@ def _random_direction(rng, n=6):
 
 def _central_difference(L, J, H):
     """(c(J + H) - c(J - H)) / 2, which is exactly dc_J(H) for a quadratic c."""
-    plus = moduli.constraint_eval(L, AlmostComplexStructure(
-        [[a + b for a, b in zip(r, h)] for r, h in zip(J.m, H)]))
-    minus = moduli.constraint_eval(L, AlmostComplexStructure(
-        [[a - b for a, b in zip(r, h)] for r, h in zip(J.m, H)]))
+    plus = list(acs.constraint_values(L, AlmostComplexStructure(
+        [[a + b for a, b in zip(r, h)] for r, h in zip(J.m, H)])))
+    minus = list(acs.constraint_values(L, AlmostComplexStructure(
+        [[a - b for a, b in zip(r, h)] for r, h in zip(J.m, H)])))
     return [(p - q) / 2 for p, q in zip(plus, minus)]
 
 
@@ -238,7 +238,7 @@ def test_rational_structure_constants_stay_exact():
         J = fam.instantiate(fam.random_admissible(rng))
         Js = AlmostComplexStructure([[x * s[c] / s[r] for c, x in enumerate(row)]
                                      for r, row in enumerate(J.m)])
-        assert acs.is_integrable(L, Js) and moduli.constraint_eval(L, Js) == _oracle(L, Js)
+        assert acs.is_integrable(L, Js) and list(acs.constraint_values(L, Js)) == _oracle(L, Js)
         rows = moduli.jacobian_matrix(L, Js)
         H = _random_direction(rng)
         assert _apply(rows, H) == _central_difference(L, Js, H)
@@ -246,7 +246,7 @@ def test_rational_structure_constants_stay_exact():
         mutant[0][3] += Fraction(1, 3)
         mutant = AlmostComplexStructure(mutant)
         assert not acs.is_integrable(L, mutant)
-        assert moduli.constraint_eval(L, mutant) == _oracle(L, mutant)
+        assert list(acs.constraint_values(L, mutant)) == _oracle(L, mutant)
 
 
 def test_dimension_report_reads_the_family_rank_once():
@@ -261,18 +261,33 @@ def test_the_map_and_its_denominator_are_built_once():
     e = catalogue.get("G6,3")
     L = LieAlgebra(6, e.algebra.table)  # a fresh algebra: nothing built yet
     fam, rng = e.families[0], random.Random(4)
-    # the map's build reads the denominator; the SVD path reads the map only
-    # through the gradient pattern, and asks the map and the pattern per point
-    facts = (acs.constraint_map, acs.map_denominator, moduli._gradient_pattern)
+    # the map's build reads the denominator; integrability reads the map only
+    # through its compiled code and the SVD path through the gradient
+    # pattern, and those two are asked per point, the map by them alone
+    facts = (acs.constraint_map, acs.map_denominator, acs._constraint_code,
+             moduli._gradient_pattern)
     before = [f.cache_info() for f in facts]
     for _ in range(3):
         J = fam.instantiate(fam.random_admissible(rng))
         assert acs.is_integrable(L, J)
         moduli.jacobian_rank(L, J)
     after = [f.cache_info() for f in facts]
-    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1, 1]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1, 1, 1]
     asked = [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)]
-    assert asked[0] >= 3 and asked[2] >= 3  # asked at every point
+    assert asked[0] == 2  # once by each of its two readers, never per point
+    assert asked[2] >= 3 and asked[3] >= 3  # asked at every point
+
+
+def test_the_family_rank_is_derived_once_per_family():
+    e = catalogue.get("M10")
+    fam = dataclasses.replace(e.families[0], name="renamed")  # a family not seen yet
+    with mock.patch.object(JFamily, "continuous_params",
+                           autospec=True, side_effect=JFamily.continuous_params) as spy:
+        reports = [moduli.dimension_report(e, fam, samples=1, seed=seed) for seed in range(5)]
+    # one derivation reads the parameters; each report reads them once more
+    # for its n_free_params
+    assert spy.call_count == 1 + 5
+    assert [r["samples"][0]["family_rank"] for r in reports] == [r["n_free_params"] for r in reports]
 
 
 def test_a_rank_still_unstable_after_the_last_redraw_is_decided_exactly():
@@ -304,5 +319,6 @@ def test_family_rank_refuses_a_family_without_its_certificate(mutation):
         mutant = dataclasses.replace(fam, entries=tuple(tuple(r) for r in rows))
     else:
         mutant = dataclasses.replace(fam, defs=fam.defs + (("j12", "2*j11"),))
-    with pytest.raises(ValueError, match="parameter j12 "):
-        moduli.family_rank(mutant)
+    for _ in range(2):  # a raise is not cached
+        with pytest.raises(ValueError, match="parameter j12 "):
+            moduli.family_rank(mutant)

@@ -7,7 +7,8 @@ Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
 check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
-exactnum (integer code) and expr (formula code) generate code.  Only moduli
+exactnum (integer code) and expr (formula code) generate code, and only
+exactnum sums the quadratic forms of the constraint map.  Only moduli
 imports numpy, for its one SVD.
 """
 
@@ -23,12 +24,13 @@ import nilcomplex
 PACKAGE = Path(nilcomplex.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GENERATED = {"_families.py", "_chartsrc.py"}
-# claim checks and an oracle that only the tests call
+# claim checks, an oracle and the constraint map's exact values, which only
+# the tests call
 TEST_ONLY = {"apply_derivation", "translated_chart_is_holomorphic",
              "chi_depends_on_conjugate", "m10_equivalence_relation",
-             "m5_case21_relation"}
+             "m5_case21_relation", "constraint_values"}
 # unbounded caches whose first parameter is not a LieAlgebra
-UNBOUNDED = {"expr._compile", "acs._square_forms", "group.m5_natural_fields"}
+UNBOUNDED = {"expr._compile", "acs._square_code", "group.m5_natural_fields"}
 
 sys.path.insert(0, str(PERFBENCH))
 import tracer  # noqa: E402
@@ -249,6 +251,71 @@ def test_the_codegen_rule_accepts():
     source = ('def f(p, env):\n    """eval p; exec nothing."""\n'
               "    pattern = re.compile(r'\\d+')\n    return p.eval(env), 'exec'\n")
     assert codegen_offenders("group", ast.parse(source)) == []
+
+
+def _unpacked_triple(target: ast.expr) -> set:
+    """The three names a loop target (p, q, c) binds, or the empty set."""
+    if isinstance(target, ast.Tuple) and len(target.elts) == 3 \
+            and all(isinstance(t, ast.Name) for t in target.elts):
+        return {t.id for t in target.elts}
+    return set()
+
+
+def _quadratic_terms(node: ast.AST, names: set) -> list:
+    """Products under node with two factors subscripted by the names, as
+    c*M[p]*M[q] reads one term of a quadratic form."""
+    return [m for m in ast.walk(node)
+            if isinstance(m, ast.BinOp) and isinstance(m.op, ast.Mult)
+            and sum(isinstance(f, ast.Subscript) and getattr(f.slice, "id", None) in names
+                    for f in ast.walk(m)) >= 2]
+
+
+def form_sum_offenders(module: str, tree: ast.AST) -> list:
+    """Every loop or comprehension over (p, q, c) terms whose body or element
+    multiplies two values indexed by p and q, named module:line: a sum of
+    the constraint map's forms outside exactnum.quadratic_code."""
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            loops = [(node.target, node.body)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            elt = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            loops = [(g.target, elt) for g in node.generators]
+        else:
+            continue
+        for target, body in loops:
+            names = _unpacked_triple(target)
+            if names and any(_quadratic_terms(b, names) for b in body):
+                offenders.append(f"{module}:{node.lineno}")
+    return offenders
+
+
+def test_only_exactnum_sums_the_forms():
+    # one evaluator of the constraint map: the code quadratic_code compiles
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        if path.relative_to(PACKAGE) != Path("exactnum.py"):
+            offenders += form_sum_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(forms, M, D):\n    for const, terms in forms:\n        v = const * D * D\n"
+    "        for p, q, c in terms:\n            v += c * M[p] * M[q]\n        yield v\n",
+    "v = sum(c * M[p] * M[q] for p, q, c in terms)\n",
+    "v = [M[q] * (M[p] * c) for (p, q, c) in terms]\n",
+    "for p, q, c in constraint_map(L)[row][1]:\n    total = total + c * f[p] * f[q]\n",
+], ids=["loop", "sum", "list", "terms-of-the-map"])
+def test_the_form_rule_refuses(source):
+    assert len(form_sum_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_form_rule_accepts():
+    # the gradient is linear in M: one factor per term is no form value
+    source = ("def g(terms, M, row):\n    for p, q, c in terms:\n        row[p] += c * M[q]\n"
+              "        row[q] += c * M[p]\n"
+              "    return [M[i] * M[j] for i, j in pairs], code(M, D)\n")
+    assert form_sum_offenders("moduli", ast.parse(source)) == []
 
 
 NUMPY_MODULES = {Path("moduli.py")}
