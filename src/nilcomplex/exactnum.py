@@ -106,7 +106,9 @@ def quadratic_code(forms: Sequence[tuple], size: int):
     rows = []
     for const, terms in forms:
         parts = [_term(c, [m[p], m[q]], 0) for p, q, c in terms]
-        rows.append(" + ".join(parts + [_term(const, [], 2)] * bool(const)) or "0")
+        if const:
+            parts.append(_term(const, [], 2))
+        rows.append(" + ".join(parts) or "0")
     src = "\n ".join(["def code(M, D):",
                        f"({''.join(x + ', ' for x in m)}) = M",
                        "D2 = D*D",
