@@ -3,21 +3,21 @@ subalgebra m = g^(1,0) and its abelian/Heisenberg classification.
 
 A J is an exact rational matrix, held as ints M over one denominator D
 when it is built that way (a family member is) and as Fraction rows once
-they are read.  J is read through one object, `constraint_map`: its forms
-have int coefficients over one denominator E per algebra, so at J = M/D
-each component times E*D^2 is an int.  One integer evaluator,
-exactnum.quadratic_code, compiles the map once per algebra and the J^2 + 1
-forms once per dimension into straight-line code; `square_check`,
-integrability, closure of m and `constraint_values` run that code, test
-its ints against zero and never divide, and the moduli Jacobian reads the
-map's terms.  m is represented by its generators x~_j = x_j - i Jx_j;
-`nijenhuis` is the per-pair oracle."""
+they are read.  J is read through one object, `constraint_map`, and an
+automorphism phi through `automorphism_forms`: one walk of the structure
+constants builds both, with int coefficients over one denominator E per
+algebra, so at M/D each component times E*D^2 is an int.  One integer
+evaluator, exactnum.quadratic_code, compiles each once per algebra and the
+J^2 + 1 forms once per dimension into straight-line code; `square_check`,
+integrability, closure of m, `constraint_values` and orbits.is_automorphism
+run it and test its ints against zero, and the moduli Jacobian reads the
+map's terms.  m is spanned by x~_j = x_j - i Jx_j; `nijenhuis` is the per-pair oracle."""
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import GaussianRational, common_denominator, quadratic_code, rational_str
@@ -129,16 +129,9 @@ def _quadratic_form(const: int, triples):
     return const, tuple((p, q, c) for (p, q), c in sorted(terms.items()) if c)
 
 
-def _torsion_terms(nonzero, n: int, i: int, j: int, k: int):
-    """Entry k of [Jx_i, Jx_j] - J[Jx_i, x_j] - J[x_i, Jx_j], from the
-    nonzero structure constants [x_a, x_b]_m = c."""
-    for a, b, m, c in nonzero:
-        if m == k:
-            yield a * n + i, b * n + j, c
-        if b == j:
-            yield k * n + m, a * n + i, -c
-        if a == i:
-            yield k * n + m, b * n + j, -c
+def _bracket_terms(ad: Dict, n: int, i: int, j: int, k: int, sign: int):
+    """sign times entry k of [fx_i, fx_j], f the n x n matrix row by row."""
+    return ((a * n + i, b * n + j, sign * c) for (a, b, m), c in ad.items() if m == k)
 
 
 def _square_forms(n: int, scale: int = 1) -> Tuple:
@@ -163,6 +156,15 @@ def map_denominator(L: LieAlgebra) -> int:
 
 
 @functools.cache
+def _structure_constants(L: LieAlgebra) -> Dict[Tuple[int, int, int], int]:
+    """{(a, b, m): c} for E*[x_a, x_b] = ... + c x_m, c != 0, 0-indexed and in
+    ints (cached): the one walk of the table that both bracket maps read."""
+    n, E = L.dim, map_denominator(L)
+    return {(a, b, m): int(E * c) for a in range(n) for b in range(n)
+            for m, c in enumerate(L.bracket_basis(a + 1, b + 1)) if c}
+
+
+@functools.cache
 def constraint_map(L: LieAlgebra) -> Tuple:
     """The 126 components of J -> (J^2 + 1, N), times E, as quadratic forms
     with int coefficients (cached); E is map_denominator(L).
@@ -173,14 +175,25 @@ def constraint_map(L: LieAlgebra) -> Tuple:
     N(x_i, x_j) = [Jx_i, Jx_j] - [x_i, x_j] - J[Jx_i, x_j] - J[x_i, Jx_j]
     for i < j, one row per component.
     """
-    n, E = L.dim, map_denominator(L)
-    ad = [[[int(E * c) for c in L.bracket_basis(a, b)] for b in range(1, n + 1)]
-          for a in range(1, n + 1)]  # E times the structure constants, in ints
-    nonzero = [(a, b, m, c) for a in range(n) for b in range(n)
-               for m, c in enumerate(ad[a][b]) if c]
-    return _square_forms(n, E) + tuple(
-        _quadratic_form(-ad[i][j][k], _torsion_terms(nonzero, n, i, j, k))
+    n, ad = L.dim, _structure_constants(L)
+    return _square_forms(n, map_denominator(L)) + tuple(
+        _quadratic_form(-ad.get((i, j, k), 0), chain(
+            _bracket_terms(ad, n, i, j, k, 1),
+            ((k * n + m, a * n + i, -c) for (a, b, m), c in ad.items() if b == j),
+            ((k * n + m, b * n + j, -c) for (a, b, m), c in ad.items() if a == i)))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
+
+
+@functools.cache
+def automorphism_forms(L: LieAlgebra) -> Tuple:
+    """The nonzero components of E*(phi[x_i, x_j] - [phi x_i, phi x_j]), i < j, as forms
+    in phi's n*n entries and one more variable, 1, that carries the linear part (cached)."""
+    n, ad = L.dim, _structure_constants(L)
+    forms = (_quadratic_form(0, chain(
+        ((k * n + m, n * n, c) for (a, b, m), c in ad.items() if (a, b) == (i, j)),
+        _bracket_terms(ad, n, i, j, k, -1)))
+        for i in range(n) for j in range(i + 1, n) for k in range(n))
+    return tuple(form for form in forms if form[1])
 
 
 def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
@@ -200,6 +213,12 @@ def _constraint_code(L: LieAlgebra):
     """constraint_map(L), compiled (cached): (M, D) -> E*D^2 times each
     component at J = M/D, in ints."""
     return quadratic_code(constraint_map(L), L.dim * L.dim)
+
+
+@functools.cache
+def automorphism_code(L: LieAlgebra):
+    """automorphism_forms(L), compiled (cached): code(M + [D], D) at phi = M/D."""
+    return quadratic_code(automorphism_forms(L), L.dim * L.dim + 1)
 
 
 def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:

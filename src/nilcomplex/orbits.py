@@ -1,11 +1,13 @@
 """Automorphism action on complex structures: witnesses and invariants.
 
 Deciding equivalence of two arbitrary structures is a polynomial-system
-feasibility problem with no uniform exact algorithm at this scale; we
-only verify explicit witnesses, compute orbit invariants, and implement
-the two explicit parameter-level equivalence predicates (M10 and the M5
-case-2.1 stratum).  A best-effort randomized search is available behind an
-explicit call and returns "inconclusive" rather than "not equivalent".
+feasibility problem with no uniform exact algorithm at this scale; we only
+verify explicit witnesses (`is_automorphism` runs in ints: acs's compiled
+automorphism forms at phi = M/D, then an integer rank), compute orbit
+invariants, and implement the two explicit parameter-level equivalence
+predicates (M10 and the M5 case-2.1 stratum).  A best-effort randomized
+search is available behind an explicit call and returns "inconclusive"
+rather than "not equivalent".
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from . import linalg
-from .acs import AlmostComplexStructure, classify_m
+from .acs import AlmostComplexStructure, automorphism_code, classify_m
 from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted, get
+from .exactnum import common_denominator
 from .expr import evaluate
 from .liecore import LieAlgebra
 
@@ -26,31 +29,24 @@ class NotAutomorphism(ValueError):
 
 
 def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact check: invertible and bracket-preserving on all basis pairs."""
+    """Exact, in ints: phi = M/D has integer rank n and zeroes acs.automorphism_forms(L)."""
     n = L.dim
-    phi = [[Fraction(x) for x in row] for row in phi]
+    phi = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in phi]
     if len(phi) != n or any(len(r) != n for r in phi):
         return False
-    if linalg.rank(phi) < n:
-        return False
-    cols = [[phi[r][c] for r in range(n)] for c in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = linalg.mat_vec(phi, L.bracket_basis(i + 1, j + 1))
-            rhs = L.bracket(cols[i], cols[j])
-            if lhs != rhs:
-                return False
-    return True
+    M, D = common_denominator([x for row in phi for x in row])
+    return not any(automorphism_code(L)(M + [D], D)) \
+        and linalg.integer_rank([M[r:r + n] for r in range(0, n * n, n)]) == n
 
 
 def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
         J: AlmostComplexStructure) -> AlmostComplexStructure:
-    """The action J -> phi^-1 J phi; requires phi in Aut(L)."""
+    """The action J -> phi^-1 J phi; requires phi in Aut(L).  J keeps its (M, D)."""
+    phi = [[Fraction(x) for x in row] for row in phi]
     if not is_automorphism(L, phi):
         raise NotAutomorphism("matrix does not preserve the brackets")
-    phi = [[Fraction(x) for x in row] for row in phi]
     inv = linalg.inverse(phi)
-    return AlmostComplexStructure(linalg.mat_mul(inv, linalg.mat_mul(J.m, phi)))
+    return AlmostComplexStructure(linalg.mat_mul(inv, linalg.mat_mul(J._entries(), phi)))
 
 
 def verify_witness(L: LieAlgebra, J1: AlmostComplexStructure,

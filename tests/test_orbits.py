@@ -1,11 +1,16 @@
 import dataclasses
+import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilcomplex import catalogue, linalg, orbits
+from nilcomplex import acs, catalogue, cli, linalg, orbits
+from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import DomainViolation
+from nilcomplex.exactnum import common_denominator
 from nilcomplex.expr import ExprError
 
 G63_WITNESS_M = [
@@ -15,15 +20,51 @@ G63_WITNESS_M = [
 FLIP = [[1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
         [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, -1]]
 
+I6 = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+
+FAMILIES = {f"{e.name}/{fam.name}": (e.algebra, fam)
+            for e in catalogue.entries() for fam in e.automorphisms}
+
+
+def _oracle(L, phi):
+    """The oracle of orbits.is_automorphism, its former Fraction loop: rank
+    n, and phi[x_i, x_j] = [phi x_i, phi x_j] on every basis pair."""
+    n = L.dim
+    phi = [[Fraction(x) for x in row] for row in phi]
+    if len(phi) != n or any(len(r) != n for r in phi):
+        return False
+    if linalg.rank(phi) < n:
+        return False
+    cols = [[phi[r][c] for r in range(n)] for c in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = linalg.mat_vec(phi, L.bracket_basis(i + 1, j + 1))
+            rhs = L.bracket(cols[i], cols[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _agrees(L, phi, seed):
+    """The verdicts on phi and on phi with one entry moved (a move drawn
+    from its own seed), after asserting that the oracle gives the same."""
+    rng = random.Random(seed)
+    mutant = [[Fraction(x) for x in row] for row in phi]
+    step = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+    mutant[rng.randrange(6)][rng.randrange(6)] += step
+    verdicts = [orbits.is_automorphism(L, P) for P in (phi, mutant)]
+    assert verdicts == [_oracle(L, P) for P in (phi, mutant)], (phi, mutant)
+    return verdicts
+
 
 def test_is_automorphism():
     e = catalogue.get("G6,3")
-    I6 = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     assert orbits.is_automorphism(e.algebra, I6)
     rng = random.Random(0)
     aut = e.automorphisms[0]
     phi = aut.instantiate_matrix(aut.random_admissible(rng))
     assert orbits.is_automorphism(e.algebra, phi)
+    _agrees(e.algebra, phi, 0)
     scrambled = [row[:] for row in phi]
     scrambled[0][3] = Fraction(7)  # break the derived block structure
     assert not orbits.is_automorphism(e.algebra, scrambled)
@@ -36,6 +77,141 @@ def test_catalogue_automorphism_families():
             for _ in range(4):
                 phi = fam.instantiate_matrix(fam.random_admissible(rng))
                 assert orbits.is_automorphism(e.algebra, phi), (e.name, fam.name)
+                _agrees(e.algebra, phi, f"{e.name}/{fam.name}/{_}")
+
+
+def test_the_forms_agree_with_the_oracle_on_the_report_draws():
+    # report checks five draws of each family, at seeds 0-4
+    mutants = set()
+    for name, (L, fam) in FAMILIES.items():
+        for seed in range(5):
+            phi = fam.instantiate_matrix(fam.random_admissible(seed))
+            verdict, mutant = _agrees(L, phi, f"{name}/{seed}")
+            assert verdict, name
+            mutants.add(mutant)
+    assert mutants == {True, False}  # a move along a free parameter stays inside
+
+
+@pytest.mark.parametrize("phi", [
+    [[0] * 6 for _ in range(6)],  # preserves every bracket, but of rank 0
+    I6[:5],
+    [row[:5] for row in I6],
+    I6[:5] + [[0, 0, 0, 0, 0, 1, 0]],
+], ids=["zero", "five-rows", "five-columns", "ragged"])
+def test_a_singular_or_misshapen_matrix_is_no_automorphism(phi):
+    for e in catalogue.entries():
+        assert not orbits.is_automorphism(e.algebra, phi) and not _oracle(e.algebra, phi)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_perturbed_automorphism_form_fails_a_known_automorphism(monkeypatch, name, where):
+    """One coefficient of acs.automorphism_forms(L) moved before compiling,
+    at a term that is nonzero at phi: is_automorphism must then refuse phi."""
+    L, fam = FAMILIES[name]
+    phi = fam.instantiate_matrix(fam.random_admissible(0))
+    assert orbits.is_automorphism(L, phi) and _oracle(L, phi)
+    M, D = common_denominator([x for row in phi for x in row])
+    point, forms = M + [D], list(acs.automorphism_forms(L))
+    moved = [(r, t) for r, (_, terms) in enumerate(forms)
+             for t, (p, q, _) in enumerate(terms) if point[p] and point[q]]
+    r, t = moved[0 if where == "first" else -1]
+    const, terms = forms[r]
+    p, q, c = terms[t]
+    forms[r] = (const, terms[:t] + ((p, q, c + 1),) + terms[t + 1:])
+    monkeypatch.setattr(acs, "automorphism_forms", lambda _: tuple(forms))
+    monkeypatch.setattr(orbits, "automorphism_code",
+                        functools.cache(acs.automorphism_code.__wrapped__))
+    assert not orbits.is_automorphism(L, phi)
+
+
+def test_the_forms_have_int_coefficients_and_none_is_zero():
+    for e in catalogue.entries():
+        forms = acs.automorphism_forms(e.algebra)
+        assert 42 <= len(forms) <= 70
+        assert all(const == 0 and terms for const, terms in forms)
+        assert all(type(x) is int for _, terms in forms for t in terms for x in t)
+
+
+CELLS = st.integers(0, 35)
+STEPS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                         Fraction(-3, 2)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 10 ** 6), CELLS, STEPS)
+def test_the_forms_agree_with_the_oracle_on_moved_members(name, seed, cell, step):
+    L, fam = FAMILIES[name]
+    phi = fam.instantiate_matrix(fam.random_admissible(seed))
+    phi[cell // 6][cell % 6] += step
+    assert orbits.is_automorphism(L, phi) == _oracle(L, phi)
+
+
+def _identity_plus(moves):
+    """The identity with small ints added at a few cells."""
+    phi = [row[:] for row in I6]
+    for cell, step in moves:
+        phi[cell // 6][cell % 6] += step
+    return phi
+
+
+SMALL = st.integers(-2, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([e.algebra for e in catalogue.entries()]),
+       st.one_of(st.lists(st.lists(SMALL, min_size=6, max_size=6), min_size=6, max_size=6),
+                 st.lists(st.tuples(CELLS, SMALL), max_size=3).map(_identity_plus)))
+def test_the_forms_agree_with_the_oracle_on_small_integer_matrices(L, phi):
+    assert orbits.is_automorphism(L, phi) == _oracle(L, phi)
+
+
+def test_act_keeps_the_integer_form_of_a_member():
+    e = catalogue.get("G6,3")
+    fam, aut = e.families[0], e.automorphisms[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(6)))
+    stored = J._ints
+    rows = AlmostComplexStructure([[Fraction(x) for x in row] for row in J.to_json()])
+    for phi in (I6, aut.instantiate_matrix(aut.random_admissible(6))):
+        out = orbits.act(e.algebra, phi, J)
+        assert J._ints is stored
+        assert out == orbits.act(e.algebra, phi, rows)
+    assert orbits.act(e.algebra, I6, J) == J
+
+
+def test_the_cli_prints_the_same_with_the_oracle(monkeypatch, capsys, tmp_path):
+    e = catalogue.get("G6,3")
+    J0, J1, J2 = (e.representative(r).instantiate({}) for r in ("J0", "J1", "J2"))
+    aut = e.automorphisms[0]  # the first matrix the search below samples
+    found = orbits.act(e.algebra, aut.instantiate_matrix(aut.random_admissible(0)), J1)
+
+    def strings(matrix):
+        return [[str(x) for x in row] for row in matrix]
+
+    files = {"j": J1.to_json(), "flip": strings(FLIP),
+             "bad": strings([[1, 1, 0, 0, 0, 0]] + I6[1:]),
+             "witness": {"algebra": "G6,3", "J1": J2.to_json(), "J2": J1.to_json(),
+                         "phi": strings(G63_WITNESS_M)},
+             "wrong": {"algebra": "G6,3", "J1": J1.to_json(), "J2": J2.to_json(),
+                       "phi": strings(I6)},
+             "pair": {"algebra": "G6,3", "J1": J0.to_json(), "J2": (-J0).to_json()},
+             "found": {"algebra": "G6,3", "J1": J1.to_json(), "J2": found.to_json()}}
+    for name, doc in files.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    commands = [["report", name, "--json"] for name in ("G6,3", "M5", "M18+1")] + [
+        ["act", "--algebra", "G6,3", "--j", files["j"], "--phi", files[phi]]
+        for phi in ("flip", "bad")] + [
+        ["verify-witness", files[doc]] for doc in ("witness", "wrong")] + [
+        ["verify-witness", files[doc], "--search", "40"] for doc in ("pair", "found")]
+
+    def outputs():
+        return [(cli.main(argv), capsys.readouterr().out) for argv in commands]
+
+    shipped = outputs()
+    assert [code for code, _ in shipped] == [0, 0, 0, 0, 1, 0, 1, 1, 0]
+    monkeypatch.setattr(orbits, "is_automorphism", _oracle)
+    assert outputs() == shipped
 
 
 def test_act_examples():
@@ -43,7 +219,6 @@ def test_act_examples():
     J1 = e.representative("J1").instantiate({})
     J2 = e.representative("J2").instantiate({})
     J0 = e.representative("J0").instantiate({})
-    I6 = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     assert orbits.act(e.algebra, I6, J1) == J1
     # the explicit equivalence J2 -> J1
     assert orbits.act(e.algebra, G63_WITNESS_M, J2) == J1
@@ -93,6 +268,8 @@ def test_group_action_composition():
             J = fam.instantiate(fam.random_admissible(rng))
             p1 = aut.instantiate_matrix(aut.random_admissible(rng))
             p2 = aut.instantiate_matrix(aut.random_admissible(rng))
+            _agrees(e.algebra, p1, f"{name}/{_}/p1")
+            _agrees(e.algebra, p2, f"{name}/{_}/p2")
             lhs = orbits.act(e.algebra, p2, orbits.act(e.algebra, p1, J))
             rhs = orbits.act(e.algebra, linalg.mat_mul(p1, p2), J)
             assert lhs == rhs
@@ -175,6 +352,7 @@ def test_m5_complex_subgroup_fixes_canonical_structure():
         except DomainViolation:
             continue
         assert orbits.act(e.algebra, phi, J0) == J0
+        _agrees(e.algebra, phi, hits)
         hits += 1
 
 

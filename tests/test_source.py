@@ -8,8 +8,8 @@ source strings or small integers: sampled points come without end.  No
 check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
 exactnum (integer code) and expr (formula code) generate code, and only
-exactnum sums the quadratic forms of the constraint map.  Only moduli
-imports numpy, for its one SVD.
+exactnum sums the quadratic forms of the constraint map and of the
+automorphism map.  Only moduli imports numpy, for its one SVD.
 """
 
 import ast
@@ -273,7 +273,8 @@ def _quadratic_terms(node: ast.AST, names: set) -> list:
 def form_sum_offenders(module: str, tree: ast.AST) -> list:
     """Every loop or comprehension over (p, q, c) terms whose body or element
     multiplies two values indexed by p and q, named module:line: a sum of
-    the constraint map's forms outside exactnum.quadratic_code."""
+    the constraint map's or the automorphism map's forms outside
+    exactnum.quadratic_code."""
     offenders = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -291,7 +292,7 @@ def form_sum_offenders(module: str, tree: ast.AST) -> list:
 
 
 def test_only_exactnum_sums_the_forms():
-    # one evaluator of the constraint map: the code quadratic_code compiles
+    # one evaluator of both bracket maps: the code quadratic_code compiles
     offenders = []
     for path, tree in _trees(PACKAGE):
         if path.relative_to(PACKAGE) != Path("exactnum.py"):
@@ -305,7 +306,8 @@ def test_only_exactnum_sums_the_forms():
     "v = sum(c * M[p] * M[q] for p, q, c in terms)\n",
     "v = [M[q] * (M[p] * c) for (p, q, c) in terms]\n",
     "for p, q, c in constraint_map(L)[row][1]:\n    total = total + c * f[p] * f[q]\n",
-], ids=["loop", "sum", "list", "terms-of-the-map"])
+    "ok = not any(sum(c * M[p] * M[q] for p, q, c in t) for _, t in automorphism_forms(L))\n",
+], ids=["loop", "sum", "list", "terms-of-the-map", "automorphism-forms"])
 def test_the_form_rule_refuses(source):
     assert len(form_sum_offenders("m", ast.parse(source))) == 1
 
