@@ -242,7 +242,8 @@ def _svd_input(L, J):
 
 def test_the_map_has_int_coefficients():
     """The forms are evaluated in ints: a Fraction here would leave that path."""
-    forms = [f for e in catalogue.entries() for f in acs.constraint_map(e.algebra)]
+    forms = [f for e in catalogue.entries()
+             for f in acs.constraint_map(e.algebra) + acs.automorphism_forms(e.algebra)]
     for const, terms in forms + list(acs._square_forms(6)):
         assert type(const) is int
         assert all(type(x) is int for t in terms for x in t)

@@ -125,12 +125,11 @@ def test_a_perturbed_automorphism_form_fails_a_known_automorphism(monkeypatch, n
     assert not orbits.is_automorphism(L, phi)
 
 
-def test_the_forms_have_int_coefficients_and_none_is_zero():
+def test_the_forms_are_the_nonzero_ones():
     for e in catalogue.entries():
         forms = acs.automorphism_forms(e.algebra)
         assert 42 <= len(forms) <= 70
         assert all(const == 0 and terms for const, terms in forms)
-        assert all(type(x) is int for _, terms in forms for t in terms for x in t)
 
 
 CELLS = st.integers(0, 35)
