@@ -43,8 +43,8 @@ class AlmostComplexStructure:
     `from_integers` builds one from ints M over one denominator D without
     a Fraction; the rows are then built when first read.  `.m` hands out
     the mutable rows, so reading it makes them the truth from then on: a
-    change to an entry reaches every check.  The package's read-only
-    accessors read the rows and keep (M, D)."""
+    change to an entry reaches every check.  `rows()` and the package's
+    other read-only accessors read the rows and keep (M, D)."""
 
     __slots__ = ("dim", "_rows", "_ints")
 
@@ -65,8 +65,8 @@ class AlmostComplexStructure:
         J.dim, J._rows, J._ints = n, None, (M, D)
         return J
 
-    def _entries(self) -> List[List[Fraction]]:
-        """The Fraction rows, built on first read, for read-only use."""
+    def rows(self) -> List[List[Fraction]]:
+        """The Fraction rows, built on first read, for read-only use: J keeps (M, D)."""
         if self._rows is None:
             (M, D), n = self._ints, self.dim
             self._rows = [[Fraction(x, D) for x in M[r:r + n]] for r in range(0, n * n, n)]
@@ -74,35 +74,35 @@ class AlmostComplexStructure:
 
     @property
     def m(self) -> List[List[Fraction]]:
-        rows = self._entries()
+        rows = self.rows()
         self._ints = None  # the caller may change the rows
         return rows
 
     def __getitem__(self, rc: Tuple[int, int]) -> Fraction:
         r, c = rc
-        return self._entries()[r - 1][c - 1]
+        return self.rows()[r - 1][c - 1]
 
     def column(self, j: int) -> List[Fraction]:
-        return [row[j - 1] for row in self._entries()]
+        return [row[j - 1] for row in self.rows()]
 
     def __eq__(self, other):
         if not isinstance(other, AlmostComplexStructure):
             return NotImplemented
-        return self._entries() == other._entries()
+        return self.rows() == other.rows()
 
     def __neg__(self):
-        return AlmostComplexStructure([[-x for x in row] for row in self._entries()])
+        return AlmostComplexStructure([[-x for x in row] for row in self.rows()])
 
     def square_check(self) -> bool:
         """J^2 = -1: the J^2 + 1 rows of the constraint map vanish."""
         return not any(_square_code(self.dim)(*integer_point(self, self.dim)))
 
     def to_json(self):
-        return [[rational_str(x) for x in row] for row in self._entries()]
+        return [[rational_str(x) for x in row] for row in self.rows()]
 
     def __repr__(self):
         return "ACS(" + "; ".join(" ".join(rational_str(x) for x in row)
-                                  for row in self._entries()) + ")"
+                                  for row in self.rows()) + ")"
 
 
 def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[Fraction]:
@@ -113,7 +113,7 @@ def nijenhuis(L: LieAlgebra, J: AlmostComplexStructure, i: int, j: int) -> List[
     Jj = J.column(j)
     t1 = L.bracket(Ji, Jj)
     t2 = L.bracket(ei, ej)
-    rows = J._entries()
+    rows = J.rows()
     t3 = linalg.mat_vec(rows, L.bracket(Ji, ej))
     t4 = linalg.mat_vec(rows, L.bracket(ei, Jj))
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
@@ -129,9 +129,9 @@ def _quadratic_form(const: int, triples):
     return const, tuple((p, q, c) for (p, q), c in sorted(terms.items()) if c)
 
 
-def _bracket_terms(ad: Dict, n: int, i: int, j: int, k: int, sign: int):
-    """sign times entry k of [fx_i, fx_j], f the n x n matrix row by row."""
-    return ((a * n + i, b * n + j, sign * c) for (a, b, m), c in ad.items() if m == k)
+def _bracket_terms(ad: Dict, n: int, i: int, j: int, k: int):
+    """Entry k of [fx_i, fx_j], f the n x n matrix row by row."""
+    return ((a * n + i, b * n + j, c) for (a, b, m), c in ad.items() if m == k)
 
 
 def _square_forms(n: int, scale: int = 1) -> Tuple:
@@ -178,7 +178,7 @@ def constraint_map(L: LieAlgebra) -> Tuple:
     n, ad = L.dim, _structure_constants(L)
     return _square_forms(n, map_denominator(L)) + tuple(
         _quadratic_form(-ad.get((i, j, k), 0), chain(
-            _bracket_terms(ad, n, i, j, k, 1),
+            _bracket_terms(ad, n, i, j, k),
             ((k * n + m, a * n + i, -c) for (a, b, m), c in ad.items() if b == j),
             ((k * n + m, b * n + j, -c) for (a, b, m), c in ad.items() if a == i)))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
@@ -186,12 +186,12 @@ def constraint_map(L: LieAlgebra) -> Tuple:
 
 @functools.cache
 def automorphism_forms(L: LieAlgebra) -> Tuple:
-    """The nonzero components of E*(phi[x_i, x_j] - [phi x_i, phi x_j]), i < j, as forms
+    """The nonzero components of E*([phi x_i, phi x_j] - phi[x_i, x_j]), i < j, as forms
     in phi's n*n entries and one more variable, 1, that carries the linear part (cached)."""
     n, ad = L.dim, _structure_constants(L)
     forms = (_quadratic_form(0, chain(
-        ((k * n + m, n * n, c) for (a, b, m), c in ad.items() if (a, b) == (i, j)),
-        _bracket_terms(ad, n, i, j, k, -1)))
+        ((k * n + m, n * n, -c) for (a, b, m), c in ad.items() if (a, b) == (i, j)),
+        _bracket_terms(ad, n, i, j, k)))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
     return tuple(form for form in forms if form[1])
 
@@ -243,7 +243,7 @@ def m_subalgebra(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Gaussian
             if row < L.dim ** 2:
                 raise BadSquare("J^2 != -1")
             raise NotClosed("m is not a subalgebra; J is not integrable")
-    rows = J._entries()
+    rows = J.rows()
     return [[GaussianRational(int(k == j), -rows[k][j]) for k in range(L.dim)]
             for j in range(L.dim)]
 

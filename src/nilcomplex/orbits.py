@@ -46,7 +46,7 @@ def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
     if not is_automorphism(L, phi):
         raise NotAutomorphism("matrix does not preserve the brackets")
     inv = linalg.inverse(phi)
-    return AlmostComplexStructure(linalg.mat_mul(inv, linalg.mat_mul(J._entries(), phi)))
+    return AlmostComplexStructure(linalg.mat_mul(inv, linalg.mat_mul(J.rows(), phi)))
 
 
 def verify_witness(L: LieAlgebra, J1: AlmostComplexStructure,
