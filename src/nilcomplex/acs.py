@@ -43,8 +43,8 @@ class AlmostComplexStructure:
     `from_integers` builds one from ints M over one denominator D without
     a Fraction; the rows are then built when first read.  `.m` hands out
     the mutable rows, so reading it makes them the truth from then on: a
-    change to an entry reaches every check.  `rows()` and the package's
-    other read-only accessors read the rows and keep (M, D)."""
+    change to an entry reaches every check, so the package reads `rows()`
+    and its other read-only accessors, which keep (M, D)."""
 
     __slots__ = ("dim", "_rows", "_ints")
 

@@ -188,7 +188,7 @@ class MatrixFamily:
         return self.matrix(self.scope(values))
 
     def instantiate_matrix(self, values: Mapping[str, Fraction]) -> List[List[Fraction]]:
-        return self.instantiate(values).m
+        return self.instantiate(values).rows()
 
     def random_admissible(self, rng, attempts: int = 400,
                           extra_conditions: Sequence[str] = ()) -> Draw:

@@ -166,7 +166,7 @@ def cmd_sample(args):
           f"{e.name}/{fam.name} sample at "
           + ", ".join(f"{k}={rational_str(v)}" for k, v in sorted(values.items()))
           + f"\nintegrable: {payload['integrable']}\n"
-          + "\n".join(" ".join(rational_str(x) for x in row) for row in J.m))
+          + "\n".join(" ".join(rational_str(x) for x in row) for row in J.rows()))
     return 0
 
 
@@ -401,10 +401,11 @@ def build_parser():
         p.add_argument("--json", action="store_true")
 
     def member(p):
-        """Where the J comes from: a family or representative, or a file."""
-        p.add_argument("--family")
-        p.add_argument("--rep")
-        p.add_argument("--j", help="JSON file with a 6x6 matrix")
+        """Where the J comes from: a family, a representative or a file (one at most)."""
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--family")
+        source.add_argument("--rep")
+        source.add_argument("--j", help="JSON file with a 6x6 matrix")
         p.add_argument("--param", action="append", metavar="K=V")
 
     p = sub.add_parser("list", help="catalogued algebras")

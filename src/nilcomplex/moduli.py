@@ -9,12 +9,13 @@ algebra's denominator E, so at J = M/D one int gradient E*D*Jac is built
 per point: `jacobian_matrix` divides it into exact Fractions, and
 `jacobian_rank` decides its rank (scaling moves no relative threshold)
 from floating singular values with a two-threshold guard.  The gradient is
-linear in M, so the SVD's input is scattered in int64 from a per-algebra
-pattern of (cell, entry, c); while max|M| times the largest per-cell sum
-of |c| is below 2^63 every int64 step is exact and the float matrix is the
-one the Python ints give, bit for bit, and beyond that bound it is built
-from the Python ints.  The SVD can miss rank but never invent it, so a
-rank short of the expected one is re-decided exactly, by fraction-free
+linear in M, so the SVD's input is one unbuffered int64 add (np.add.at) of
+c*M[entry] into cells, over a flat per-algebra pattern of (cell, entry, c)
+triples; while max|M| times the largest per-cell sum of |c| is below 2^63
+every partial sum, in any order, is an exact int64 and the float matrix is
+the one the Python ints give, bit for bit, and beyond that bound it is
+built from the Python ints.  The SVD can miss rank but never invent it, so
+a rank short of the expected one is re-decided exactly, by fraction-free
 elimination of the same int gradient (linalg.integer_rank).
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
@@ -68,30 +69,20 @@ def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fract
 
 
 @functools.cache
-def _gradient_pattern(L: LieAlgebra) -> Tuple[Tuple, int, Tuple[int, int]]:
-    """_gradient as a scatter, read once from constraint_map (cached): cell
-    pos of the flat E*D*Jac is the sum of c*M[src] over its (pos, src, c),
-    kept in layers of unique positions as int64 arrays, with the largest
-    per-cell sum of |c| and the matrix shape."""
+def _gradient_pattern(L: LieAlgebra) -> Tuple[Tuple[np.ndarray, ...], int, Tuple[int, int]]:
+    """_gradient as one flat scatter, read once from constraint_map (cached):
+    three int64 arrays (pos, src, c), where a term c*f_p*f_q of row r gives
+    (r*n^2 + p, q, c) and (r*n^2 + q, p, c), so that cell pos of the flat
+    E*D*Jac is the sum of c*M[src] over its triples (a cell repeats); with
+    the largest per-cell sum of |c| and the matrix shape."""
     n2 = L.dim * L.dim
     cmap = constraint_map(L)
-    coef: Dict[Tuple[int, int], int] = {}  # (pos, src) -> c
-    for r, (_, terms) in enumerate(cmap):
-        for p, q, c in terms:
-            for key in ((r * n2 + p, q), (r * n2 + q, p)):
-                coef[key] = coef.get(key, 0) + c
-    depth: Dict[int, int] = {}
-    weight: Dict[int, int] = {}
-    layers: List[List[Tuple[int, int, int]]] = []
-    for (pos, src), c in coef.items():
-        if c:
-            k = depth[pos] = depth.get(pos, -1) + 1
-            weight[pos] = weight.get(pos, 0) + abs(c)
-            if k == len(layers):
-                layers.append([])
-            layers[k].append((pos, src, c))
-    return (tuple(tuple(np.array(col, dtype=np.int64) for col in zip(*layer))
-                  for layer in layers), max(weight.values()), (len(cmap), n2))
+    triples = [t for r, (_, terms) in enumerate(cmap) for p, q, c in terms
+               for t in ((r * n2 + p, q, c), (r * n2 + q, p, c))]
+    pos, src, coef = (np.array(col, dtype=np.int64) for col in zip(*triples))
+    weight = np.zeros(len(cmap) * n2, dtype=np.int64)
+    np.add.at(weight, pos, np.abs(coef))
+    return (pos, src, coef), int(weight.max()), (len(cmap), n2)
 
 
 def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
@@ -100,18 +91,17 @@ def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
     of one SVD of E*D*Jac, entry for entry the float of an integer.  Raises
     RankUnstable when the decision flips between tol and 10*tol.
 
-    While max|M| times the pattern's largest sum of |c| is below 2^63, every
-    product and partial sum of the scatter is an exact int64, and the cast
-    rounds each cell as float() rounds the Python int; beyond that bound the
-    matrix comes from _gradient's Python ints.  Either way it is
+    While max|M| times the pattern's largest sum of |c| is below 2^63, one
+    unbuffered np.add.at of c*M[src] into the cells is exact: every product
+    and every partial sum of a cell, in whatever order, is an int64, and the
+    cast rounds each cell as float() rounds the Python int; beyond that
+    bound the matrix comes from _gradient's Python ints.  Either way it is
     np.array(_gradient(L, J)[0], dtype=float), bit for bit."""
-    layers, csum, shape = _gradient_pattern(L)
+    (pos, src, coef), csum, shape = _gradient_pattern(L)
     M, _ = integer_point(J, L.dim)
     if max(map(abs, M)) * csum < 2 ** 63:
-        Mi = np.array(M, dtype=np.int64)
         G = np.zeros(shape[0] * shape[1], dtype=np.int64)
-        for pos, src, c in layers:
-            G[pos] += c * Mi[src]
+        np.add.at(G, pos, coef * np.array(M, dtype=np.int64)[src])
         A = G.astype(float).reshape(shape)
     else:
         A = np.array(_gradient(L, J)[0], dtype=float)

@@ -417,6 +417,30 @@ def test_param_with_j_file_is_a_usage_error(tmp_path, capsys):
                             "--param", "alpha=2"))
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["verify", "classify-m"])
+@pytest.mark.parametrize("first, second", [("--family", "--rep"), ("--family", "--j"),
+                                           ("--rep", "--j")], ids=lambda o: o[2:])
+def test_two_sources_of_j_are_a_usage_error(tmp_path, capsys, command, first, second,
+                                            json_flag):
+    # each source alone gives an integrable J, so one silently dropped would pass
+    J = catalogue.get("G6,7").representative("J_alpha").instantiate({"alpha": 2})
+    value = {"--family": "general", "--rep": "J_alpha",
+             "--j": _write(tmp_path, "j.json", J.to_json())}
+    argv = [command, "--algebra", "G6,7", first, value[first], second, value[second]]
+    message = f"argument {second}: not allowed with argument {first}"
+    if json_flag:
+        code, out = run(capsys, *argv, *json_flag)
+        assert code == 2 and json.loads(out) == {"error": "UsageError", "message": message}
+        return
+    with pytest.raises(SystemExit) as ex:
+        cli.main(argv)
+    assert ex.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: nilcomplex")
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 def test_chart_verify_checks_annihilation_once(monkeypatch, capsys):
     calls = []
     residuals = charts.annihilation_residuals

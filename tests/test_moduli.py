@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -11,7 +12,7 @@ from nilcomplex import acs, catalogue, linalg, moduli
 from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import JFamily, ParamSpec
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
-from test_acs import _oracle, _svd_input
+from test_acs import ALGEBRAS, _dense, _oracle, _svd_input
 
 J0 = AlmostComplexStructure([
     [0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
@@ -164,14 +165,13 @@ def _bound_point(name, over):
     the signs of their c, so that cell is max|M| times the sum; every other
     entry is past 2^53, so the cast to float rounds."""
     L = catalogue.get(name).algebra
-    layers, csum, _ = moduli._gradient_pattern(L)
+    (pos, src, coef), csum, _ = moduli._gradient_pattern(L)
     top = -(-2 ** 63 // csum) if over else (2 ** 63 - 1) // csum
     rng = random.Random(f"{name} {over}")
     M = [rng.choice((-1, 1)) * rng.randint(2 ** 53, top) for _ in range(36)]
     cells = {}
-    for pos, src, c in layers:
-        for p, q, cq in zip(pos.tolist(), src.tolist(), c.tolist()):
-            cells.setdefault(p, []).append((q, cq))
+    for p, q, cq in zip(pos.tolist(), src.tolist(), coef.tolist()):
+        cells.setdefault(p, []).append((q, cq))
     heaviest = next(t for t in cells.values() if sum(abs(c) for _, c in t) == csum)
     for q, c in heaviest:
         M[q] = top if c > 0 else -top
@@ -213,6 +213,49 @@ def test_the_two_jacobian_views_read_one_gradient():
         else:
             with pytest.raises(moduli.RankUnstable):
                 moduli.jacobian_rank(L, J)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_the_pattern_repeats_cells_so_one_unbuffered_add_sums_them(name):
+    # a buffered G[pos] += v keeps one addend per repeated cell; np.add.at
+    # adds them all, and gives _gradient's ints
+    L = ALGEBRAS[name][0]
+    (pos, src, coef), csum, shape = moduli._gradient_pattern(L)
+    assert len(np.unique(pos)) < len(pos)
+    J = _dense(random.Random(name))  # no zero entry: every addend counts
+    M, _ = acs.integer_point(J, 6)
+    assert max(map(abs, M)) * csum < 2 ** 63
+    v = coef * np.array(M, dtype=np.int64)[src]
+    added, buffered = (np.zeros(shape[0] * shape[1], dtype=np.int64) for _ in range(2))
+    np.add.at(added, pos, v)
+    buffered[pos] += v
+    grad = moduli._gradient(L, J)[0]
+    assert added.reshape(shape).tolist() == grad
+    assert buffered.reshape(shape).tolist() != grad
+    assert _svd_input(L, J).tobytes() == np.array(grad, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_the_pattern_bound_is_the_merged_one(name):
+    # the terms of constraint_map, merged by (cell, source): the pattern is
+    # the same linear map, and its bound is the merged largest per-cell sum
+    # of |c|, so the int64 path is taken at the same points
+    L = ALGEBRAS[name][0]
+    n2 = L.dim * L.dim
+    merged = collections.Counter()
+    for r, (_, terms) in enumerate(acs.constraint_map(L)):
+        for p, q, c in terms:
+            merged[r * n2 + p, q] += c
+            merged[r * n2 + q, p] += c
+    weight = collections.Counter()
+    for (cell, _), c in merged.items():
+        weight[cell] += abs(c)
+    (pos, src, coef), csum, _ = moduli._gradient_pattern(L)
+    assert type(csum) is int and csum == max(weight.values())
+    pattern = collections.Counter()
+    for cell, q, c in zip(pos.tolist(), src.tolist(), coef.tolist()):
+        pattern[cell, q] += c
+    assert {k: c for k, c in pattern.items() if c} == {k: c for k, c in merged.items() if c}
 
 
 @pytest.mark.parametrize("check", [moduli.jacobian_matrix, moduli.jacobian_rank,

@@ -9,7 +9,10 @@ check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
 exactnum (integer code) and expr (formula code) generate code, and only
 exactnum sums the quadratic forms of the constraint map and of the
-automorphism map.  Only moduli imports numpy, for its one SVD.
+automorphism map.  Only moduli imports numpy, for its one SVD.  The
+package reads no `.m`: that accessor of AlmostComplexStructure hands out
+mutable rows and drops a member's integer form, so the package reads
+`rows()`.
 """
 
 import ast
@@ -355,3 +358,35 @@ def test_the_numpy_rule_accepts():
     source = ('"""No numpy: import numpy is for moduli."""\nfrom . import linalg\n'
               "import numbers\nfrom .numpy_free import np\nnumpy = linalg.rank\n")
     assert numpy_offenders("linalg", ast.parse(source)) == []
+
+
+def m_read_offenders(module: str, tree: ast.AST) -> list:
+    """Every read of an attribute named m in one module, named module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "m"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_the_package_reads_no_m():
+    # .m is for a caller that changes J's entries (the tests, the benchmark)
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        offenders += m_read_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "rows = J.m\n",
+    "J.m[0][3] += x\n",
+    "def f(self, values):\n    return self.instantiate(values).m\n",
+    "text = '\\n'.join(str(row) for row in J.m)\n",
+], ids=["read", "changed-entry", "returned", "printed"])
+def test_the_m_rule_refuses(source):
+    assert len(m_read_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_m_rule_accepts():
+    source = ("class A:\n    @property\n    def m(self):\n        return self.rows()\n\n"
+              'def f(J, m, inv):\n    """J.m is not read here."""\n'
+              "    m = J.rows()\n    return m, inv['m'], J.m_table, J.mul\n")
+    assert m_read_offenders("acs", ast.parse(source)) == []
