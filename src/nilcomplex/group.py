@@ -25,9 +25,9 @@ scalar monomials by the table's constants.  `commutator_correction`, the
 rule for any X and Y, is the table's oracle; both expand C by one helper.
 
 Collecting once on formal coordinates gives the law mu(a, b) = a*b, and
-from it, without further collection: the inverse (mu(a, x) = 0 solved by
-back-substitution, since mu_m - a_m - b_m involves only coordinates < m),
-the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
+pushing e^{-a_1 x_1}, ..., e^{-a_n x_n} onto the identity in turn gives the
+inverse e^{-a_n x_n} ... e^{-a_1 x_1}.  From mu, without further collection,
+come the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
 sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
 by exactnum.integer_code: int or Fraction coordinates run that code, any
 other coordinates (MultiPoly ones, say) go through MultiPoly.eval of the
@@ -192,23 +192,18 @@ def _mul(L: LieAlgebra):
     """The product law, collected once."""
     a, b = _formal("a", L.dim), _formal("b", L.dim)
     mu = [MultiPoly.coerce(p) for p in collect(L, a, b)]
-    for m in range(L.dim):  # what _inv's back-substitution needs
-        if not (mu[m] - a[m] - b[m]).used_vars() <= {f"{s}{i}" for s in "ab" for i in range(m)}:
-            raise ValueError(f"product coordinate {m} is not triangular")
     return _compile(mu, [p.vars[0] for p in a + b])
 
 
 @cache
 def _inv(L: LieAlgebra):
-    """The inverse law: mu(a, x) = 0 solved for x by back-substitution,
-    coordinate by coordinate."""
-    mu = _mul(L)[0]
-    a, b = _formal("a", L.dim), _formal("b", L.dim)
-    env = {p.vars[0]: p for p in a}
-    for m in range(L.dim):
-        env[f"b{m}"] = -a[m] - MultiPoly.coerce((mu[m] - a[m] - b[m]).eval(env))
-    inv = [env[f"b{m}"] for m in range(L.dim)]
-    return _compile(inv, [p.vars[0] for p in a])
+    """The inverse law: (e^{a_1 x_1} ... e^{a_n x_n})^-1 = e^{-a_n x_n} ... e^{-a_1 x_1},
+    collected by pushing e^{-a_1 x_1}, then e^{-a_2 x_2}, ... onto the identity."""
+    a = _formal("a", L.dim)
+    coords = [0] * L.dim
+    for g in range(1, L.dim + 1):
+        _push_single(L, g, -a[g - 1], coords, start=1)
+    return _compile([MultiPoly.coerce(p) for p in coords], [p.vars[0] for p in a])
 
 
 @cache

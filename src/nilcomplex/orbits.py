@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from . import linalg
-from .acs import AlmostComplexStructure, automorphism_code, classify_m
+from .acs import AlmostComplexStructure, automorphism_code, classify_m, m_subalgebra
 from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted, get
 from .exactnum import common_denominator
 from .expr import evaluate
@@ -41,7 +41,9 @@ def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
 
 def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
         J: AlmostComplexStructure) -> AlmostComplexStructure:
-    """The action J -> phi^-1 J phi; requires phi in Aut(L).  J keeps its (M, D)."""
+    """The action J -> phi^-1 J phi; requires J a complex structure on L
+    (else BadSquare or NotClosed) and phi in Aut(L).  J keeps its (M, D)."""
+    m_subalgebra(L, J)
     phi = [[Fraction(x) for x in row] for row in phi]
     if not is_automorphism(L, phi):
         raise NotAutomorphism("matrix does not preserve the brackets")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from nilcomplex import acs, catalogue, charts, cli, orbits
+from test_orbits import not_a_complex_structure
 
 
 def run(capsys, *argv):
@@ -573,6 +574,33 @@ def test_act_with_a_non_automorphism_fails(tmp_path, capsys):
     code, out = run(capsys, "act", "--algebra", "G6,3", "--j", _write(tmp_path, "j.json", J),
                     "--phi", _write(tmp_path, "phi.json", twice))
     assert code == 1 and out == "FAIL: NotAutomorphism: matrix does not preserve the brackets\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["act", "witness", "search"])
+@pytest.mark.parametrize("name, error, message", [
+    ("zero", "BadSquare", "J^2 != -1"), ("identity", "BadSquare", "J^2 != -1"),
+    ("G6,1 J_alpha1", "NotClosed", "m is not a subalgebra; J is not integrable"),
+])
+def test_a_j_that_is_no_complex_structure_fails(tmp_path, capsys, name, error, message,
+                                                command, json_flag):
+    J = not_a_complex_structure(name).to_json()
+    I6 = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    if command == "act":
+        argv = ["act", "--algebra", "G6,3", "--j", _write(tmp_path, "j.json", J),
+                "--phi", _write(tmp_path, "phi.json", I6)]
+    elif command == "witness":
+        doc = {"algebra": "G6,3", "J1": J, "J2": J, "phi": I6}
+        argv = ["verify-witness", _write(tmp_path, "w.json", doc)]
+    else:
+        doc = {"algebra": "G6,3", "J1": J, "J2": J}
+        argv = ["verify-witness", _write(tmp_path, "pair.json", doc), "--search", "2"]
+    code, out = run(capsys, *argv, *json_flag)
+    assert code == 1
+    if json_flag:
+        assert json.loads(out) == {"error": error, "message": message}
+    else:
+        assert out == f"FAIL: {error}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "mul"])

@@ -257,6 +257,31 @@ def test_not_automorphism_raises():
         orbits.act(e.algebra, bad, J1)
 
 
+def not_a_complex_structure(name):
+    """A 6x6 J that is no complex structure on G6,3: J^2 != -1, or G6,1's
+    J_alpha1, whose J^2 = -1 but which is not integrable on G6,3."""
+    if name == "G6,1 J_alpha1":
+        return catalogue.get("G6,1").representative("J_alpha1").instantiate({})
+    return AlmostComplexStructure({"zero": [[0] * 6 for _ in range(6)], "identity": I6}[name])
+
+
+NOT_COMPLEX = [("zero", acs.BadSquare), ("identity", acs.BadSquare),
+               ("G6,1 J_alpha1", acs.NotClosed)]
+
+
+@pytest.mark.parametrize("name, error", NOT_COMPLEX)
+def test_a_j_that_is_no_complex_structure_is_refused(name, error):
+    # the action, a witness and the search all start from act's check of J
+    e = catalogue.get("G6,3")
+    J = not_a_complex_structure(name)
+    with pytest.raises(error):
+        orbits.act(e.algebra, I6, J)
+    with pytest.raises(error):
+        orbits.verify_witness(e.algebra, J, J, I6)
+    with pytest.raises(error):
+        orbits.randomized_equivalence_search(e, J, J, attempts=2)
+
+
 def test_group_action_composition():
     rng = random.Random(2)
     for name in ("G6,1", "G6,8", "M18"):

@@ -7,12 +7,12 @@ Every other cache is bounded, except a few named ones whose keys are
 source strings or small integers: sampled points come without end.  No
 check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
-exactnum (integer code) and expr (formula code) generate code, and only
-exactnum sums the quadratic forms of the constraint map and of the
-automorphism map.  Only moduli imports numpy, for its one SVD.  The
-package reads no `.m`: that accessor of AlmostComplexStructure hands out
-mutable rows and drops a member's integer form, so the package reads
-`rows()`.
+exactnum (integer code) and expr (formula code) generate code, only expr
+reads formula text (with ast.parse), and only exactnum sums the quadratic
+forms of the constraint map and of the automorphism map.  Only moduli
+imports numpy, for its one SVD.  The package reads no `.m`: that accessor
+of AlmostComplexStructure hands out mutable rows and drops a member's
+integer form, so the package reads `rows()`.
 """
 
 import ast
@@ -254,6 +254,43 @@ def test_the_codegen_rule_accepts():
     source = ('def f(p, env):\n    """eval p; exec nothing."""\n'
               "    pattern = re.compile(r'\\d+')\n    return p.eval(env), 'exec'\n")
     assert codegen_offenders("group", ast.parse(source)) == []
+
+
+def parse_offenders(module: str, tree: ast.AST) -> list:
+    """Every use of ast.parse, or import of parse from ast, in one module,
+    named module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "parse"
+            and getattr(node.value, "id", None) == "ast"
+            or isinstance(node, ast.ImportFrom) and node.module == "ast"
+            and any(a.name == "parse" for a in node.names)]
+
+
+def test_only_expr_reads_formula_text():
+    # one reader: every formula goes through expr's whitelist of nodes
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        if path.relative_to(PACKAGE) != Path("expr.py"):
+            offenders += parse_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+    assert offenders == []
+    assert parse_offenders("expr", ast.parse((PACKAGE / "expr.py").read_text()))
+
+
+@pytest.mark.parametrize("source", [
+    "tree = ast.parse(text, mode='eval')\n",
+    "from ast import parse\n",
+    "from ast import literal_eval, parse as read\n",
+    "read = ast.parse\n",
+], ids=["call", "import", "alias", "reference"])
+def test_the_parse_rule_refuses(source):
+    assert len(parse_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_parse_rule_accepts():
+    source = ('def f(argv, s):\n    """ast.parse is for expr."""\n'
+              "    args = build_parser().parse_args(argv)\n"
+              "    return ast.literal_eval(s), json.parse, args.parse\n")
+    assert parse_offenders("cli", ast.parse(source)) == []
 
 
 def _unpacked_triple(target: ast.expr) -> set:
