@@ -265,11 +265,8 @@ def not_a_complex_structure(name):
     return AlmostComplexStructure({"zero": [[0] * 6 for _ in range(6)], "identity": I6}[name])
 
 
-NOT_COMPLEX = [("zero", acs.BadSquare), ("identity", acs.BadSquare),
-               ("G6,1 J_alpha1", acs.NotClosed)]
-
-
-@pytest.mark.parametrize("name, error", NOT_COMPLEX)
+@pytest.mark.parametrize("name, error", [
+    ("zero", acs.BadSquare), ("identity", acs.BadSquare), ("G6,1 J_alpha1", acs.NotClosed)])
 def test_a_j_that_is_no_complex_structure_is_refused(name, error):
     # the action, a witness and the search all start from act's check of J
     e = catalogue.get("G6,3")
