@@ -66,8 +66,8 @@ def test_integers_divide_exactly(s, env):
     ("_i + a", ABC),            # helpers are out of reach
     ("_x", {"_x": 1}),          # even when the caller binds the name
     ("lambda", {"lambda": 1}),  # a Python keyword is no symbol
-    ("conj", {"conj": 1}),      # nor is conj without its argument
     ("x^-1", {"x": MultiPoly.var("x")}),
+    ("conj", {"conj": 1}),      # a bare conj is no symbol either
     ("0x10", ABC),              # only decimal integer literals
     ("1_000", ABC),
     ("1.5", ABC),
