@@ -1,19 +1,30 @@
 """Exact arithmetic substrate: rationals, Gaussian rationals, multivariate polynomials.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  ``GaussianRational`` adds an exact imaginary part, and
-``MultiPoly`` is a sparse multivariate polynomial with Gaussian-rational
-coefficients over a named, lexicographically ordered variable list.
-Formal partial and Wirtinger derivatives are exact.  ``common_denominator``
-puts rationals over one denominator, ``reduced_common_denominator`` does so
-for ratios of ints (the two hold the package's only lcm and gcd), and
-``MultiPoly.integer_form`` puts a polynomial's coefficients over theirs;
-``integer_code``, the one integer evaluator of polynomials, compiles them
-into code that sums the two in ints.  The group laws and the chart
-Jacobian are such code, and ``MultiPoly.eval`` at a rational point runs the
-polynomial's own, built on first use.  ``quadratic_code`` compiles int
-quadratic forms the same way: it is the one evaluator of the constraint
-map of ``acs``.
+denominator).  ``GaussianRational`` adds an exact imaginary part and is the
+scalar type.  ``MultiPoly`` is a sparse multivariate polynomial with
+Gaussian-rational coefficients over a named, lexicographically ordered
+variable list, stored in ints: a dict from the packed exponents of each
+monomial (one int, a 16-bit field per variable, the first variable in the
+most significant field) to the Gaussian-integer numerator (re, im) of its
+coefficient, over one positive denominator with the content removed, i.e.
+the lcm of the coefficients' denominators.  An exponent is at most 32767,
+which keeps the top bit of every field clear: a product past it raises
+OverflowError naming the variable, and never wraps.  So ``+``, ``*``,
+``**``, division by a constant, formal partial and Wirtinger derivatives,
+alignment and substitution all run in ints; ``terms`` is a read view keyed
+by exponent tuples, and it, ``constant_value`` and ``eval`` hand out
+``GaussianRational`` values.
+
+``common_denominator`` puts rationals over one denominator,
+``reduced_common_denominator`` does so for ratios of ints (this module holds
+the package's only lcm and gcd), and ``MultiPoly.integer_form`` reads a
+polynomial's coefficients over theirs off the store; ``integer_code``, the
+one integer evaluator of polynomials, compiles them into code that sums the
+two in ints.  The group laws and the chart Jacobian are such code, and
+``MultiPoly.eval`` at a rational point runs the polynomial's own, built on
+first use.  ``quadratic_code`` compiles int quadratic forms the same way: it
+is the one evaluator of the constraint map of ``acs``.
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -24,7 +35,11 @@ a constant ``MultiPoly`` as its constant).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import or_
+from struct import error as StructError, pack, unpack
+from types import MappingProxyType
 from typing import Iterable, List, Mapping, Sequence
 
 
@@ -171,6 +186,8 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # two products, not four
+            return GaussianRational(self.re * other, self.im * other)
         if isinstance(other, MultiPoly):
             return NotImplemented
         o = GaussianRational.coerce(other)
@@ -225,47 +242,171 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-class MultiPoly:
-    """Sparse polynomial over GaussianRational coefficients.
+# -- packed exponents: one int per monomial -----------------------------------
+#
+# Each variable owns a field of _BITS bits, the first variable the most
+# significant, so the order of two keys is the lexicographic order of their
+# exponent tuples, and a key's bytes are its fields as big-endian unsigned
+# shorts.  An exponent is at most _TOP, which leaves the top bit of every
+# field clear: the sum of two keys is the key of the product monomial with
+# no carry between fields, and a set top bit marks an overflow.
 
-    Variables form a canonically (lexicographically) sorted tuple of names;
-    terms map dense exponent tuples to nonzero coefficients, so equality is
-    structural once both sides are aligned to a common variable list.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_TOP = _MASK >> 1
+
+
+def _pack(vs: tuple, e) -> int:
+    """The key of exponent tuple e over the variables vs."""
+    n = len(vs)
+    if len(e) != n:
+        raise ValueError("exponent arity mismatch")
+    try:
+        if not n or 0 <= min(e) and max(e) <= _TOP:
+            return int.from_bytes(pack(f">{n}H", *e), "big")
+    except (StructError, TypeError):  # a non-int exponent: named below
+        pass
+    for v, x in zip(vs, e):
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"exponent {x!r} of {v} is not a non-negative int")
+        if x > _TOP:
+            raise OverflowError(f"exponent {x} of {v} exceeds {_TOP}")
+    return int.from_bytes(pack(f">{n}H", *e), "big")
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a key over n variables."""
+    return unpack(f">{n}H", key.to_bytes(2 * n, "big"))
+
+
+@lru_cache(maxsize=1024)
+def _layout(old: tuple, new: tuple) -> tuple:
+    """How keys over the variables old move to keys over new, a sorted
+    superset: one (source shift, mask, target shift) per run of variables
+    that stay adjacent, each run moved as one block of fields."""
+    if list(new) != sorted(new):
+        raise ValueError("variable list must be sorted")
+    pos = {v: i for i, v in enumerate(new)}
+    for v in old:
+        if v not in pos:
+            raise ValueError(f"variable {v} missing from target list")
+    n, m = len(old), len(new)
+    blocks, i = [], 0
+    while i < n:
+        j = i
+        while j + 1 < n and pos[old[j + 1]] == pos[old[j]] + 1:
+            j += 1
+        blocks.append((_BITS * (n - 1 - j), (1 << (_BITS * (j - i + 1))) - 1,
+                       _BITS * (m - 1 - pos[old[j]])))
+        i = j + 1
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=1024)
+def _union(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two variable lists."""
+    return tuple(sorted(set(a) | set(b)))
+
+
+def _refuse_overflow(vs: tuple, keys) -> None:
+    """Raise OverflowError, naming the variable, if a sum of keys set the top
+    bit of some field: an exponent past _TOP is refused, never wrapped."""
+    n = len(vs)
+    top = reduce(or_, keys, 0) & ((1 << (_BITS * n)) - 1) // _MASK << (_BITS - 1)
+    if top:
+        v = vs[n - 1 - (top.bit_length() - 1) // _BITS]
+        raise OverflowError(f"exponent of {v} exceeds {_TOP}")
+
+
+def _normal(num: dict, den: int) -> tuple:
+    """(num, den) with the content removed: divided by the gcd of den and
+    every numerator part, so that den is the lcm of the coefficients'
+    denominators (1 for the zero polynomial)."""
+    if den == 1:
+        return num, 1
+    g = den
+    for re, im in num.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return num, den
+    return {k: (re // g, im // g) for k, (re, im) in num.items()}, den // g
+
+
+def _scalar(x) -> tuple:
+    """(re, im, den): a scalar as Gaussian-integer numerators over its
+    positive denominator."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    x = GaussianRational.coerce(x)
+    (re, im), den = common_denominator((x.re, x.im))
+    return re, im, den
+
+
+def _coefficient(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _make(vs: tuple, num: dict, den: int) -> "MultiPoly":
+    """A MultiPoly from a normalised store, without checks; the dict is
+    owned by the new polynomial from now on."""
+    p = object.__new__(MultiPoly)
+    _set_vars(p, vs)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+class MultiPoly:
+    """Sparse polynomial over GaussianRational coefficients, stored in ints.
+
+    Variables form a canonically (lexicographically) sorted tuple of names.
+    The store maps the packed key of each monomial to the Gaussian-integer
+    numerator (re, im) of its nonzero coefficient, over one positive
+    denominator with no content left, so equality is structural once both
+    sides are aligned to a common variable list.  ``terms`` is a read view
+    keyed by exponent tuples.
     """
 
-    __slots__ = ("vars", "terms", "_code")  # _code: integer_code of (re, im), set once
+    __slots__ = ("vars", "_num", "_den", "_code")  # _code: integer_code of (re, im), set once
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, GaussianRational] | None = None):
         vs = tuple(vars)
         if list(vs) != sorted(vs):
             raise ValueError("variable list must be sorted")
-        object.__setattr__(self, "vars", vs)
-        tt = {}
+        keys, parts = [], []
         if terms:
             for e, c in terms.items():
                 c = GaussianRational.coerce(c)
                 if c:
-                    if len(e) != len(vs):
-                        raise ValueError("exponent arity mismatch")
-                    tt[tuple(e)] = c
-        object.__setattr__(self, "terms", tt)
+                    keys.append(_pack(vs, e))
+                    parts += (c.re, c.im)
+        nums, den = common_denominator(parts)  # the lcm of reduced denominators has no content
+        _set_vars(self, vs)
+        _set_num(self, dict(zip(keys, zip(nums[::2], nums[1::2]))))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, GaussianRational]:
+        """Read view: exponent tuple -> nonzero coefficient."""
+        n, den = len(self.vars), self._den
+        return MappingProxyType({_unpack(k, n): _coefficient(re, im, den)
+                                 for k, (re, im) in self._num.items()})
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c, vars: Iterable[str] = ()) -> "MultiPoly":
-        vs = tuple(sorted(vars))
-        c = GaussianRational.coerce(c)
-        if not c:
-            return MultiPoly(vs)
-        return MultiPoly(vs, {(0,) * len(vs): c})
+        re, im, den = _scalar(c)
+        return _make(tuple(sorted(vars)), {0: (re, im)} if re or im else {}, den)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): ONE})
+        return _make((name,), {1: (1, 0)}, 1)
 
     @staticmethod
     def coerce(x) -> "MultiPoly":
@@ -280,62 +421,99 @@ class MultiPoly:
         vs = tuple(vars)
         if vs == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(vs)}
-        for v in self.vars:
-            if v not in pos:
-                raise ValueError(f"variable {v} missing from target list")
-        terms = {}
-        for e, c in self.terms.items():
-            ee = [0] * len(vs)
-            for v, x in zip(self.vars, e):
-                ee[pos[v]] = x
-            terms[tuple(ee)] = c
-        return MultiPoly(vs, terms)
+        blocks = _layout(self.vars, vs)
+        if len(blocks) == 1:
+            shift = blocks[0][2] - blocks[0][0]  # the block is the whole key
+            num = {k << shift: c for k, c in self._num.items()}
+        else:
+            num = {}
+            for k, c in self._num.items():
+                key = 0
+                for src, mask, dst in blocks:
+                    key |= ((k >> src) & mask) << dst
+                num[key] = c
+        return _make(vs, num, self._den)
 
     @staticmethod
     def _aligned(p: "MultiPoly", q: "MultiPoly"):
         if p.vars == q.vars:
             return p, q
-        vs = tuple(sorted(set(p.vars) | set(q.vars)))
+        vs = _union(p.vars, q.vars)
         return p.on_vars(vs), q.on_vars(vs)
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        p, q = MultiPoly._aligned(self, MultiPoly.coerce(other))
-        terms = dict(p.terms)
-        for e, c in q.terms.items():
-            s = terms.get(e, ZERO) + c
-            if not s:
-                terms.pop(e, None)
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign*other over the lcm of the two denominators."""
+        q = MultiPoly.coerce(other)
+        if not q._num:
+            return self if q.vars == self.vars else self.on_vars(_union(self.vars, q.vars))
+        if not self._num:
+            q = q.on_vars(_union(self.vars, q.vars))
+            return q if sign == 1 else -q
+        p, q = MultiPoly._aligned(self, q)
+        d1, d2 = p._den, q._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = den // d1, den // d2 * sign
+        num = dict(p._num) if f1 == 1 else {k: (a * f1, b * f1) for k, (a, b) in p._num.items()}
+        for k, (a, b) in q._num.items():
+            s = num.get(k)
+            if s is None:
+                num[k] = (a * f2, b * f2)
             else:
-                terms[e] = s
-        return MultiPoly(p.vars, terms)
+                a, b = s[0] + a * f2, s[1] + b * f2
+                if a or b:
+                    num[k] = (a, b)
+                else:
+                    del num[k]
+        return _make(p.vars, *_normal(num, den))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.vars, {k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-MultiPoly.coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return MultiPoly.coerce(other) - self
 
+    def _scaled(self, c: int, d: int, den: int) -> "MultiPoly":
+        """self times the scalar (c + i*d)/den, den > 0."""
+        if not (c or d):
+            return _make(self.vars, {}, 1)
+        num = {k: (a * c - b * d, a * d + b * c) for k, (a, b) in self._num.items()}
+        return _make(self.vars, *_normal(num, self._den * den))
+
     def __mul__(self, other):
-        p, q = MultiPoly._aligned(self, MultiPoly.coerce(other))
-        terms = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if not s:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly(p.vars, terms)
+        if not isinstance(other, MultiPoly):
+            return self._scaled(*_scalar(other))
+        if not (self._num and other._num):
+            return _make(_union(self.vars, other.vars), {}, 1)
+        p, q = MultiPoly._aligned(self, other)
+        if len(p._num) < len(q._num):
+            p, q = q, p  # the inner loop runs over the longer store
+        if len(q._num) == 1:  # no two products share a monomial
+            (k2, (c, d)), = q._num.items()
+            num = {k1 + k2: (a * c - b * d, a * d + b * c) for k1, (a, b) in p._num.items()}
+        else:
+            num = {}
+            get = num.get
+            for k2, (c, d) in q._num.items():
+                for k1, (a, b) in p._num.items():
+                    k = k1 + k2
+                    s = get(k)
+                    if s is None:
+                        num[k] = (a * c - b * d, a * d + b * c)
+                    else:
+                        num[k] = (s[0] + a * c - b * d, s[1] + a * d + b * c)
+            num = {k: s for k, s in num.items() if s[0] or s[1]}
+        _refuse_overflow(p.vars, num)
+        return _make(p.vars, *_normal(num, p._den * q._den))
 
     __rmul__ = __mul__
 
@@ -346,11 +524,10 @@ class MultiPoly:
             if c is None:
                 raise ZeroDivisionError("polynomial division is out of scope")
             other = c
-        o = GaussianRational.coerce(other)
-        if not o:
+        c, d, den = _scalar(other)
+        if not (c or d):
             raise ZeroDivisionError("division by zero")
-        inv = GaussianRational(1) / o
-        return self * inv
+        return self._scaled(den * c, -den * d, c * c + d * d)  # den/(c + i*d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -360,59 +537,64 @@ class MultiPoly:
     # -- structure -------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def constant_value(self):
         """The polynomial's value if it is constant, else None."""
-        if not self.terms:
+        num = self._num
+        if not num:
             return ZERO
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if all(x == 0 for x in e):
-                return c
+        if len(num) == 1 and 0 in num:
+            return _coefficient(*num[0], self._den)
         return None
+
+    def _used(self) -> List[bool]:
+        """For each variable, whether some term has it with a nonzero exponent."""
+        n, seen = len(self.vars), reduce(or_, self._num, 0)
+        return [bool((seen >> (_BITS * (n - 1 - i))) & _MASK) for i in range(n)]
 
     def used_vars(self) -> set:
         """Variables that actually occur with a nonzero exponent."""
-        return {v for e in self.terms for v, x in zip(self.vars, e) if x}
+        return {v for v, used in zip(self.vars, self._used()) if used}
 
     def conj(self) -> "MultiPoly":
         """Coefficient conjugation (valid because all variables are real)."""
-        return MultiPoly(self.vars, {e: c.conj() for e, c in self.terms.items()})
+        return _make(self.vars, {k: (a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """Collect the coefficient of var**power (a polynomial in the rest)."""
         if var not in self.vars:
             return MultiPoly.const(0) if power else self
         i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                terms[e[:i] + e[i + 1:]] = c
-        return MultiPoly(rest, terms)
+        shift = _BITS * (len(self.vars) - 1 - i)
+        low = (1 << shift) - 1
+        num = {(k >> (shift + _BITS)) << shift | (k & low): c
+               for k, c in self._num.items() if (k >> shift) & _MASK == power}
+        return _make(self.vars[:i] + self.vars[i + 1:], *_normal(num, self._den))
 
     def __eq__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction, GaussianRational)):
             return NotImplemented
         p, q = MultiPoly._aligned(self, MultiPoly.coerce(other))
-        return p.terms == q.terms
+        return p._den == q._den and p._num == q._num
 
     def __hash__(self):
         c = self.constant_value()
         if c is not None:
             return hash(c)
-        return hash(frozenset((tuple((v, x) for v, x in zip(self.vars, e) if x), coef)
-                              for e, coef in self.terms.items()))
+        n = len(self.vars)
+        return hash((self._den, frozenset(
+            (tuple((v, x) for v, x in zip(self.vars, _unpack(k, n)) if x), c)
+            for k, c in self._num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "MultiPoly(0)"
-        bits = []
-        for e, c in sorted(self.terms.items()):
+        bits, n = [], len(self.vars)
+        for k in sorted(self._num):  # the lexicographic order of the exponent tuples
             mono = "*".join(f"{v}^{x}" if x > 1 else v
-                            for v, x in zip(self.vars, e) if x)
-            bits.append(f"({c!r}){'*' + mono if mono else ''}")
+                            for v, x in zip(self.vars, _unpack(k, n)) if x)
+            bits.append(f"({_coefficient(*self._num[k], self._den)!r}){'*' + mono if mono else ''}")
         return " + ".join(bits)
 
     # -- evaluation and derivatives ---------------------------------------
@@ -422,33 +604,46 @@ class MultiPoly:
 
         At a rational point (every bound value an int or Fraction) the
         polynomial's integer code runs; any other values go through the ring
-        operations term by term.
+        operations term by term, each power of a value formed once, and the
+        sum of the Gaussian-integer numerators' terms is divided by the
+        denominator last.  The value is a polynomial if some used variable
+        has a polynomial value.
         """
         vals = [env.get(v) for v in self.vars]
         if all(x is None or type(x) is int or type(x) is Fraction for x in vals):
             return self._eval_rational(vals)
-        out = None
-        for e, c in self.terms.items():
-            term = c
-            for v, x in zip(self.vars, e):
+        n = len(vals)
+        poly = any(used and isinstance(x, MultiPoly) for x, used in zip(vals, self._used()))
+        powers, out = {}, None
+        for k, (re, im) in self._num.items():
+            term = _make((), {0: (re, im)}, 1) if poly else GaussianRational(re, im)
+            for i, x in enumerate(_unpack(k, n)):
                 if x:
-                    if v not in env:
-                        raise KeyError(f"no value for variable {v}")
-                    term = term * (env[v] ** x if x != 1 else env[v])
+                    if self.vars[i] not in env:
+                        raise KeyError(f"no value for variable {self.vars[i]}")
+                    power = powers.get((i, x))
+                    if power is None:
+                        power = powers[i, x] = vals[i] ** x if x != 1 else vals[i]
+                    term = term * power
             out = term if out is None else out + term
-        return ZERO if out is None else out
+        if out is None:
+            return ZERO
+        return out if self._den == 1 else out / self._den
 
     def integer_form(self) -> tuple:
         """(C, deg, [(e, re, im), ...]): C the lcm of the coefficients'
         denominators, deg the total degree (0 for the zero polynomial), and
-        each term's exponents with its coefficient's parts times C, as ints."""
-        nums, C = common_denominator([x for c in self.terms.values() for x in (c.re, c.im)])
-        return C, max(map(sum, self.terms), default=0), [*zip(self.terms, nums[::2], nums[1::2])]
+        each term's exponents with its coefficient's parts times C, as ints:
+        the store itself, unpacked."""
+        n = len(self.vars)
+        form = [(_unpack(k, n), re, im) for k, (re, im) in self._num.items()]
+        return self._den, max((sum(e) for e, _, _ in form), default=0), form
 
     def parts(self) -> tuple:
         """(re, im): the real and imaginary parts, over the same variables."""
-        return tuple(MultiPoly(self.vars, {e: getattr(c, part) for e, c in self.terms.items()})
-                     for part in ("re", "im"))
+        return tuple(_make(self.vars, *_normal({k: (c[part], 0) for k, c in self._num.items()
+                                                if c[part]}, self._den))
+                     for part in (0, 1))
 
     def _eval_rational(self, vals) -> GaussianRational:
         """The value at rational vals (None for an unbound variable, 0 where no
@@ -468,22 +663,12 @@ class MultiPoly:
     def partial(self, var: str) -> "MultiPoly":
         """Exact formal partial derivative; zero for unknown variables."""
         if var not in self.vars:
-            return MultiPoly(self.vars)
-        i = self.vars.index(var)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ee = list(e)
-            k = ee[i]
-            ee[i] = k - 1
-            ee = tuple(ee)
-            s = terms.get(ee, ZERO) + c * k
-            if not s:
-                terms.pop(ee, None)
-            else:
-                terms[ee] = s
-        return MultiPoly(self.vars, terms)
+            return _make(self.vars, {}, 1)
+        shift = _BITS * (len(self.vars) - 1 - self.vars.index(var))
+        one = 1 << shift
+        num = {k - one: (a * x, b * x) for k, (a, b) in self._num.items()
+               if (x := (k >> shift) & _MASK)}
+        return _make(self.vars, *_normal(num, self._den))
 
     def wirtinger(self, x_var: str, y_var: str, conjugate: bool = False) -> "MultiPoly":
         """d/dz (or d/dz-bar) for z = x_var + i*y_var."""
@@ -493,3 +678,7 @@ class MultiPoly:
         py = self.partial(y_var)
         s = I if conjugate else -I
         return (px + py * s) / 2
+
+
+# the slots' own setters: MultiPoly.__setattr__ refuses every assignment
+_set_vars, _set_num, _set_den = MultiPoly.vars.__set__, MultiPoly._num.__set__, MultiPoly._den.__set__

@@ -27,6 +27,7 @@ non-constant polynomial, and for a formula nested deeper than Python reads.
 from __future__ import annotations
 
 import ast
+import warnings
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -117,7 +118,10 @@ def _code(s: str, ints: bool):
         raise ExprError(f"bad character in {s!r}")
     emitter = _Emitter(text)
     try:
-        src, p, q, k = emitter.emit(ast.parse(text, mode="eval").body)
+        with warnings.catch_warnings():  # a warning of the parser is an error of the formula
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(text, mode="eval")
+        src, p, q, k = emitter.emit(tree.body)
         if ints:
             if not emitter.real:
                 raise ExprError(f"{s!r} is not a real formula")

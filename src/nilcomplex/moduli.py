@@ -16,7 +16,10 @@ every partial sum, in any order, is an exact int64 and the float matrix is
 the one the Python ints give, bit for bit, and beyond that bound it is
 built from the Python ints.  The SVD can miss rank but never invent it, so
 a rank short of the expected one is re-decided exactly, by fraction-free
-elimination of the same int gradient (linalg.integer_rank).
+elimination of the same int gradient (linalg.integer_rank).  numpy is
+imported on first use, by the two functions that build and decompose that
+matrix, so importing the package, and every command that makes no rank
+decision, does not load it.
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
 continuous parameter is a cell p or -p of the family's matrix, so those
@@ -29,8 +32,6 @@ import functools
 import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from . import linalg
 from .acs import (AlmostComplexStructure, constraint_map, integer_point, is_integrable,
@@ -69,12 +70,14 @@ def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fract
 
 
 @functools.cache
-def _gradient_pattern(L: LieAlgebra) -> Tuple[Tuple[np.ndarray, ...], int, Tuple[int, int]]:
+def _gradient_pattern(L: LieAlgebra) -> Tuple[tuple, int, Tuple[int, int]]:
     """_gradient as one flat scatter, read once from constraint_map (cached):
     three int64 arrays (pos, src, c), where a term c*f_p*f_q of row r gives
     (r*n^2 + p, q, c) and (r*n^2 + q, p, c), so that cell pos of the flat
     E*D*Jac is the sum of c*M[src] over its triples (a cell repeats); with
     the largest per-cell sum of |c| and the matrix shape."""
+    import numpy as np
+
     n2 = L.dim * L.dim
     cmap = constraint_map(L)
     triples = [t for r, (_, terms) in enumerate(cmap) for p, q, c in terms
@@ -97,6 +100,8 @@ def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
     cast rounds each cell as float() rounds the Python int; beyond that
     bound the matrix comes from _gradient's Python ints.  Either way it is
     np.array(_gradient(L, J)[0], dtype=float), bit for bit."""
+    import numpy as np
+
     (pos, src, coef), csum, shape = _gradient_pattern(L)
     M, _ = integer_point(J, L.dim)
     if max(map(abs, M)) * csum < 2 ** 63:

@@ -557,6 +557,21 @@ def test_a_failing_check_fails_report_under_python_O():
         ["family integrability sweep", "representative tables"], sections
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["report", "M14-1", "--json"], False),
+    (["chart-verify", "G6,7"], False),
+    (["report", "G6,7"], True),
+], ids=["twin-report", "chart-verify", "algebra-report"])
+def test_numpy_loads_only_for_a_rank_decision(argv, loaded):
+    # moduli imports numpy on first use: a command with no moduli section skips it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\nfrom nilcomplex.cli import main\ncode = main(%r)\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n" % argv)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.stderr.split()[-2:] == ["0", str(loaded)], done.stderr
+
+
 def test_report_reads_the_same_under_python_O():
     # no check of the derivation or of a verdict may vanish with -O
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -13,6 +13,101 @@ X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
 I = GaussianRational(0, 1)
 
+
+class NaivePoly:
+    """The oracle: a dict from exponent tuples to GaussianRational
+    coefficients, with schoolbook arithmetic, term by term."""
+
+    def __init__(self, vars, terms):
+        self.vars = tuple(vars)
+        self.terms = {tuple(e): c for e, c in terms.items() if c}
+
+    @staticmethod
+    def of(p: MultiPoly) -> "NaivePoly":
+        return NaivePoly(p.vars, dict(p.terms))
+
+    def on_vars(self, vs):
+        pos = {v: i for i, v in enumerate(vs)}
+        terms = {}
+        for e, c in self.terms.items():
+            ee = [0] * len(vs)
+            for v, x in zip(self.vars, e):
+                ee[pos[v]] = x
+            terms[tuple(ee)] = c
+        return NaivePoly(vs, terms)
+
+    def aligned(self, other):
+        vs = tuple(sorted(set(self.vars) | set(other.vars)))
+        return self.on_vars(vs), other.on_vars(vs)
+
+    def __add__(self, other):
+        p, q = self.aligned(other)
+        terms = dict(p.terms)
+        for e, c in q.terms.items():
+            terms[e] = terms.get(e, GaussianRational(0)) + c
+        return NaivePoly(p.vars, terms)
+
+    def __mul__(self, other):
+        p, q = self.aligned(other)
+        terms = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, GaussianRational(0)) + c1 * c2
+        return NaivePoly(p.vars, terms)
+
+    def scaled(self, c):
+        return NaivePoly(self.vars, {e: k * c for e, k in self.terms.items()})
+
+    def __eq__(self, other):
+        p, q = self.aligned(other)
+        return p.terms == q.terms
+
+    def partial(self, var):
+        if var not in self.vars:
+            return NaivePoly(self.vars, {})
+        i = self.vars.index(var)
+        terms = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return NaivePoly(self.vars, terms)
+
+    def wirtinger(self, x_var, y_var, conjugate=False):
+        s = I if conjugate else -I
+        return (self.partial(x_var) + self.partial(y_var).scaled(s)).scaled(Fraction(1, 2))
+
+    def eval(self, env):
+        """Each term as a repeated product; with a NaivePoly among the
+        values, every value and coefficient is lifted to a constant one."""
+        poly = any(isinstance(x, NaivePoly) for x in env.values())
+
+        def lift(x):
+            return NaivePoly((), {(): x}) if poly and not isinstance(x, NaivePoly) else x
+
+        out = lift(GaussianRational(0))
+        for e, c in self.terms.items():
+            term = lift(c)
+            for v, x in zip(self.vars, e):
+                for _ in range(x):
+                    term = term * lift(env[v])
+            out = out + term
+        return out
+
+    def __repr__(self):
+        if not self.terms:
+            return "MultiPoly(0)"
+        return " + ".join(
+            f"({c!r})" + "".join(f"*{v}^{x}" if x > 1 else f"*{v}" for v, x in zip(self.vars, e) if x)
+            for e, c in sorted(self.terms.items()))
+
+
+def agree(p: MultiPoly, naive: NaivePoly) -> bool:
+    """p is the oracle's value over the same variables, structurally: the
+    same store as the constructor builds from the oracle's terms."""
+    built = MultiPoly(naive.vars, naive.terms)
+    return p.vars == naive.vars and p == built and repr(p) == repr(naive)
+
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 gaussians = st.builds(GaussianRational, fractions, fractions)
 
@@ -171,12 +266,12 @@ class TestProtocol:
 
 
 class TestRationalEval:
-    """MultiPoly.eval at int/Fraction points runs in integers; binding the same
-    values as GaussianRational runs the term-by-term ring loop, the oracle."""
+    """MultiPoly.eval at int/Fraction points runs in integers; the oracle's
+    term-by-term ring loop checks it."""
 
     @staticmethod
     def oracle(p, env):
-        return p.eval({v: GaussianRational(x) for v, x in env.items()})
+        return NaivePoly.of(p).eval(env)
 
     @settings(max_examples=80)
     @given(polys, st.lists(fractions, min_size=3, max_size=3))
@@ -253,6 +348,134 @@ class TestRationalEval:
         value = p.eval({"x": Y + 1, "y": Fraction(1, 2)})
         assert type(value) is MultiPoly
         assert value == (Y + 1) * (Y + 1) * 3 + I / 2
+
+
+exponents = st.integers(min_value=0, max_value=3)
+wide_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=60)
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+# polynomials over any subset of x, y, z: the operands of a binary operation
+# are aligned first
+mixed_polys = st.sets(st.sampled_from("xyz")).map(lambda vs: tuple(sorted(vs))).flatmap(
+    lambda vs: st.dictionaries(st.tuples(*[exponents] * len(vs)), wide_gaussians, max_size=5)
+    .map(lambda terms: MultiPoly(vs, terms)))
+
+
+class TestAgainstTheOracle:
+    """The packed store against NaivePoly: each result is the oracle's value
+    over the same variables, with the same store and the same repr."""
+
+    @settings(max_examples=80)
+    @given(mixed_polys, mixed_polys)
+    def test_sum_and_difference(self, p, q):
+        assert agree(p + q, NaivePoly.of(p) + NaivePoly.of(q))
+        assert agree(p - q, NaivePoly.of(p) + NaivePoly.of(q).scaled(-1))
+
+    @settings(max_examples=80)
+    @given(mixed_polys, mixed_polys)
+    def test_product(self, p, q):
+        assert agree(p * q, NaivePoly.of(p) * NaivePoly.of(q))
+
+    @settings(max_examples=60)
+    @given(mixed_polys, wide_gaussians)
+    def test_scalar_product_and_quotient(self, p, c):
+        assert agree(p * c, NaivePoly.of(p).scaled(c))
+        if c:
+            assert agree(p / c, NaivePoly.of(p).scaled(GaussianRational(1) / c))
+
+    @settings(max_examples=60)
+    @given(mixed_polys, st.sampled_from("xyzw"))
+    def test_partial(self, p, v):
+        assert agree(p.partial(v), NaivePoly.of(p).partial(v))
+
+    @settings(max_examples=60)
+    @given(mixed_polys, st.sampled_from([("x", "y"), ("y", "z"), ("z", "x")]), st.booleans())
+    def test_wirtinger(self, p, pair, conjugate):
+        v = tuple(sorted(set(p.vars) | set(pair)))
+        assert agree(p.on_vars(v).wirtinger(*pair, conjugate),
+                     NaivePoly.of(p).on_vars(v).wirtinger(*pair, conjugate))
+
+    @settings(max_examples=60)
+    @given(mixed_polys, st.lists(wide_fractions, min_size=3, max_size=3),
+           st.lists(wide_gaussians, min_size=3, max_size=3))
+    def test_eval_at_rational_and_gaussian_points(self, p, point, gaussian_point):
+        for values in (point, gaussian_point):
+            env = dict(zip("xyz", values))
+            assert p.eval(env) == NaivePoly.of(p).eval(env)
+
+    @settings(max_examples=40)
+    @given(mixed_polys, mixed_polys, mixed_polys, wide_gaussians)
+    def test_eval_at_polynomials(self, p, q, r, c):
+        env = {"x": q, "y": r, "z": c}
+        naive = NaivePoly.of(p).eval({"x": NaivePoly.of(q), "y": NaivePoly.of(r), "z": c})
+        naive = naive if isinstance(naive, NaivePoly) else NaivePoly((), {(): naive})
+        assert p.eval(env) == MultiPoly(naive.vars, naive.terms)
+
+    @settings(max_examples=60)
+    @given(mixed_polys, mixed_polys)
+    def test_equality_and_hash(self, p, q):
+        assert (p == q) == (NaivePoly.of(p) == NaivePoly.of(q))
+        same = (p + q) - q
+        assert same == p and hash(same) == hash(p) == hash(p.on_vars(("w", "x", "y", "z")))
+        if p.constant_value() is not None:
+            assert hash(p) == hash(p.constant_value())
+
+
+def test_a_field_shifted_by_one_bit_fails_the_oracle(monkeypatch):
+    # partial reads and decrements each field one bit too high
+    monkeypatch.setattr(exactnum, "_BITS", exactnum._BITS + 1)
+    p = MultiPoly(("x", "y"), {(2, 1): GaussianRational(Fraction(1, 2), 3), (0, 3): 1})
+    assert not agree(p.partial("x"), NaivePoly.of(p).partial("x"))
+
+
+def test_an_unnormalised_denominator_fails_the_oracle(monkeypatch):
+    # the content is left in: x + 2y is stored as (2x + 4y)/2
+    monkeypatch.setattr(exactnum, "_normal", lambda num, den: (num, den))
+    p = X * Fraction(1, 2) + Y
+    assert not agree(p * 2, NaivePoly.of(p).scaled(2))
+
+
+def test_an_exponent_past_its_field_is_refused_not_wrapped():
+    top = exactnum._TOP
+    p = MultiPoly(("x", "y"), {(top, 0): 1, (0, top): Fraction(1, 2)})
+    with pytest.raises(OverflowError, match="exponent of x"):
+        p * X
+    with pytest.raises(OverflowError, match="exponent of y"):
+        p * Y
+    with pytest.raises(OverflowError, match="of x"):
+        MultiPoly(("x",), {(top + 1,): 1})
+    assert dict((X ** top).terms) == {(top,): 1}
+    with pytest.raises(OverflowError, match="exponent of x"):
+        X ** (top + 1)
+
+
+@pytest.mark.parametrize("e", [(-1,), (1.5,)], ids=["negative", "float"])
+def test_an_exponent_is_a_non_negative_int(e):
+    with pytest.raises(ValueError, match=f"exponent {e[0]} of x"):
+        MultiPoly(("x",), {e: 1})
+
+
+def test_the_terms_are_a_read_view():
+    p = X * Fraction(2, 3) + Y * I
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 1
+    assert dict(p.terms) == {(1, 0): Fraction(2, 3), (0, 1): I}
+
+
+def test_formal_arithmetic_constructs_no_fraction(monkeypatch):
+    p = (X * GaussianRational(Fraction(1, 2), Fraction(-2, 3)) + Y * I / 5) ** 2
+    q = X * Fraction(3, 4) - Y * GaussianRational(Fraction(1, 6), 1) + Fraction(7, 3)
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    results = [p + q, p * q, p.partial("x"), q.partial("y")]
+    monkeypatch.undo()
+    assert made == []
+    assert results == [p + q, p * q, p.partial("x"), q.partial("y")]
 
 
 @pytest.mark.parametrize("values, numerators, D", [

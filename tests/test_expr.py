@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,15 @@ def test_each_integer_form_compiles_once():
 def test_a_parse_error_names_the_formula():
     with pytest.raises(ExprError, match=r"'\(a \+ b': "):
         evaluate("(a + b", ABC)
+
+
+@pytest.mark.parametrize("s", ["1if a else b", "a*2or b"])
+def test_a_literal_run_into_a_keyword_is_an_error_not_a_warning(s):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ExprError, match="invalid decimal literal"):
+            evaluate(s, ABC)
+    assert [w.category for w in seen] == []
 
 
 POLY = {"x": MultiPoly.var("x"), "p": MultiPoly.const(2)}
