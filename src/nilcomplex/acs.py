@@ -259,10 +259,10 @@ def classify_m(L: LieAlgebra, J: AlmostComplexStructure) -> str:
                if any(w)]
     if not derived:
         return ABELIAN
-    red, piv = linalg.rref(derived)
-    if len(piv) != 1:
-        raise Unclassifiable(f"derived algebra of m has dimension {len(piv)}")
-    if any(any(L.bracket(red[0], g)) for g in gens):
+    dim = linalg.rank(derived)
+    if dim != 1:
+        raise Unclassifiable(f"derived algebra of m has dimension {dim}")
+    if any(any(L.bracket(derived[0], g)) for g in gens):
         raise Unclassifiable("derived algebra of m is not central in m")
     return HEISENBERG
 

@@ -82,11 +82,10 @@ def antiholo_fields(entry: AlgebraEntry, J: AlmostComplexStructure
     out = []
     for j in range(1, 7):
         coeffs = [MultiPoly.coerce(c) for c in fields[j - 1]]
-        col = J.column(j)
-        for k in range(6):
-            if col[k] != 0:
-                add = [MultiPoly.coerce(c) * (I * col[k]) for c in fields[k]]
-                coeffs = [a + b for a, b in zip(coeffs, add)]
+        for k, x in enumerate(J.column(j)):
+            if x:
+                s = MultiPoly.const(I * x)
+                coeffs = [a + MultiPoly.coerce(c) * s for a, c in zip(coeffs, fields[k])]
         out.append(coeffs)
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exactnum import rational_str
+from .exactnum import common_denominator, rational_str
 from . import linalg
 
 
@@ -130,12 +130,12 @@ class LieAlgebra:
                 for v in current:
                     w = self.bracket(g, v)
                     if any(w):
-                        produced.append(w)
+                        produced.append(common_denominator(w)[0])
             if not produced:
                 dims.append(0)
                 return dims
             red, pivots = linalg.rref(produced)
-            current = red[: len(pivots)]
+            current = [list(map(Fraction, row)) for row in red[: len(pivots)]]
             dims.append(len(pivots))
 
     def nilpotency_class(self) -> int:

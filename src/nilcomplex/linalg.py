@@ -1,14 +1,14 @@
-"""Exact dense linear algebra over Fraction or GaussianRational scalars.
+"""Exact dense linear algebra: products, and one elimination over the ints.
 
-Gaussian elimination with first-nonzero pivoting: deterministic, exact, and
-adequate for the 6x6 matrices this package works with.  Larger int
-matrices (a 126 x 36 constraint Jacobian) get their rank by fraction-free
-elimination, which makes no Fraction.
+`rref` is fraction-free Gauss-Jordan elimination (Bareiss's step on every
+row other than the pivot row).  `rank` puts Fraction or GaussianRational
+rows over ints and eliminates them; it is the package's one rank, of a 6x6
+matrix as of a 126 x 36 constraint Jacobian.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .exactnum import GaussianRational, common_denominator
 
 
 def mat_mul(A, B):
@@ -24,77 +24,44 @@ def mat_vec(A, v):
             for i in range(len(A))]
 
 
-def identity(n, one=Fraction(1)):
-    zero = one * 0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """Fraction-free Gauss-Jordan elimination of an int matrix, with
+    first-nonzero pivoting; returns (new_rows, pivot_columns).
 
-
-def rank(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
-def integer_rank(rows) -> int:
-    """Rank of an int matrix by fraction-free (Bareiss) elimination.
-
-    Entries stay ints: after each pivot step an entry below the pivot rows
-    is a minor of the input divided by the previous pivot, which that pivot
-    divides exactly (Sylvester's identity).  A division with a remainder
-    is a wrong step, so it raises ArithmeticError instead of rounding."""
-    rows = list(rows)  # _eliminate replaces rows; it changes none in place
-    prev, r = 1, 0
+    The first len(pivot_columns) rows span the row space and the rest are
+    zero.  Each of those rows has the same nonzero int d, the last pivot, in
+    every pivot column, so row k / d is row k of the reduced row echelon
+    form."""
+    rows = [list(row) for row in rows]
+    prev, pivots = 1, []
     for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         _eliminate(rows, r, c, prev)
-        prev, r = rows[r][c], r + 1
-        if r == len(rows):
+        prev = rows[r][c]
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
-    return r
+    return rows, pivots
 
 
 def _eliminate(rows, r: int, c: int, prev: int) -> None:
-    """One Bareiss step: every row i below the pivot rows[r][c] becomes, in
-    columns past c, (pivot * a_ij - a_ic * a_rj) / prev, each division
-    checked exact."""
+    """One Bareiss step: every row i other than the pivot row becomes
+    (pivot * row_i - row_i[c] * row_r) / prev, prev the previous pivot.
+    Entries stay ints, minors of the input (Sylvester's identity), so a
+    division with a remainder is a wrong step: it raises ArithmeticError
+    instead of rounding.  Below the pivot rows, columns before c stay 0."""
     top = rows[r]
     pivot = top[c]
-    for i in range(r + 1, len(rows)):
-        row, f = rows[i], rows[i][c]
-        new = [0] * (c + 1)
-        for a, b in zip(row[c + 1:], top[c + 1:]):
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f, lo = row[c], 0 if i < r else c + 1
+        new = [0] * lo
+        for a, b in zip(row[lo:], top[lo:]):
             q, rem = divmod(pivot * a - f * b, prev)
             if rem:
                 raise ArithmeticError(f"inexact division by the pivot {prev}")
@@ -102,12 +69,17 @@ def _eliminate(rows, r: int, c: int, prev: int) -> None:
         rows[i] = new
 
 
-def inverse(A):
-    """Exact inverse; raises ValueError when singular."""
-    n = len(A)
-    one = A[0][0] * 0 + 1
-    aug = [list(A[i]) + identity(n, one)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+def rank(rows) -> int:
+    """The rank of int, Fraction or GaussianRational rows, each put over its
+    own denominator.  A complex A + iB has half the rank of the real
+    [[A, -B], [B, A]]: rows w and i*w span one complex line, while the real
+    and imaginary parts of the two alone span a real plane."""
+    if not any(isinstance(x, GaussianRational) for row in rows for x in row):
+        return len(rref([common_denominator(row)[0] for row in rows])[1])
+    real = []
+    for row in rows:
+        z = [GaussianRational.coerce(x) for x in row]
+        N, _ = common_denominator([part for x in z for part in (x.re, x.im)])
+        re, im = N[0::2], N[1::2]
+        real += [re + [-v for v in im], im + re]
+    return len(rref(real)[1]) // 2

@@ -15,8 +15,8 @@ triples; while max|M| times the largest per-cell sum of |c| is below 2^63
 every partial sum, in any order, is an exact int64 and the float matrix is
 the one the Python ints give, bit for bit, and beyond that bound it is
 built from the Python ints.  The SVD can miss rank but never invent it, so
-a rank short of the expected one is re-decided exactly, by fraction-free
-elimination of the same int gradient (linalg.integer_rank).  numpy is
+a rank short of the expected one is re-decided exactly, by linalg.rank of
+the same int gradient (fraction-free Gauss-Jordan elimination).  numpy is
 imported on first use, by the two functions that build and decompose that
 matrix, so importing the package, and every command that makes no rank
 decision, does not load it.
@@ -169,7 +169,7 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
                 dim = None
             break
         if dim != entry.expected_dim:
-            dim = 36 - linalg.integer_rank(_gradient(L, J)[0])
+            dim = 36 - linalg.rank(_gradient(L, J)[0])
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
                     "tangent_dim": dim, "family_rank": prank})
     dims = [r["tangent_dim"] for r in out]

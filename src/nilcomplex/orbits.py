@@ -3,7 +3,8 @@
 Deciding equivalence of two arbitrary structures is a polynomial-system
 feasibility problem with no uniform exact algorithm at this scale; we only
 verify explicit witnesses (`is_automorphism` runs in ints: acs's compiled
-automorphism forms at phi = M/D, then an integer rank), compute orbit
+automorphism forms at phi = M/D, then linalg.rank of M; `act` solves
+phi X = J phi by linalg.rref), compute orbit
 invariants, and implement the two explicit parameter-level equivalence
 predicates (M10 and the M5 case-2.1 stratum).  A best-effort randomized
 search is available behind an explicit call and returns "inconclusive"
@@ -14,10 +15,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .acs import AlmostComplexStructure, automorphism_code, classify_m, m_subalgebra
+from .acs import (AlmostComplexStructure, automorphism_code, classify_m, integer_point,
+                  m_subalgebra)
 from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted, get
 from .exactnum import common_denominator
 from .expr import evaluate
@@ -36,19 +38,30 @@ def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
         return False
     M, D = common_denominator([x for row in phi for x in row])
     return not any(automorphism_code(L)(M + [D], D)) \
-        and linalg.integer_rank([M[r:r + n] for r in range(0, n * n, n)]) == n
+        and linalg.rank(_square(M, n)) == n
+
+
+def _square(M: List[int], n: int) -> List[List[int]]:
+    return [M[r:r + n] for r in range(0, n * n, n)]
 
 
 def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
         J: AlmostComplexStructure) -> AlmostComplexStructure:
     """The action J -> phi^-1 J phi; requires J a complex structure on L
-    (else BadSquare or NotClosed) and phi in Aut(L).  J keeps its (M, D)."""
+    (else BadSquare or NotClosed) and phi in Aut(L).  J keeps its (M, D).
+    At phi = P/d and J = M/D, linalg.rref takes [P | M P] to
+    [delta I | delta D X], X = phi^-1 J phi, unless P is singular."""
     m_subalgebra(L, J)
-    phi = [[Fraction(x) for x in row] for row in phi]
+    n = L.dim
+    if len(phi) != n or any(len(row) != n for row in phi):
+        raise NotAutomorphism(f"matrix is not {n}x{n}")
+    P = _square(common_denominator([Fraction(x) for row in phi for x in row])[0], n)
+    M, D = integer_point(J, n)
+    red, pivots = linalg.rref([p + q for p, q in zip(P, linalg.mat_mul(_square(M, n), P))])
     if not is_automorphism(L, phi):
-        raise NotAutomorphism("matrix does not preserve the brackets")
-    inv = linalg.inverse(phi)
-    return AlmostComplexStructure(linalg.mat_mul(inv, linalg.mat_mul(J.rows(), phi)))
+        raise NotAutomorphism("matrix is singular" if pivots != list(range(n))
+                              else "matrix does not preserve the brackets")
+    return AlmostComplexStructure([[Fraction(x, red[0][0] * D) for x in row[n:]] for row in red])
 
 
 def verify_witness(L: LieAlgebra, J1: AlmostComplexStructure,

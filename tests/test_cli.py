@@ -592,6 +592,20 @@ def test_act_with_a_non_automorphism_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_act_with_a_singular_matrix_fails(tmp_path, capsys, json_flag):
+    # the zero matrix preserves every bracket: its rank is what fails
+    J = catalogue.get("G6,3").representative("J0").instantiate({}).to_json()
+    zero = [["0"] * 6 for _ in range(6)]
+    code, out = run(capsys, "act", "--algebra", "G6,3", "--j", _write(tmp_path, "j.json", J),
+                    "--phi", _write(tmp_path, "phi.json", zero), *json_flag)
+    assert code == 1
+    if json_flag:
+        assert json.loads(out) == {"error": "NotAutomorphism", "message": "matrix is singular"}
+    else:
+        assert out == "FAIL: NotAutomorphism: matrix is singular\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("command", ["act", "witness", "search"])
 @pytest.mark.parametrize("name, error, message", [
     ("zero", "BadSquare", "J^2 != -1"), ("identity", "BadSquare", "J^2 != -1"),

@@ -12,6 +12,7 @@ from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import DomainViolation
 from nilcomplex.exactnum import common_denominator
 from nilcomplex.expr import ExprError
+from test_linalg import oracle_inverse, oracle_rank
 
 G63_WITNESS_M = [
     [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0],
@@ -33,7 +34,7 @@ def _oracle(L, phi):
     phi = [[Fraction(x) for x in row] for row in phi]
     if len(phi) != n or any(len(r) != n for r in phi):
         return False
-    if linalg.rank(phi) < n:
+    if oracle_rank(phi) < n:
         return False
     cols = [[phi[r][c] for r in range(n)] for c in range(n)]
     for i in range(n):
@@ -246,6 +247,35 @@ def test_verify_witness_checks_the_automorphism_once(monkeypatch):
     # the zero matrix preserves every bracket; only its rank rejects it
     assert not orbits.verify_witness(e.algebra, J2, J1, [[0] * 6 for _ in range(6)])
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_act_is_the_oracles_conjugation(name):
+    e = catalogue.get(name.split("/")[0])
+    _, aut = FAMILIES[name]
+    fam = next(f for f in e.families if f.samplable)
+    for seed in range(3):
+        J = fam.instantiate(fam.random_admissible(random.Random(seed)))
+        phi = aut.instantiate_matrix(aut.random_admissible(random.Random(seed)))
+        want = linalg.mat_mul(oracle_inverse(phi), linalg.mat_mul(J.rows(), phi))
+        assert orbits.act(e.algebra, phi, J) == AlmostComplexStructure(want), (name, seed)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalogue.entries()])
+def test_a_singular_matrix_is_refused_as_singular(name):
+    # the zero matrix preserves every bracket, so only its rank rejects it
+    e = catalogue.get(name)
+    fam = next(f for f in e.families if f.samplable)
+    J = fam.instantiate(fam.random_admissible(random.Random(0)))
+    with pytest.raises(orbits.NotAutomorphism, match="^matrix is singular$"):
+        orbits.act(e.algebra, [[0] * 6 for _ in range(6)], J)
+
+
+def test_a_misshapen_matrix_is_refused_by_its_shape():
+    e = catalogue.get("G6,3")
+    J1 = e.representative("J1").instantiate({})
+    with pytest.raises(orbits.NotAutomorphism, match="^matrix is not 6x6$"):
+        orbits.act(e.algebra, I6[:5], J1)
 
 
 def test_not_automorphism_raises():

@@ -12,7 +12,9 @@ reads formula text (with ast.parse), and only exactnum sums the quadratic
 forms of the constraint map and of the automorphism map.  Only moduli
 imports numpy, for its one SVD.  The package reads no `.m`: that accessor
 of AlmostComplexStructure hands out mutable rows and drops a member's
-integer form, so the package reads `rows()`.
+integer form, so the package reads `rows()`.  Only linalg eliminates rows
+(no other module swaps rows or subtracts a multiple of one row from
+another), and it imports no fractions: its one elimination runs in ints.
 """
 
 import ast
@@ -427,3 +429,94 @@ def test_the_m_rule_accepts():
               'def f(J, m, inv):\n    """J.m is not read here."""\n'
               "    m = J.rows()\n    return m, inv['m'], J.m_table, J.mul\n")
     assert m_read_offenders("acs", ast.parse(source)) == []
+
+
+def _over_zip(loop: ast.AST) -> bool:
+    """A for loop or comprehension that iterates over a zip(...)."""
+    generators = loop.generators if isinstance(loop, (ast.ListComp, ast.GeneratorExp)) \
+        else [loop] if isinstance(loop, ast.For) else []
+    return any(isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "zip"
+               for g in generators)
+
+
+def _subtracts_a_multiple(node: ast.AST) -> bool:
+    """Some x - f * y in node: one row less a multiple of another."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+               and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Mult)
+               for n in ast.walk(node))
+
+
+def _swaps_rows(node: ast.AST) -> bool:
+    """a[i], a[j] = a[j], a[i]: two items of one sequence swapped."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple)):
+        return False
+    parts = node.targets[0].elts + node.value.elts
+    if len(parts) != 4 or not all(isinstance(p, ast.Subscript) for p in parts):
+        return False
+    slices = [ast.dump(p.slice) for p in parts]
+    return len({ast.dump(p.value) for p in parts}) == 1 \
+        and slices[0] == slices[3] and slices[1] == slices[2]
+
+
+def elimination_offenders(module: str, tree: ast.AST) -> list:
+    """Every row swap, and every loop over a zip that takes one row less a
+    multiple of another, in one module, named module:line."""
+    lines = {node.lineno for node in ast.walk(tree)
+             if _swaps_rows(node) or _over_zip(node) and _subtracts_a_multiple(node)}
+    return [f"{module}:{line}" for line in sorted(lines)]
+
+
+def fractions_imports(module: str, tree: ast.AST) -> list:
+    """Every import of the fractions module in one module, named module:line."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "fractions"]
+
+
+def test_only_linalg_eliminates_rows_and_it_imports_no_fractions():
+    offenders = []
+    for path, tree in _trees(PACKAGE):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module == "linalg.py":
+            offenders += fractions_imports(module, tree)
+            assert elimination_offenders(module, tree)  # the rule sees the one elimination
+        elif path.name not in GENERATED:
+            offenders += elimination_offenders(module, tree)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "rows[r], rows[pr] = rows[pr], rows[r]\n",
+    "def f(M, i, j):\n    M[i], M[j] = M[j], M[i]\n",
+    "rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]\n",
+    "new = list(pivot * a - f * b for a, b in zip(row, top))\n",
+    "for a, b in zip(row, top):\n    new.append((p * a - f * b) // prev)\n",
+], ids=["swap", "swap-in-function", "combination", "generator", "loop"])
+def test_the_elimination_rule_refuses(source):
+    assert len(elimination_offenders("m", ast.parse(source))) == 1
+
+
+def test_the_elimination_rule_accepts():
+    source = ("rhs = [r + c * g for r, g in zip(rhs, gen(k))]\n"
+              "d = [a - b for a, b in zip(p, q)]\n"
+              "a, b = b, a\nx[0], y[0] = y[0], x[0]\nm[0], m[1] = m[0], m[1]\n"
+              "s = sum(p - c * q for p in ps)\n")
+    assert elimination_offenders("charts", ast.parse(source)) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from fractions import Fraction\n",
+    "import fractions\n",
+    "def f(x):\n    from fractions import Fraction as F\n    return F(x)\n",
+], ids=["from", "module", "local"])
+def test_the_fractions_rule_refuses(source):
+    assert len(fractions_imports("linalg", ast.parse(source))) == 1
+
+
+def test_the_fractions_rule_accepts():
+    source = ('"""Rows of Fractions are put over ints."""\n'
+              "from .exactnum import GaussianRational, common_denominator\n"
+              "from .fractions_free import Fraction\n")
+    assert fractions_imports("linalg", ast.parse(source)) == []
