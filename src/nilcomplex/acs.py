@@ -6,8 +6,8 @@ when it is built that way (a family member is) and as Fraction rows once
 they are read.  J is read through one object, `constraint_map`, and an
 automorphism phi through `automorphism_forms`: one walk of the structure
 constants builds both, with int coefficients over one denominator E per
-algebra, so at M/D each component times E*D^2 is an int.  One integer
-evaluator, exactnum.quadratic_code, compiles each once per algebra and the
+algebra, so at M/D each component times E*D^2 is an int.  The package's
+one emitter, exactnum.integer_code, compiles each once per algebra and the
 J^2 + 1 forms once per dimension into straight-line code; `square_check`,
 integrability, closure of m, `constraint_values` and orbits.is_automorphism
 run it and test its ints against zero, and the moduli Jacobian reads the
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import GaussianRational, common_denominator, quadratic_code, rational_str
+from .exactnum import GaussianRational, common_denominator, integer_code, rational_str
 from .liecore import DimensionMismatch, LieAlgebra
 from . import linalg
 
@@ -141,11 +141,17 @@ def _square_forms(n: int, scale: int = 1) -> Tuple:
                  for j in range(n) for k in range(n))
 
 
+def _form_code(forms: Sequence[Tuple], size: int):
+    """The forms in size variables, compiled: (M, D) -> D^2 times each at M/D, in ints."""
+    return integer_code([[(c, (p, q)) for p, q, c in terms] + [(const, ())] * bool(const)
+                         for const, terms in forms], size, 2)
+
+
 @functools.cache
 def _square_code(n: int):
     """The J^2 + 1 forms of an n x n J, compiled (cached): (M, D) -> D^2
     times each entry, in ints."""
-    return quadratic_code(_square_forms(n), n * n)
+    return _form_code(_square_forms(n), n * n)
 
 
 @functools.cache
@@ -212,13 +218,13 @@ def integer_point(J: AlmostComplexStructure, n: int) -> Tuple[List[int], int]:
 def _constraint_code(L: LieAlgebra):
     """constraint_map(L), compiled (cached): (M, D) -> E*D^2 times each
     component at J = M/D, in ints."""
-    return quadratic_code(constraint_map(L), L.dim * L.dim)
+    return _form_code(constraint_map(L), L.dim * L.dim)
 
 
 @functools.cache
 def automorphism_code(L: LieAlgebra):
     """automorphism_forms(L), compiled (cached): code(M + [D], D) at phi = M/D."""
-    return quadratic_code(automorphism_forms(L), L.dim * L.dim + 1)
+    return _form_code(automorphism_forms(L), L.dim * L.dim + 1)
 
 
 def constraint_values(L: LieAlgebra, J: AlmostComplexStructure) -> Iterator[Fraction]:

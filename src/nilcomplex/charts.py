@@ -8,12 +8,12 @@ normal-ordering engine at sampled pairs.  Every check reads one cached
 derivation of the chart point (J, the validated scope and the chart
 functions), and (a) and (b) both read one gradient of the chart functions;
 for (b), its real and imaginary parts compile to one integer code per
-check, which runs at each point.  For (c), chi is derived once per chart
-point as polynomials in the real and imaginary parts of phi(a) and phi(x);
-at each rational pair, phi and chi then run their integer code, compiled
-once per polynomial.
-Complex combinations are always eliminated into the real polynomial ring
-before comparison.
+check, whose int rows at each point linalg.rank reads as they are.  For
+(c), chi is derived once per chart point as polynomials in the real and
+imaginary parts of phi(a) and phi(x); at each rational pair, phi and chi
+then run their integer code, compiled once per polynomial.  Complex
+combinations are always eliminated into the real polynomial ring before
+comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from . import group, linalg
 from .acs import AlmostComplexStructure, BadSquare
 from .catalogue import AlgebraEntry, Chart, Representative
-from .exactnum import GaussianRational, I, MultiPoly, integer_code
+from .exactnum import GaussianRational, I, MultiPoly, polynomial_code
 from .expr import evaluate, free_symbols
 
 
@@ -162,23 +162,24 @@ def verify_relations(chart: Chart, J: AlmostComplexStructure, scope: Mapping) ->
 
 
 def real_jacobian(grads: Sequence[Sequence[MultiPoly]]
-                  ) -> Callable[[Mapping[str, Fraction]], List[List[Fraction]]]:
-    """The full real 6x6 Jacobian of (Re phi, Im phi), as a function of the
-    point: the real and imaginary rows of the gradient compile once, to one
-    integer code, which each point runs.
+                  ) -> Callable[[Mapping[str, Fraction]], List[List[int]]]:
+    """The full real 6x6 Jacobian of (Re phi, Im phi) as int rows, all 36
+    entries over one denominator that no rank needs divided out, as a
+    function of the point: the real and imaginary rows of the gradient
+    compile once, to one integer code, which each point runs.
 
     Its rank is the convention-free invertibility certificate: the charts
     are holomorphic for J, not for the standard complex structure, so the
     3x3 matrix d(phi)/d(z) in standard z's can be singular for perfectly
     good charts.
     """
-    code = integer_code([p for grad in grads for part in zip(*(g.parts() for g in grad))
-                         for p in part], group.COORDS)
+    code = polynomial_code([p for grad in grads for part in zip(*(g.parts() for g in grad))
+                            for p in part], group.COORDS)
     width = len(group.COORDS)
 
-    def at(point: Mapping[str, Fraction]) -> List[List[Fraction]]:
-        values = code([point[c] for c in group.COORDS])
-        return [values[k:k + width] for k in range(0, len(values), width)]
+    def at(point: Mapping[str, Fraction]) -> List[List[int]]:
+        values = code([point[c] for c in group.COORDS])[0]
+        return [list(values[k:k + width]) for k in range(0, len(values), width)]
 
     return at
 

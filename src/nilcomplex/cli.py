@@ -57,18 +57,6 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _tol(text: str) -> float:
-    """argparse type of the SVD rank tolerance: finite, with 0 < tol < 0.1,
-    so that the guard's second threshold 10*tol stays below 1."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = float("nan")
-    if not 0 < tol < 0.1:  # false for nan and inf too
-        raise argparse.ArgumentTypeError(f"expected a tolerance in (0, 0.1), got {text!r}")
-    return tol
-
-
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -288,16 +276,16 @@ def cmd_chart_verify(args):
     return 1 if any(x["status"].startswith("FAIL") for x in results) else 0
 
 
-def moduli_check(e, fam, samples: int, tol: float, seed: int):
+def moduli_check(e, fam, samples: int, seed: int):
     """moduli-dim's check: the dimension report; passes when every tangent dim agrees."""
-    rep = moduli.dimension_report(e, family=fam, samples=samples, tol=tol, seed=seed)
+    rep = moduli.dimension_report(e, family=fam, samples=samples, seed=seed)
     return rep, rep["agree"] == len(rep["tangent_dims"])
 
 
 def cmd_moduli_dim(args):
     e = catalogue.get(args.algebra)
     fam = e.family(args.family) if args.family else None
-    rep, ok = moduli_check(e, fam, args.samples, args.tol, args.seed)
+    rep, ok = moduli_check(e, fam, args.samples, args.seed)
     _emit(args, rep, "\n".join(
         [f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
          f"family rank {s['family_rank']}" for s in rep["samples"]]
@@ -363,7 +351,7 @@ def cmd_report(args):
                     raise AssertionError(f"{r.name}: {res['status']}")
 
     def moduli_section():
-        rep, ok = moduli_check(e, None, 5, args.tol, args.seed)
+        rep, ok = moduli_check(e, None, 5, args.seed)
         if not ok:
             raise AssertionError(rep["tangent_dims"])
 
@@ -463,7 +451,6 @@ def build_parser():
     common(p, "algebra")
     p.add_argument("--family")
     p.add_argument("--samples", type=_count, default=10)
-    p.add_argument("--tol", type=_tol, default=moduli.DEFAULT_TOL)
     p.set_defaults(fn=cmd_moduli_dim)
 
     p = sub.add_parser("nonexistence-check",
@@ -476,7 +463,6 @@ def build_parser():
     common(p, "algebra")
     p.add_argument("--samples", type=_count,
                    help="family samples per algebra (default 5), or twin samples (default 20)")
-    p.add_argument("--tol", type=_tol, default=moduli.DEFAULT_TOL)
     p.set_defaults(fn=cmd_report)
     return ap
 

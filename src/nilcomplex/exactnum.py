@@ -19,12 +19,11 @@ by exponent tuples, and it, ``constant_value`` and ``eval`` hand out
 ``common_denominator`` puts rationals over one denominator,
 ``reduced_common_denominator`` does so for ratios of ints (this module holds
 the package's only lcm and gcd), and ``MultiPoly.integer_form`` reads a
-polynomial's coefficients over theirs off the store; ``integer_code``, the
-one integer evaluator of polynomials, compiles them into code that sums the
-two in ints.  The group laws and the chart Jacobian are such code, and
-``MultiPoly.eval`` at a rational point runs the polynomial's own, built on
-first use.  ``quadratic_code`` compiles int quadratic forms the same way: it
-is the one evaluator of the constraint map of ``acs``.
+polynomial's coefficients over theirs off the store.  ``integer_code``, the
+one code emitter, compiles rows of int terms into code that sums them in
+ints; the forms of ``acs`` are such code, and so, by ``polynomial_code``
+over one C*D^deg, are the group laws, the chart Jacobian and
+``MultiPoly.eval`` at a rational point (its own code, built on first use).
 
 Every scalar answers the same protocol: ``bool()`` is the zero test,
 ``**`` runs the one square-and-multiply loop ``_power``, and equal values
@@ -87,50 +86,49 @@ def _term(k: int, factors: List[str], pad: int) -> str:
     return src if k == 1 else f"-{src}" if k == -1 else f"{k}*{src}"
 
 
-def integer_code(polys: Sequence["MultiPoly"], names: Sequence[str]):
-    """Straight-line code from int or Fraction values of names to one Fraction
-    per polynomial (rational coefficients only): over the values' common
-    denominator D, with numerators n, it sums k_e n^e D^(deg - |e|) in ints
-    over C D^deg, (C, deg, k_e) the integer form.  Values are named by
-    position and each sum is one flat list: no name or length can break it."""
-    n = {v: f"n{i}" for i, v in enumerate(names)}
-    rows, top = [], 1
-    for p in polys:
-        C, deg, form = p.integer_form()
-        if any(k_im for _, _, k_im in form):
-            raise ValueError("compiled coefficients must be rational")
-        top = max(top, deg)
-        terms = [_term(k, [n[v] for v, x in zip(p.vars, e) for _ in range(x)], deg - sum(e))
-                 for e, k, _ in form]
-        rows.append(f"F(sum([{', '.join(terms)}]), {_term(C, [], deg)})")
-    src = "\n ".join(["def code(args):",
-                       f"[{', '.join(n.values())}], D1 = common_denominator(args)",
-                       *(f"D{k} = D{k - 1}*D1" for k in range(2, top + 1)),
-                       f"return [{', '.join(rows)}]"])
-    scope = {"F": Fraction, "common_denominator": common_denominator}
-    exec(src, scope)
-    return scope["code"]
+_CHAIN = 100  # a longer + chain nests too deep for the compiler
 
 
-def quadratic_code(forms: Sequence[tuple], size: int):
-    """Straight-line code from (M, D), the size ints M of a point f = M/D over
-    one denominator D, to the tuple of D^2 times each quadratic form
-    (const, ((p, q, c), ...)) at f, i.e. const*D^2 + sum c*M[p]*M[q], in
-    ints.  M is unpacked into locals once, so each term is two local reads."""
-    m = [f"m{p}" for p in range(size)]
-    rows = []
-    for const, terms in forms:
-        parts = [_term(c, [m[p], m[q]], 0) for p, q, c in terms]
-        if const:
-            parts.append(_term(const, [], 2))
-        rows.append(" + ".join(parts) or "0")
-    src = "\n ".join(["def code(M, D):",
-                       f"({''.join(x + ', ' for x in m)}) = M",
-                       "D2 = D*D",
-                       f"return ({''.join(r + ', ' for r in rows)})"])
+def integer_code(rows: Sequence[Sequence[tuple]], size: int, deg: int):
+    """Straight-line code from (N, D), size ints and one denominator, to the
+    tuple of D^deg times each row at N/D, in ints.  A row's term (k, idx), idx
+    at most deg positions in N, is k * prod(N[i] for i in idx) * D^(deg - |idx|);
+    a row of up to _CHAIN terms is one + chain, a longer one a flat list."""
+    n = [f"n{i}" for i in range(size)]
+    sums = []
+    for row in rows:
+        terms = [_term(k, [n[i] for i in idx], deg - len(idx)) for k, idx in row]
+        sums.append(" + ".join(terms) or "0" if len(terms) <= _CHAIN
+                    else f"sum([{', '.join(terms)}])")
+    src = "\n ".join(["def code(N, D1):",
+                       f"({''.join(x + ', ' for x in n)}) = N",
+                       *(f"D{k} = D{k - 1}*D1" for k in range(2, deg + 1)),
+                       f"return ({''.join(x + ', ' for x in sums)})"])
     scope = {}
     exec(src, scope)
     return scope["code"]
+
+
+def polynomial_code(polys: Sequence["MultiPoly"], names: Sequence[str]):
+    """integer_code of the polys (rational coefficients only), as a function
+    of int or Fraction values of names to (V, S): one int per polynomial over
+    S = C*D^deg, C the lcm of the polys' denominators, deg their top degree
+    and D the values' common denominator."""
+    pos = {v: i for i, v in enumerate(names)}
+    forms = [p.integer_form() for p in polys]
+    C = reduce(lcm, (c for c, _, _ in forms), 1)
+    deg = max((d for _, d, _ in forms), default=0)
+    if any(k_im for _, _, form in forms for _, _, k_im in form):
+        raise ValueError("compiled coefficients must be rational")
+    code = integer_code([[(k * (C // c), [pos[v] for v, x in zip(p.vars, e) for _ in range(x)])
+                          for e, k, _ in form] for p, (c, _, form) in zip(polys, forms)],
+                        len(names), deg)
+
+    def at(values) -> tuple:
+        N, D = common_denominator(values)
+        return code(N, D), C * D ** deg
+
+    return at
 
 
 def _power(x, n: int, one):
@@ -369,7 +367,7 @@ class MultiPoly:
     keyed by exponent tuples.
     """
 
-    __slots__ = ("vars", "_num", "_den", "_code")  # _code: integer_code of (re, im), set once
+    __slots__ = ("vars", "_num", "_den", "_code")  # _code: polynomial_code of (re, im), set once
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, GaussianRational] | None = None):
         vs = tuple(vars)
@@ -656,9 +654,10 @@ class MultiPoly:
         try:
             code = self._code
         except AttributeError:
-            code = integer_code(self.parts(), self.vars)
+            code = polynomial_code(self.parts(), self.vars)
             object.__setattr__(self, "_code", code)
-        return GaussianRational(*code(vals))
+        (re, im), S = code(vals)
+        return GaussianRational(Fraction(re, S), Fraction(im, S))
 
     def partial(self, var: str) -> "MultiPoly":
         """Exact formal partial derivative; zero for unknown variables."""

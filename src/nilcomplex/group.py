@@ -29,9 +29,9 @@ pushing e^{-a_1 x_1}, ..., e^{-a_n x_n} onto the identity in turn gives the
 inverse e^{-a_n x_n} ... e^{-a_1 x_1}.  From mu, without further collection,
 come the left-invariant fields (d mu / d b_j at b = 0) and exp (the flow of
 sum v_k X_k, solved exactly in Q[t] at t = 1).  Each law is compiled once
-by exactnum.integer_code: int or Fraction coordinates run that code, any
-other coordinates (MultiPoly ones, say) go through MultiPoly.eval of the
-law's polynomials.  Each fact of an algebra (its class check, the swap
+by exactnum.polynomial_code: int or Fraction coordinates run that code and
+divide by its one denominator, any other coordinates (MultiPoly ones, say)
+go through MultiPoly.eval of the law's polynomials.  Each fact of an algebra (its class check, the swap
 table, the three laws, the fields) is a functools.cache'd function of the
 LieAlgebra, derived on first use.  `collect` stays as the derivation and
 the test oracle.
@@ -44,7 +44,7 @@ from functools import cache
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from .exactnum import MultiPoly, integer_code
+from .exactnum import MultiPoly, polynomial_code
 from .liecore import LieAlgebra
 
 COORDS = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -170,8 +170,8 @@ def _formal(prefix: str, n: int) -> List[MultiPoly]:
 
 
 def _compile(polys: Sequence[MultiPoly], names: Sequence[str]):
-    """The law (polys, names, code), code the polys' integer code."""
-    return polys, names, integer_code(polys, names)
+    """The law (polys, names, code), code the polys' polynomial_code."""
+    return polys, names, polynomial_code(polys, names)
 
 
 def _evaluate(law, *coords) -> List:
@@ -182,7 +182,8 @@ def _evaluate(law, *coords) -> List:
         raise ValueError("coordinate tuples must match the algebra dimension")
     args = [*chain.from_iterable(coords)]
     if _RATIONAL.issuperset(map(type, args)):
-        return code(args)
+        values, S = code(args)
+        return [Fraction(v, S) for v in values]
     env = dict(zip(names, args))
     return [p.eval(env) for p in polys]
 

@@ -4,7 +4,7 @@ Deciding equivalence of two arbitrary structures is a polynomial-system
 feasibility problem with no uniform exact algorithm at this scale; we only
 verify explicit witnesses (`is_automorphism` runs in ints: acs's compiled
 automorphism forms at phi = M/D, then linalg.rank of M; `act` solves
-phi X = J phi by linalg.rref), compute orbit
+phi X = J phi by one linalg.rref, then runs the forms), compute orbit
 invariants, and implement the two explicit parameter-level equivalence
 predicates (M10 and the M5 case-2.1 stratum).  A best-effort randomized
 search is available behind an explicit call and returns "inconclusive"
@@ -33,12 +33,15 @@ class NotAutomorphism(ValueError):
 def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
     """Exact, in ints: phi = M/D has integer rank n and zeroes acs.automorphism_forms(L)."""
     n = L.dim
-    phi = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in phi]
     if len(phi) != n or any(len(r) != n for r in phi):
         return False
-    M, D = common_denominator([x for row in phi for x in row])
-    return not any(automorphism_code(L)(M + [D], D)) \
-        and linalg.rank(_square(M, n)) == n
+    M, D = common_denominator([Fraction(x) for row in phi for x in row])
+    return _preserves_brackets(L, M, D) and linalg.rank(_square(M, n)) == n
+
+
+def _preserves_brackets(L: LieAlgebra, M: List[int], D: int) -> bool:
+    """phi = M/D, M its entries row by row, zeroes acs.automorphism_forms(L)."""
+    return not any(automorphism_code(L)(M + [D], D))
 
 
 def _square(M: List[int], n: int) -> List[List[int]]:
@@ -50,17 +53,19 @@ def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
     """The action J -> phi^-1 J phi; requires J a complex structure on L
     (else BadSquare or NotClosed) and phi in Aut(L).  J keeps its (M, D).
     At phi = P/d and J = M/D, linalg.rref takes [P | M P] to
-    [delta I | delta D X], X = phi^-1 J phi, unless P is singular."""
+    [delta I | delta D X], X = phi^-1 J phi, unless its pivots show P singular."""
     m_subalgebra(L, J)
     n = L.dim
     if len(phi) != n or any(len(row) != n for row in phi):
         raise NotAutomorphism(f"matrix is not {n}x{n}")
-    P = _square(common_denominator([Fraction(x) for row in phi for x in row])[0], n)
+    N, d = common_denominator([Fraction(x) for row in phi for x in row])
+    P = _square(N, n)
     M, D = integer_point(J, n)
     red, pivots = linalg.rref([p + q for p, q in zip(P, linalg.mat_mul(_square(M, n), P))])
-    if not is_automorphism(L, phi):
-        raise NotAutomorphism("matrix is singular" if pivots != list(range(n))
-                              else "matrix does not preserve the brackets")
+    if pivots != list(range(n)):
+        raise NotAutomorphism("matrix is singular")
+    if not _preserves_brackets(L, N, d):
+        raise NotAutomorphism("matrix does not preserve the brackets")
     return AlmostComplexStructure([[Fraction(x, red[0][0] * D) for x in row[n:]] for row in red])
 
 

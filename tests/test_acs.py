@@ -7,11 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nilcomplex import acs, catalogue, linalg, moduli, orbits
+from nilcomplex import acs, catalogue, exactnum, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, Unclassifiable, check_m_table,
                             classify_m, is_integrable, m_subalgebra, nijenhuis)
-from nilcomplex.exactnum import common_denominator, quadratic_code
+from nilcomplex.exactnum import common_denominator
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
 
 ABELIAN_ALG = LieAlgebra(6, {})
@@ -281,7 +281,7 @@ def test_perturbed_square_forms_fail_the_dense_square(monkeypatch, row):
     # compile the perturbed forms and put them in its place
     forms = _perturbed(acs._square_forms(6), row, J0)
     assert J0.square_check() and not any(_oracle(ABELIAN_ALG, J0)[:36])
-    monkeypatch.setattr(acs, "_square_code", lambda n: quadratic_code(forms, n * n))
+    monkeypatch.setattr(acs, "_square_code", lambda n: acs._form_code(forms, n * n))
     assert not J0.square_check()
 
 
@@ -294,13 +294,25 @@ def test_a_perturbed_compiled_map_fails_the_oracles(monkeypatch, row):
     L, fam = e.algebra, e.families[0]
     J = fam.instantiate(fam.random_admissible(random.Random(row)))
     assert is_integrable(L, J) and not any(_oracle(L, J))
-    code = quadratic_code(_perturbed(acs.constraint_map(L), row, J), 36)
+    code = acs._form_code(_perturbed(acs.constraint_map(L), row, J), 36)
     monkeypatch.setattr(acs, "_constraint_code", lambda _: code)
     assert not is_integrable(L, J)
     moved = [k for k, v in enumerate(acs.constraint_values(L, J)) if v]
     assert moved == [row]
     with pytest.raises(BadSquare if row < 36 else NotClosed):
         m_subalgebra(L, J)
+
+
+def test_an_off_by_one_power_of_the_denominator_fails_the_nijenhuis_oracle(monkeypatch):
+    # the emitter's one writer of a term, shifted: each product of two
+    # entries gains a factor D, which only a J with D > 1 can show
+    term = exactnum._term
+    monkeypatch.setattr(exactnum, "_term", lambda k, factors, pad: term(k, factors, pad + bool(factors)))
+    e = catalogue.get("M18+1")
+    L, fam = LieAlgebra(6, e.algebra.table), e.families[0]  # a fresh algebra: its map compiles here
+    J = fam.instantiate(fam.random_admissible(random.Random(1)))
+    assert acs.integer_point(J, 6)[1] > 1 and not any(_oracle(L, J))
+    assert list(acs.constraint_values(L, J)) != _oracle(L, J)
 
 
 def test_is_integrable_is_square_and_torsion():

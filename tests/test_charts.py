@@ -136,6 +136,14 @@ def test_real_jacobian_nonzero_at_origin():
     assert linalg.rank(charts.real_jacobian(charts.gradient(phis))(origin)) == 6
 
 
+def test_verify_chart_hands_the_rank_int_rows(monkeypatch):
+    ranked, rank = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranked.append(rows) or rank(rows))
+    e = catalogue.get("M14+1")
+    charts.verify_chart(e, e.representative("J_pm"), {"j36": Fraction(1)}, jacobian_points=3)
+    assert len(ranked) == 3 and all(type(x) is int for rows in ranked for row in rows for x in row)
+
+
 def _term_by_term(p, point):
     """p at point through the ring operations, one term at a time."""
     out = GaussianRational(0)
@@ -147,6 +155,7 @@ def _term_by_term(p, point):
 
 
 def test_the_compiled_jacobian_is_the_gradient_at_each_point():
+    # int rows: the Fraction Jacobian times one positive scale
     rng = random.Random(5)
     for rep in (r for e in catalogue.entries() for r in e.representatives if r.chart):
         values = rep.random_admissible(rng, extra_conditions=rep.chart.conditions)
@@ -158,7 +167,11 @@ def test_the_compiled_jacobian_is_the_gradient_at_each_point():
             for grad in grads:
                 d = [_term_by_term(g, point) for g in grad]
                 expected += [[x.re for x in d], [x.im for x in d]]
-            assert jacobian(point) == expected, rep.name
+            rows = jacobian(point)
+            assert all(type(x) is int for row in rows for x in row), rep.name
+            scale = next(Fraction(x) / y for row, exp in zip(rows, expected)
+                         for x, y in zip(row, exp) if y)
+            assert scale > 0 and rows == [[y * scale for y in exp] for exp in expected], rep.name
 
 
 def test_chi_skips_only_coordinate_dependent_defs():

@@ -3,9 +3,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nilcomplex import exactnum
+from nilcomplex import acs, exactnum
 from nilcomplex.exactnum import (GaussianRational, MultiPoly, common_denominator, rational_str,
                                  reduced_common_denominator)
 
@@ -537,13 +537,45 @@ def test_the_integer_form_is_the_polynomial_over_one_denominator(p):
 
 
 ints = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, size, deg): rows of terms (k, idx), each idx at most deg
+    positions below size."""
+    size, deg = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    idx = st.lists(st.integers(0, size - 1), max_size=deg) if size else st.just([])
+    return draw(st.lists(st.lists(st.tuples(ints, idx), max_size=6), max_size=4)), size, deg
+
+
+LONG_ROW = [(k % 7 - 3, [k % 3, (k + 1) % 3]) for k in range(exactnum._CHAIN + 1)]
+
+
+@given(integer_rows(), st.lists(ints, min_size=4, max_size=4), st.integers(1, 30))
+@example(([[]], 2, 1), [1, 2, 3, 4], 5)
+@example(([[(3, [])], [(-2, [])]], 0, 0), [], 7)
+@example(([[(4, []), (-1, [])], [(5, [])]], 2, 0), [3, -2, 0, 0], 1)
+@example(([LONG_ROW, LONG_ROW[:exactnum._CHAIN]], 3, 2), [-4, 5, 7, 0], 9)
+def test_integer_code_is_each_row_times_d_to_the_degree(case, N, D):
+    rows, size, deg = case
+    N = N[:size]
+    code = exactnum.integer_code(rows, size, deg)
+    values = code(N, D)
+    assert type(values) is tuple and all(type(v) is int for v in values)
+    assert list(values) == [sum(k * math.prod(N[i] for i in idx) * D ** (deg - len(idx))
+                                for k, idx in row) for row in rows]
+    # a long row is one flat list summed once, a short one a + chain
+    assert ("sum" in code.__code__.co_names) == any(len(r) > exactnum._CHAIN for r in rows)
+
+
 quadratic_forms = st.lists(st.tuples(ints, st.lists(st.tuples(
     st.integers(0, 3), st.integers(0, 3), ints), max_size=5)), max_size=4)
 
 
 @given(quadratic_forms, st.lists(ints, min_size=4, max_size=4), st.integers(1, 30))
 def test_quadratic_code_is_each_form_times_d_squared(forms, M, D):
-    code = exactnum.quadratic_code(forms, 4)
+    # the forms of acs compile through integer_code, one row per form
+    code = acs._form_code(forms, 4)
     f = [Fraction(m, D) for m in M]
     values = code(M, D)
     assert type(values) is tuple and all(type(v) is int for v in values)
@@ -552,6 +584,15 @@ def test_quadratic_code_is_each_form_times_d_squared(forms, M, D):
 
 
 def test_quadratic_code_of_no_forms_and_of_empty_forms():
-    assert exactnum.quadratic_code([], 0)([], 7) == ()
-    assert exactnum.quadratic_code([(0, ()), (-2, ()), (0, ((1, 1, -1),))], 2)([3, 5], 7) == \
+    assert acs._form_code([], 0)([], 7) == ()
+    assert acs._form_code([(0, ()), (-2, ()), (0, ((1, 1, -1),))], 2)([3, 5], 7) == \
         (0, -98, -25)
+
+
+def test_polynomial_code_is_the_polynomials_over_one_denominator():
+    p, q = X * X * Fraction(1, 3) - Y / 2 + 1, MultiPoly.const(Fraction(-5, 4))
+    code = exactnum.polynomial_code([p, q, MultiPoly.const(0)], ("x", "y"))
+    values, S = code([Fraction(2, 3), -1])
+    assert S == 12 * 3 ** 2 and all(type(v) is int for v in values)
+    assert [Fraction(v, S) for v in values] == \
+        [p.eval({"x": Fraction(2, 3), "y": -1}).re, Fraction(-5, 4), 0]

@@ -231,22 +231,21 @@ def test_act_examples():
 
 
 def test_verify_witness_checks_the_automorphism_once(monkeypatch):
+    # one elimination of [P | M P] and one run of the bracket forms: act
+    # neither puts phi over one denominator again nor takes a second rank
     e = catalogue.get("G6,3")
     J1 = e.representative("J1").instantiate({})
     J2 = e.representative("J2").instantiate({})
-    calls = []
-    check = orbits.is_automorphism
-
-    def counted(L, phi):
-        calls.append(phi)
-        return check(L, phi)
-
-    monkeypatch.setattr(orbits, "is_automorphism", counted)
+    eliminations, brackets = [], []
+    rref, preserves = linalg.rref, orbits._preserves_brackets
+    monkeypatch.setattr(linalg, "rref", lambda rows: eliminations.append(rows) or rref(rows))
+    monkeypatch.setattr(orbits, "_preserves_brackets",
+                        lambda L, M, D: brackets.append(M) or preserves(L, M, D))
     assert orbits.verify_witness(e.algebra, J2, J1, G63_WITNESS_M)
-    assert len(calls) == 1
-    # the zero matrix preserves every bracket; only its rank rejects it
+    assert (len(eliminations), len(brackets)) == (1, 1)
+    # the zero matrix preserves every bracket; the pivots reject it first
     assert not orbits.verify_witness(e.algebra, J2, J1, [[0] * 6 for _ in range(6)])
-    assert len(calls) == 2
+    assert (len(eliminations), len(brackets)) == (2, 1)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -258,6 +258,40 @@ def test_the_codegen_rule_accepts():
     assert codegen_offenders("group", ast.parse(source)) == []
 
 
+def exec_sites(module: str, tree: ast.AST) -> list:
+    """Every call of the exec builtin in one module, named module.function
+    by the innermost function around it (module.<module> outside any)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "exec":
+                sites.append(f"{module}.{owner}")
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_the_only_exec_is_integer_codes():
+    # one emitter: every compiled sum of integer terms is integer_code's
+    sites = []
+    for path, tree in _trees(PACKAGE):
+        sites += exec_sites(path.relative_to(PACKAGE).with_suffix("").as_posix(), tree)
+    assert sites == ["exactnum.integer_code"]
+
+
+def test_the_exec_rule_names_each_call_by_its_function():
+    source = ("exec(top)\n"
+              "def emit(forms):\n    exec(src, scope)\n"
+              "    def inner():\n        return exec(more)\n"
+              "class C:\n    def m(self):\n        x.exec(s)\n        return eval(s)\n")
+    assert exec_sites("m", ast.parse(source)) == ["m.<module>", "m.emit", "m.inner"]
+
+
 def parse_offenders(module: str, tree: ast.AST) -> list:
     """Every use of ast.parse, or import of parse from ast, in one module,
     named module:line."""
@@ -315,8 +349,8 @@ def _quadratic_terms(node: ast.AST, names: set) -> list:
 def form_sum_offenders(module: str, tree: ast.AST) -> list:
     """Every loop or comprehension over (p, q, c) terms whose body or element
     multiplies two values indexed by p and q, named module:line: a sum of
-    the constraint map's or the automorphism map's forms outside
-    exactnum.quadratic_code."""
+    the constraint map's or the automorphism map's forms outside the code
+    exactnum.integer_code compiles."""
     offenders = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -334,7 +368,7 @@ def form_sum_offenders(module: str, tree: ast.AST) -> list:
 
 
 def test_only_exactnum_sums_the_forms():
-    # one evaluator of both bracket maps: the code quadratic_code compiles
+    # one evaluator of both bracket maps: the code integer_code compiles
     offenders = []
     for path, tree in _trees(PACKAGE):
         if path.relative_to(PACKAGE) != Path("exactnum.py"):
