@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it reads the input, parses the command line and
+prints what the library and its checks (nilcomplex.checks) return.
 
 Exit codes: 0 = success / all checks pass, 1 = verification failure,
 2 = usage error.  All randomness flows from --seed.
@@ -13,9 +14,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import catalogue, charts, group, moduli, orbits
-from .acs import (AlmostComplexStructure, BadSquare, NotClosed, Unclassifiable,
-                  check_m_table, classify_m, is_integrable)
+from . import catalogue, checks, group, orbits
+from .acs import AlmostComplexStructure, BadSquare, NotClosed, Unclassifiable, is_integrable
 from .catalogue import DomainViolation, SamplingExhausted, UnknownAlgebra, UnknownMember
 from .exactnum import rational_str
 
@@ -129,7 +129,7 @@ def _resolve_J(args, e):
     if args.j:
         if params:
             raise UsageError("--param does not apply to --j")
-        return AlmostComplexStructure(_matrix(_load_json(args.j), e.algebra.dim, args.j)), None
+        return AlmostComplexStructure(_matrix(_load_json(args.j), e.algebra.dim, args.j))
     if args.rep:
         member = e.representative(args.rep)
     else:
@@ -139,7 +139,7 @@ def _resolve_J(args, e):
         raise UsageError(f"--param {', '.join(unknown)}: not a parameter of {member.name}")
     if not args.rep and set(member.param_names()) - set(params):
         params = {**member.random_admissible(args.seed), **params}
-    return member.instantiate(params), member
+    return member.instantiate(params)
 
 
 def cmd_sample(args):
@@ -158,27 +158,15 @@ def cmd_sample(args):
     return 0
 
 
-def family_sweep(e, fams, samples: int, seed: int):
-    """verify's family check: per family, how many of the draws at seed + n
-    (n < samples) are not integrable; passes when none is."""
-    results = []
-    for fam in fams:
-        bad = sum(not is_integrable(e.algebra, fam.instantiate(fam.random_admissible(seed + n)))
-                  for n in range(samples))
-        results.append({"family": fam.name, "samples": samples, "failures": bad})
-    return results, all(r["failures"] == 0 for r in results)
-
-
 def cmd_verify(args):
     e = catalogue.get(args.algebra)
     if args.rep or args.j or args.param:
-        J, _ = _resolve_J(args, e)
+        J = _resolve_J(args, e)
         ok = is_integrable(e.algebra, J)
         _emit(args, {"integrable": ok}, f"{e.name}: integrable = {ok}")
         return 0 if ok else 1
-    fams = [e.family(args.family)] if args.family else \
-        [f for f in e.families if f.samplable]
-    results, ok = family_sweep(e, fams, args.samples, args.seed)
+    fam = e.family(args.family) if args.family else None
+    results, ok = checks.family_sweep(e, fam, args.samples, args.seed)
     _emit(args, {"algebra": e.name, "results": results},
           "\n".join(f"{e.name}/{r['family']}: {r['samples'] - r['failures']}/"
                     f"{r['samples']} integrable" for r in results))
@@ -187,7 +175,7 @@ def cmd_verify(args):
 
 def cmd_classify_m(args):
     e = catalogue.get(args.algebra)
-    J, _ = _resolve_J(args, e)
+    J = _resolve_J(args, e)
     inv = orbits.orbit_invariants(e, J)
     payload = {"m": inv["m"], "representative": inv["representative"]}
     text = f"m is {inv['m']}"
@@ -238,54 +226,27 @@ def cmd_mul(args):
     return 0
 
 
-def chart_point(e, r, seed: int, jacobian_points: int, pairs: int):
-    """chart-verify's check of the chart point drawn at seed: holomorphy, relations
-    and the Jacobian, then the multiplication; status "pass" or "FAIL (...)"."""
-    values = r.random_admissible(seed, extra_conditions=r.chart.conditions)
-    failing = ()
-    try:
-        charts.verify_chart(e, r, values, jacobian_points=jacobian_points, seed=seed)
-        charts.verify_chart_multiplication(e, r, values, pairs=pairs, seed=seed)
-        status = "pass"
-    except charts.NotAnnihilated as ex:
-        failing, status = ex.failing, f"FAIL ({ex})"
-    except AssertionError as ex:  # DegenerateJacobian, Mismatch, relations
-        status = f"FAIL ({ex})"
-    return {"representative": r.name, "seed": seed, "status": status,
-            "params": {k: rational_str(v) for k, v in sorted(values.items())},
-            "failing": [list(p) for p in failing]}
-
-
 def cmd_chart_verify(args):
     e = catalogue.get(args.algebra)
-    reps = [e.representative(args.rep)] if args.rep else \
-        [r for r in e.representatives if r.chart is not None]
-    if reps[0].chart is None:
+    rep = e.representative(args.rep) if args.rep else None
+    if rep and rep.chart is None:
         raise UsageError(f"--rep {args.rep}: no chart catalogued for {e.name}")
     lines, results = [], []
-    for r in reps:
-        for n in range(args.seeds):
-            res = chart_point(e, r, args.seed + n, jacobian_points=10, pairs=args.pairs)
-            lines.append(f"{e.name}/{r.name} @ {res['params']}")
-            lines.extend(f"  X~_{j}^- phi^1..3: " + "  ".join(
-                "FAIL" if [j, k] in res["failing"] else "pass" for k in range(1, 4))
-                for j in range(1, 7))
-            lines.append(f"  jacobian + relations + multiplication: {res['status']}")
-            results.append(res)
+    for res in checks.chart_points(e, rep, args.seeds, args.seed, args.pairs):
+        lines.append(f"{e.name}/{res['representative']} @ {res['params']}")
+        lines.extend(f"  X~_{j}^- phi^1..3: " + "  ".join(
+            "FAIL" if [j, k] in res["failing"] else "pass" for k in range(1, 4))
+            for j in range(1, 7))
+        lines.append(f"  jacobian + relations + multiplication: {res['status']}")
+        results.append(res)
     _emit(args, {"algebra": e.name, "results": results}, "\n".join(lines))
     return 1 if any(x["status"].startswith("FAIL") for x in results) else 0
-
-
-def moduli_check(e, fam, samples: int, seed: int):
-    """moduli-dim's check: the dimension report; passes when every tangent dim agrees."""
-    rep = moduli.dimension_report(e, family=fam, samples=samples, seed=seed)
-    return rep, rep["agree"] == len(rep["tangent_dims"])
 
 
 def cmd_moduli_dim(args):
     e = catalogue.get(args.algebra)
     fam = e.family(args.family) if args.family else None
-    rep, ok = moduli_check(e, fam, args.samples, args.seed)
+    rep, ok = checks.moduli_dimension(e, fam, args.samples, args.seed)
     _emit(args, rep, "\n".join(
         [f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
          f"family rank {s['family_rank']}" for s in rep["samples"]]
@@ -294,72 +255,22 @@ def cmd_moduli_dim(args):
     return 0 if ok else 1
 
 
-def cmd_nonexistence_check(args):
-    rep = catalogue.nonexistence_spotcheck(args.name, samples=args.samples,
-                                           seed=args.seed)
+def cmd_nonexistence_check(args, name=None, samples=None):
+    """The spot-check of a twin: nonexistence-check, and report on a twin."""
+    name, samples = name or args.name, samples or args.samples
+    rep = catalogue.nonexistence_spotcheck(name, samples=samples, seed=args.seed)
     n = len(rep["samples"])
     bad = sum(1 for s in rep["samples"] if s["integrable"])
-    _emit(args, rep, f"{args.name}: {n - bad}/{n} samples fail integrability "
+    _emit(args, rep, f"{name}: {n - bad}/{n} samples fail integrability "
                      f"(as they must); borrowed family {rep['borrowed_family']}")
     return 0 if rep["all_fail"] else 1
 
 
 def cmd_report(args):
-    try:
-        e = catalogue.get(args.algebra)
-    except UnknownAlgebra:
-        if not catalogue.is_spotcheck_target(args.algebra):
-            raise
-        args.name, args.samples = args.algebra, args.samples or 20
-        return cmd_nonexistence_check(args)
-    sections = {}
-
-    def section(label, fn):
-        try:
-            fn()
-            sections[label] = "pass"
-        except (AssertionError, ArithmeticError, RuntimeError, ValueError) as ex:
-            sections[label] = f"FAIL: {type(ex).__name__}: {str(ex)[:100]}"
-
-    def families():
-        results, ok = family_sweep(e, [f for f in e.families if f.samplable],
-                                   args.samples or 5, args.seed)
-        if not ok:
-            raise AssertionError([r["family"] for r in results if r["failures"]])
-
-    def rep_tables():
-        for r in e.representatives:
-            values = r.random_admissible(args.seed)
-            J = r.instantiate(values)
-            if not (is_integrable(e.algebra, J)
-                    and (not r.expected_m or classify_m(e.algebra, J) == r.expected_m)
-                    and (not r.m_table or check_m_table(e.algebra, J, r.claimed_m_table(values)))):
-                raise AssertionError(r.name)
-
-    def automorphisms():
-        for fam in e.automorphisms:
-            for n in range(5):
-                phi = fam.instantiate_matrix(fam.random_admissible(args.seed + n))
-                if not orbits.is_automorphism(e.algebra, phi):
-                    raise AssertionError(fam.name)
-
-    def chart_section():
-        for r in e.representatives:
-            if r.chart is not None:
-                res = chart_point(e, r, args.seed, jacobian_points=5, pairs=20)
-                if res["status"] != "pass":
-                    raise AssertionError(f"{r.name}: {res['status']}")
-
-    def moduli_section():
-        rep, ok = moduli_check(e, None, 5, args.seed)
-        if not ok:
-            raise AssertionError(rep["tangent_dims"])
-
-    section("family integrability sweep", families)
-    section("representative tables", rep_tables)
-    section("automorphism families", automorphisms)
-    section("holomorphic charts & multiplication", chart_section)
-    section("moduli dimension", moduli_section)
+    if catalogue.is_spotcheck_target(args.algebra):
+        return cmd_nonexistence_check(args, args.algebra, args.samples or 20)
+    e = catalogue.get(args.algebra)
+    sections = checks.report(e, args.samples or 5, args.seed)
     _emit(args, {"algebra": e.name, "sections": sections},
           "\n".join([f"report for {e.name}"]
                     + [f"  {label}: {status}" for label, status in sections.items()]))

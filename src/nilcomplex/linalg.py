@@ -1,9 +1,9 @@
 """Exact dense linear algebra: products, and one elimination over the ints.
 
 `rref` is fraction-free Gauss-Jordan elimination (Bareiss's step on every
-row other than the pivot row).  `rank` puts Fraction or GaussianRational
-rows over ints and eliminates them; it is the package's one rank, of a 6x6
-matrix as of a 126 x 36 constraint Jacobian.
+row other than the pivot row).  `rank` eliminates int rows as they are,
+and Fraction or GaussianRational rows once put over ints; it is the
+package's one rank, of a 6x6 matrix as of a 126 x 36 constraint Jacobian.
 """
 
 from __future__ import annotations
@@ -70,10 +70,13 @@ def _eliminate(rows, r: int, c: int, prev: int) -> None:
 
 
 def rank(rows) -> int:
-    """The rank of int, Fraction or GaussianRational rows, each put over its
-    own denominator.  A complex A + iB has half the rank of the real
-    [[A, -B], [B, A]]: rows w and i*w span one complex line, while the real
-    and imaginary parts of the two alone span a real plane."""
+    """The rank of int, Fraction or GaussianRational rows; int rows go to
+    rref as they are, the others each over its own denominator.  A complex
+    A + iB has half the rank of the real [[A, -B], [B, A]]: rows w and i*w
+    span one complex line, while the real and imaginary parts of the two
+    alone span a real plane."""
+    if all(type(x) is int for row in rows for x in row):
+        return len(rref(rows)[1])
     if not any(isinstance(x, GaussianRational) for row in rows for x in row):
         return len(rref([common_denominator(row)[0] for row in rows])[1])
     real = []

@@ -30,12 +30,17 @@ class NotAutomorphism(ValueError):
     pass
 
 
-def is_automorphism(L: LieAlgebra, phi: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact, in ints: phi = M/D has integer rank n and zeroes acs.automorphism_forms(L)."""
+def is_automorphism(L: LieAlgebra, phi) -> bool:
+    """Exact, in ints: phi = M/D has integer rank n and zeroes acs.automorphism_forms(L);
+    phi is a family member as built, whose (M, D) acs.integer_point reads, or rational rows."""
     n = L.dim
-    if len(phi) != n or any(len(r) != n for r in phi):
+    if not isinstance(phi, AlmostComplexStructure):
+        if len(phi) != n or any(len(r) != n for r in phi):
+            return False
+        phi = AlmostComplexStructure(phi)
+    if phi.dim != n:
         return False
-    M, D = common_denominator([Fraction(x) for row in phi for x in row])
+    M, D = integer_point(phi, n)
     return _preserves_brackets(L, M, D) and linalg.rank(_square(M, n)) == n
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilcomplex import catalogue, charts, group, moduli, orbits
-from nilcomplex.acs import check_m_table, classify_m, is_integrable
+from nilcomplex import catalogue, charts, checks, group, moduli, orbits
+from nilcomplex.acs import is_integrable
 from nilcomplex.exactnum import MultiPoly
 from nilcomplex.expr import evaluate
 
@@ -45,18 +45,9 @@ def test_01_master_integrability_sweep():
 
 def test_02_representative_tables():
     rng = random.Random(2)
-    checked = 0
     for e in catalogue.entries():
-        for rep in e.representatives:
-            values = rep.random_admissible(rng)
-            J = rep.instantiate(values)
-            assert is_integrable(e.algebra, J), (e.name, rep.name)
-            if rep.expected_m:
-                assert classify_m(e.algebra, J) == rep.expected_m, (e.name, rep.name)
-            if rep.m_table:
-                assert check_m_table(e.algebra, J, rep.claimed_m_table(values)), \
-                    (e.name, rep.name)
-                checked += 1
+        checks.representative_tables(e, rng)
+    checked = sum(bool(rep.m_table) for e in catalogue.entries() for rep in e.representatives)
     _line(2, f"pass: every representative integrable; {checked} bracket "
              "tables match exactly")
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nilcomplex import acs, catalogue, exactnum, linalg, moduli, orbits
+from nilcomplex import acs, catalogue, checks, exactnum, linalg, moduli, orbits
 from nilcomplex.acs import (ABELIAN, HEISENBERG, AlmostComplexStructure,
                             BadSquare, NotClosed, Unclassifiable, check_m_table,
                             classify_m, is_integrable, m_subalgebra, nijenhuis)
@@ -153,15 +153,7 @@ def test_all_representative_tables():
     """Acceptance-grade check at one admissible point per representative."""
     rng = random.Random(12)
     for e in catalogue.entries():
-        for rep in e.representatives:
-            values = rep.random_admissible(rng)
-            J = rep.instantiate(values)
-            assert is_integrable(e.algebra, J), (e.name, rep.name)
-            if rep.expected_m:
-                assert classify_m(e.algebra, J) == rep.expected_m
-            if rep.m_table:
-                assert check_m_table(e.algebra, J, rep.claimed_m_table(values)), \
-                    (e.name, rep.name)
+        checks.representative_tables(e, rng)
 
 
 # Every catalogued algebra and both gamma = -1 twins, each with a family to

@@ -15,6 +15,8 @@ of AlmostComplexStructure hands out mutable rows and drops a member's
 integer form, so the package reads `rows()`.  Only linalg eliminates rows
 (no other module swaps rows or subtracts a multiple of one row from
 another), and it imports no fractions: its one elimination runs in ints.
+The command line runs no check over draws: it imports neither charts nor
+moduli, and none of its loops draws a point or calls either module.
 """
 
 import ast
@@ -554,3 +556,55 @@ def test_the_fractions_rule_accepts():
               "from .exactnum import GaussianRational, common_denominator\n"
               "from .fractions_free import Fraction\n")
     assert fractions_imports("linalg", ast.parse(source)) == []
+
+
+CHECK_MODULES = {"charts", "moduli"}
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def orchestration_offenders(module: str, tree: ast.AST) -> list:
+    """Every import of charts or moduli, and every loop or comprehension
+    that calls random_admissible or a function of charts or moduli, in one
+    module, named module:line: a check run over draws, which belongs in
+    nilcomplex.checks."""
+    def imports(node):
+        names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        return any(name.rsplit(".", 1)[-1] in CHECK_MODULES for name in names)
+
+    def draws_or_checks(node):
+        f = getattr(node, "func", None)
+        return isinstance(f, ast.Attribute) and (
+            f.attr == "random_admissible" or getattr(f.value, "id", None) in CHECK_MODULES)
+
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and imports(node)
+            or isinstance(node, LOOPS) and any(map(draws_or_checks, ast.walk(node)))]
+
+
+def test_cli_only_parses_and_prints():
+    # one implementation per check: the command line prints what checks returns
+    offenders = orchestration_offenders("cli", ast.parse((PACKAGE / "cli.py").read_text()))
+    assert offenders == []
+    assert orchestration_offenders("checks", ast.parse((PACKAGE / "checks.py").read_text()))
+
+
+@pytest.mark.parametrize("source", [
+    "for n in range(k):\n    J = fam.instantiate(fam.random_admissible(seed + n))\n",
+    "bad = sum(not ok(f.random_admissible(s)) for s in seeds)\n",
+    "res = [charts.verify_chart(e, r, v, seed=s) for r, v, s in points]\n",
+    "for fam in fams:\n    out[fam.name] = moduli.dimension_report(e, family=fam)\n",
+    "from . import catalogue, charts\n",
+    "from .moduli import dimension_report\n",
+    "import nilcomplex.charts\n",
+], ids=["loop", "generator", "list", "moduli-loop", "import", "from", "module"])
+def test_the_orchestration_rule_refuses(source):
+    assert len(orchestration_offenders("cli", ast.parse(source))) == 1
+
+
+def test_the_orchestration_rule_accepts():
+    source = ("from . import catalogue, checks\nfrom .acs import check_m_table\n"
+              "def cmd(args, fam, e):\n    values = fam.random_admissible(args.seed)\n"
+              "    for res in checks.chart_points(e, None, 2, args.seed, 5):\n"
+              "        lines.append(f\"{res['representative']}: {res['status']}\")\n"
+              "    return [rational_str(v) for v in values.values()]\n")
+    assert orchestration_offenders("cli", ast.parse(source)) == []
