@@ -1,7 +1,7 @@
 """Exact verification of complex structures on 6-dimensional nilpotent
 real Lie algebras: integrability, equivalence witnesses, holomorphic
 charts, group multiplication and moduli dimensions, all in exact rational
-arithmetic (rank decisions excepted)."""
+arithmetic, the rank decisions included."""
 
 from .exactnum import GaussianRational, MultiPoly
 from .liecore import LieAlgebra

@@ -187,9 +187,6 @@ class MatrixFamily:
     def instantiate(self, values: Mapping[str, Fraction]) -> AlmostComplexStructure:
         return self.matrix(self.scope(values))
 
-    def instantiate_matrix(self, values: Mapping[str, Fraction]) -> List[List[Fraction]]:
-        return self.instantiate(values).rows()
-
     def random_admissible(self, rng, attempts: int = 400,
                           extra_conditions: Sequence[str] = ()) -> Draw:
         """Rejection-sample a rational parameter point in the domain, as a

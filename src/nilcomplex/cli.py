@@ -248,8 +248,9 @@ def cmd_moduli_dim(args):
     fam = e.family(args.family) if args.family else None
     rep, ok = checks.moduli_dimension(e, fam, args.samples, args.seed)
     _emit(args, rep, "\n".join(
-        [f"  sample {s['params']}: tangent dim {s['tangent_dim']}, "
-         f"family rank {s['family_rank']}" for s in rep["samples"]]
+        [f"  sample {s['params']}: tangent dim {s['tangent_dim']} "
+         f"(certified by {s['certified_by']}), family rank {s['family_rank']}"
+         for s in rep["samples"]]
         + [f"{e.name}: expected {rep['expected_dim']}, "
            f"agree {rep['agree']}/{len(rep['tangent_dims'])} -> {'pass' if ok else 'FAIL'}"]))
     return 0 if ok else 1

@@ -3,7 +3,10 @@
 `rref` is fraction-free Gauss-Jordan elimination (Bareiss's step on every
 row other than the pivot row).  `rank` eliminates int rows as they are,
 and Fraction or GaussianRational rows once put over ints; it is the
-package's one rank, of a 6x6 matrix as of a 126 x 36 constraint Jacobian.
+package's one exact rank, of a 6x6 matrix as of a 126 x 36 constraint
+Jacobian.  `modular_pivots` eliminates int rows modulo the prime 2^31 - 1
+and names a minor that is nonzero there, hence over the integers: a
+proven lower bound on the rank, in small ints.
 """
 
 from __future__ import annotations
@@ -67,6 +70,41 @@ def _eliminate(rows, r: int, c: int, prev: int) -> None:
                 raise ArithmeticError(f"inexact division by the pivot {prev}")
             new.append(q)
         rows[i] = new
+
+
+PRIME = 2 ** 31 - 1
+
+
+def modular_pivots(rows):
+    """The rows and the columns, as indices into the int rows, of a minor
+    that is nonzero modulo PRIME: forward elimination of the residues with
+    first-nonzero pivoting and no inverse (row <- pivot * row - f * top
+    below the pivot row, which keeps the pivot rows' minor nonzero).  A
+    minor nonzero modulo a prime is nonzero over the integers, so its size
+    is a lower bound on the rank, and the rank itself unless the prime
+    divides every minor of the rank's size."""
+    live = [(i, row) for i, row in enumerate([x % PRIME for x in row] for row in rows)
+            if any(row)]
+    prows, pcols = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(prows)
+        pr = next((k for k in range(r, len(live)) if live[k][1][c]), None)
+        if pr is None:
+            continue
+        live[r], live[pr] = live[pr], live[r]
+        i, top = live[r]
+        pivot, lo = top[c], c + 1
+        for k in range(r + 1, len(live)):
+            j, row = live[k]
+            f = row[c]
+            if f:
+                live[k] = j, [0] * lo + [(pivot * a - f * b) % PRIME
+                                         for a, b in zip(row[lo:], top[lo:])]
+        prows.append(i)
+        pcols.append(c)
+        if r + 1 == len(live):
+            break
+    return prows, pcols
 
 
 def rank(rows) -> int:

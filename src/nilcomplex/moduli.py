@@ -6,20 +6,25 @@ torsion projections ij|k.  (Some tabulations count the codomain as
 R^81 x R^36; dependent rows cannot change any rank, so all 90 are kept.)
 Each component is a quadratic form with int coefficients over the
 algebra's denominator E, so at J = M/D one int gradient E*D*Jac is built
-per point: `jacobian_matrix` divides it into exact Fractions, and
-`jacobian_rank` decides its rank (scaling moves no relative threshold)
-from floating singular values with a two-threshold guard.  The gradient is
-linear in M, so the SVD's input is one unbuffered int64 add (np.add.at) of
-c*M[entry] into cells, over a flat per-algebra pattern of (cell, entry, c)
-triples; while max|M| times the largest per-cell sum of |c| is below 2^63
-every partial sum, in any order, is an exact int64 and the float matrix is
-the one the Python ints give, bit for bit, and beyond that bound it is
-built from the Python ints.  The SVD can miss rank but never invent it, so
-a rank short of the expected one is re-decided exactly, by linalg.rank of
-the same int gradient (fraction-free Gauss-Jordan elimination).  numpy is
-imported on first use, by the two functions that build and decompose that
-matrix, so importing the package, and every command that makes no rank
-decision, does not load it.
+per point, and `jacobian_matrix` divides it into exact Fractions.
+
+Every rank is decided in ints.  At J^2 = -1 the 36 rows of J^2 + 1 have
+rank exactly 18: their differential A -> AJ + JA has as kernel the
+J-antilinear maps, spanned by A_pq = D^2 E_pq + M E_pq M.  So rank Jac is
+18 plus the rank of T K, T the 90 torsion rows and K the A_pq; row t of
+T K, as a 6 x 6 matrix, is D^2 G_t + M^T G_t M^T, G_t gradient row t.
+A minor of T K that is nonzero modulo the prime 2^31 - 1 is nonzero over
+the integers, so it proves a lower bound (linalg.modular_pivots).
+`jacobian_rank` eliminates the whole 90 x 36 T K so; off J^2 = -1 it
+takes linalg.rank of the full int gradient.  `dimension_report`
+remembers one minor per family, the pivots of T K at the family's draw
+from random.Random(0), compiled once into degree-3 int forms in (M, D),
+and per draw tests that k x k minor alone.  A zero minor falls back to
+`jacobian_rank`, and a tangent dimension that still differs from the
+catalogue's to linalg.rank, the fraction-free elimination of the full int
+gradient, which is exact.  That no larger minor is nonzero, the upper
+bound of the first two, is the generic rank of the family and is not
+proven here; each sample record names the certificate of its rank.
 
 The rank of a family, d(entries)/d(params), needs no sampling: each
 continuous parameter is a cell p or -p of the family's matrix, so those
@@ -31,20 +36,17 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import linalg
 from .acs import (AlmostComplexStructure, constraint_map, integer_point, is_integrable,
                   map_denominator)
 from .catalogue import AlgebraEntry, JFamily
-from .exactnum import rational_str
+from .exactnum import integer_code, rational_str
 from .liecore import LieAlgebra
 
-DEFAULT_TOL = 1e-9
-
-
-class RankUnstable(RuntimeError):
-    """Rank differs between tol and 10*tol; resample the point."""
+# what bounds a rank certified by a minor from above: nothing proven yet
+UNPROVEN = "unproven: generic rank (ROADMAP item 9)"
 
 
 def _gradient(L: LieAlgebra, J: AlmostComplexStructure) -> Tuple[List[List[int]], int]:
@@ -69,59 +71,100 @@ def jacobian_matrix(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[Fract
     return [[Fraction(v, scale) if v else zero for v in row] for row in grad]
 
 
-@functools.cache
-def _gradient_pattern(L: LieAlgebra) -> Tuple[tuple, int, Tuple[int, int]]:
-    """_gradient as one flat scatter, read once from constraint_map (cached):
-    three int64 arrays (pos, src, c), where a term c*f_p*f_q of row r gives
-    (r*n^2 + p, q, c) and (r*n^2 + q, p, c), so that cell pos of the flat
-    E*D*Jac is the sum of c*M[src] over its triples (a cell repeats); with
-    the largest per-cell sum of |c| and the matrix shape."""
-    import numpy as np
-
-    n2 = L.dim * L.dim
-    cmap = constraint_map(L)
-    triples = [t for r, (_, terms) in enumerate(cmap) for p, q, c in terms
-               for t in ((r * n2 + p, q, c), (r * n2 + q, p, c))]
-    pos, src, coef = (np.array(col, dtype=np.int64) for col in zip(*triples))
-    weight = np.zeros(len(cmap) * n2, dtype=np.int64)
-    np.add.at(weight, pos, np.abs(coef))
-    return (pos, src, coef), int(weight.max()), (len(cmap), n2)
-
-
-def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure,
-                  tol: float = DEFAULT_TOL) -> int:
-    """Rank of the exact Jacobian, decided by singular values s > tol * s[0]
-    of one SVD of E*D*Jac, entry for entry the float of an integer.  Raises
-    RankUnstable when the decision flips between tol and 10*tol.
-
-    While max|M| times the pattern's largest sum of |c| is below 2^63, one
-    unbuffered np.add.at of c*M[src] into the cells is exact: every product
-    and every partial sum of a cell, in whatever order, is an int64, and the
-    cast rounds each cell as float() rounds the Python int; beyond that
-    bound the matrix comes from _gradient's Python ints.  Either way it is
-    np.array(_gradient(L, J)[0], dtype=float), bit for bit."""
-    import numpy as np
-
-    (pos, src, coef), csum, shape = _gradient_pattern(L)
-    M, _ = integer_point(J, L.dim)
-    if max(map(abs, M)) * csum < 2 ** 63:
-        G = np.zeros(shape[0] * shape[1], dtype=np.int64)
-        np.add.at(G, pos, coef * np.array(M, dtype=np.int64)[src])
-        A = G.astype(float).reshape(shape)
-    else:
-        A = np.array(_gradient(L, J)[0], dtype=float)
-    s = np.linalg.svd(A, compute_uv=False)
-    r1, r2 = (int(np.sum(s > t * s[0])) for t in (tol, tol * 10))
-    if r1 != r2:
-        raise RankUnstable(f"rank {r1} at tol vs {r2} at 10*tol")
-    return r1
+def _torsion_on_antilinear(L: LieAlgebra, J: AlmostComplexStructure) -> List[List[int]]:
+    """Ints congruent to T K at J = M/D modulo linalg.PRIME: row t, column
+    p*n + q, is entry (p, q) of D^2 G_t + M^T G_t M^T, G_t the gradient of
+    torsion component t as an n x n matrix; that is the sum over the
+    entries a = (r, s) of G_t[a] times row a of K, D^2 at (r, s) plus
+    M[r][p]*M[q][s].  It is the restriction of the torsion rows to the
+    kernel of the J^2 + 1 rows only where J^2 = -1."""
+    n, n2 = L.dim, L.dim ** 2
+    grad, _ = _gradient(L, J)
+    M, D = integer_point(J, n)
+    M = [x % linalg.PRIME for x in M]
+    d2 = D * D % linalg.PRIME
+    K = [[M[r * n + p] * M[q * n + s] + d2 * (r == p and s == q)
+          for p in range(n) for q in range(n)] for r in range(n) for s in range(n)]
+    out = []
+    for g in grad[n2:]:
+        row = [0] * n2
+        for a, v in enumerate(g):
+            if v:
+                row = [x + v * y for x, y in zip(row, K[a])]
+        out.append(row)
+    return out
 
 
-def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure,
-                tol: float = DEFAULT_TOL) -> int:
+def jacobian_rank(L: LieAlgebra, J: AlmostComplexStructure) -> int:
+    """The rank of the exact Jacobian at J, decided in ints.  At J^2 = -1 it
+    is n^2/2 plus the rank of T K modulo linalg.PRIME, which a nonzero minor
+    proves from below; elsewhere, linalg.rank of the full int gradient."""
+    if not J.square_check():
+        return linalg.rank(_gradient(L, J)[0])
+    return L.dim ** 2 // 2 + len(linalg.modular_pivots(_torsion_on_antilinear(L, J))[1])
+
+
+def tangent_dim(L: LieAlgebra, J: AlmostComplexStructure) -> int:
+    """n^2 minus jacobian_rank at J, a complex structure on L (else ValueError)."""
     if not is_integrable(L, J):
         raise ValueError("J is not in the zero set of the constraint map")
-    return 36 - jacobian_rank(L, J, tol)
+    return L.dim ** 2 - jacobian_rank(L, J)
+
+
+def _minor_terms(terms, col: int, n: int) -> List[tuple]:
+    """Entry col = p*n + q of D^2 G + M^T G M^T, G the gradient of the
+    quadratic form with these (i, j, c) terms, as integer_code terms of
+    degree 3 in (M, D), like terms merged: c*f_i*f_j puts c*M[j] at entry i
+    of G and c*M[i] at entry j, and G's entry a = (r, s) reaches (p, q) of
+    M^T G M^T through M[r][p]*M[q][s]."""
+    p, q = divmod(col, n)
+    merged: Dict[tuple, int] = {}
+    for i, j, c in terms:
+        for a, b in ((i, j), (j, i)):
+            r, s = divmod(a, n)
+            keys = [tuple(sorted((r * n + p, b, q * n + s)))]
+            if a == col:
+                keys.append((b,))
+            for key in keys:
+                merged[key] = merged.get(key, 0) + c
+    return [(c, idx) for idx, c in merged.items() if c]
+
+
+@functools.lru_cache(maxsize=64)
+def _family_minor(L: LieAlgebra, fam: JFamily) -> Tuple[int, Callable]:
+    """The minor of T K that dimension_report tests at each draw of fam
+    (cached; the catalogue has fewer than 64 families): the pivot rows and
+    columns of T K modulo linalg.PRIME at fam's draw from random.Random(0),
+    so its size k is the rank measured there, and the code of its k^2
+    entries as degree-3 int forms in (M, D)."""
+    J = fam.instantiate(fam.random_admissible(random.Random(0)))
+    if not is_integrable(L, J):
+        raise ValueError(f"{fam.name}: its draw at seed 0 is not a complex structure")
+    rows, cols = linalg.modular_pivots(_torsion_on_antilinear(L, J))
+    n, forms = L.dim, constraint_map(L)[L.dim ** 2:]
+    return len(cols), integer_code([_minor_terms(forms[t][1], col, n)
+                                    for t in rows for col in cols], n * n, 3)
+
+
+def _certified_dim(L: LieAlgebra, fam: JFamily, J: AlmostComplexStructure,
+                   expected_dim: int) -> Tuple[int, str]:
+    """The tangent dimension at J and what certified the rank behind it: the
+    family's minor if it is nonzero modulo linalg.PRIME, else tangent_dim's
+    modular rank; and if the dimension still differs from expected_dim,
+    linalg.rank of the full int gradient."""
+    if not is_integrable(L, J):
+        raise ValueError("J is not in the zero set of the constraint map")
+    n2 = L.dim ** 2
+    k, code = _family_minor(L, fam)
+    M, D = integer_point(J, L.dim)
+    v = code([x % linalg.PRIME for x in M], D % linalg.PRIME)
+    if len(linalg.modular_pivots([v[i:i + k] for i in range(0, k * k, k)])[1]) == k:
+        dim, how = n2 // 2 - k, "minor"
+    else:
+        dim, how = tangent_dim(L, J), "modular"
+    if dim != expected_dim:
+        dim, how = n2 - linalg.rank(_gradient(L, J)[0]), "bareiss"
+    return dim, how
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,33 +188,26 @@ def family_rank(family: JFamily) -> int:
 
 
 def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
-                     samples: int = 10, tol: float = DEFAULT_TOL,
-                     seed: int = 0, max_resamples: int = 1) -> Dict:
-    """Sampled tangent dimensions of the moduli set along a family.  Past
-    max_resamples redraws of unstable SVD ranks, exact elimination decides."""
+                     samples: int = 10, tol: float | None = None,
+                     seed: int = 0, max_resamples: int | None = None) -> Dict:
+    """Sampled tangent dimensions of the moduli set along a family, each
+    rank decided in ints and recorded with its certificate (`minor`,
+    `modular` or `bareiss`) and what bounds it from above.  tol and
+    max_resamples have no effect: no rank is decided in floating point, so
+    no draw is redrawn."""
     fam = family or entry.families[0]
     rng = random.Random(seed)
     L = entry.algebra
     out = []
-    resamples = 0
     # a metadata-only family has no rank certificate; its first draw raises SamplingExhausted
     prank = family_rank(fam) if fam.samplable else None
     for _ in range(samples):
-        while True:
-            values = fam.random_admissible(rng)
-            J = fam.instantiate(values)
-            try:
-                dim = tangent_dim(L, J, tol)
-            except RankUnstable:
-                if resamples < max_resamples:
-                    resamples += 1
-                    continue
-                dim = None
-            break
-        if dim != entry.expected_dim:
-            dim = 36 - linalg.rank(_gradient(L, J)[0])
+        values = fam.random_admissible(rng)
+        dim, how = _certified_dim(L, fam, fam.instantiate(values), entry.expected_dim)
         out.append({"params": {k: rational_str(v) for k, v in sorted(values.items())},
-                    "tangent_dim": dim, "family_rank": prank})
+                    "tangent_dim": dim, "family_rank": prank,
+                    "jacobian_rank": L.dim ** 2 - dim, "certified_by": how,
+                    "upper_bound": "exact" if how == "bareiss" else UNPROVEN})
     dims = [r["tangent_dim"] for r in out]
     return {
         "algebra": entry.name,
@@ -179,7 +215,6 @@ def dimension_report(entry: AlgebraEntry, family: JFamily | None = None,
         "expected_dim": entry.expected_dim,
         "tangent_dims": dims,
         "n_free_params": len(fam.continuous_params()),
-        "resamples": resamples,
         "agree": sum(1 for d in dims if d == entry.expected_dim),
         "samples": out,
     }

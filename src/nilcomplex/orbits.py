@@ -21,7 +21,6 @@ from . import linalg
 from .acs import (AlmostComplexStructure, automorphism_code, classify_m, integer_point,
                   m_subalgebra)
 from .catalogue import AlgebraEntry, DomainViolation, SamplingExhausted, get
-from .exactnum import common_denominator
 from .expr import evaluate
 from .liecore import LieAlgebra
 
@@ -30,17 +29,23 @@ class NotAutomorphism(ValueError):
     pass
 
 
-def is_automorphism(L: LieAlgebra, phi) -> bool:
-    """Exact, in ints: phi = M/D has integer rank n and zeroes acs.automorphism_forms(L);
-    phi is a family member as built, whose (M, D) acs.integer_point reads, or rational rows."""
-    n = L.dim
+def _point(phi, n: int):
+    """(M, D) with phi = M/D, or None unless phi is n x n; phi is a family
+    member as built, whose (M, D) acs.integer_point reads, or rational rows."""
     if not isinstance(phi, AlmostComplexStructure):
         if len(phi) != n or any(len(r) != n for r in phi):
-            return False
+            return None
         phi = AlmostComplexStructure(phi)
-    if phi.dim != n:
+    return integer_point(phi, n) if phi.dim == n else None
+
+
+def is_automorphism(L: LieAlgebra, phi) -> bool:
+    """Exact, in ints: phi = M/D (see _point) has integer rank n and zeroes
+    acs.automorphism_forms(L)."""
+    n, point = L.dim, _point(phi, L.dim)
+    if point is None:
         return False
-    M, D = integer_point(phi, n)
+    M, D = point
     return _preserves_brackets(L, M, D) and linalg.rank(_square(M, n)) == n
 
 
@@ -53,17 +58,17 @@ def _square(M: List[int], n: int) -> List[List[int]]:
     return [M[r:r + n] for r in range(0, n * n, n)]
 
 
-def act(L: LieAlgebra, phi: Sequence[Sequence[Fraction]],
-        J: AlmostComplexStructure) -> AlmostComplexStructure:
+def act(L: LieAlgebra, phi, J: AlmostComplexStructure) -> AlmostComplexStructure:
     """The action J -> phi^-1 J phi; requires J a complex structure on L
-    (else BadSquare or NotClosed) and phi in Aut(L).  J keeps its (M, D).
+    (else BadSquare or NotClosed) and phi in Aut(L), a member as built or
+    rational rows (see _point).  J and phi keep their (M, D).
     At phi = P/d and J = M/D, linalg.rref takes [P | M P] to
     [delta I | delta D X], X = phi^-1 J phi, unless its pivots show P singular."""
     m_subalgebra(L, J)
-    n = L.dim
-    if len(phi) != n or any(len(row) != n for row in phi):
+    n, point = L.dim, _point(phi, L.dim)
+    if point is None:
         raise NotAutomorphism(f"matrix is not {n}x{n}")
-    N, d = common_denominator([Fraction(x) for row in phi for x in row])
+    N, d = point
     P = _square(N, n)
     M, D = integer_point(J, n)
     red, pivots = linalg.rref([p + q for p, q in zip(P, linalg.mat_mul(_square(M, n), P))])
@@ -178,8 +183,8 @@ def randomized_equivalence_search(entry: AlgebraEntry,
                 values = fam.random_admissible(rng)
             except SamplingExhausted:
                 break
-            phi = fam.instantiate_matrix(values)
+            phi = fam.instantiate(values)
             if act(L, phi, J1) == J2:
                 return {"status": "equivalent",
-                        "witness": [[str(x) for x in row] for row in phi]}
+                        "witness": [[str(x) for x in row] for row in phi.rows()]}
     return {"status": "inconclusive"}

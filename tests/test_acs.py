@@ -1,10 +1,7 @@
-import contextlib
 import functools
 import random
 from fractions import Fraction
-from unittest import mock
 
-import numpy as np
 import pytest
 
 from nilcomplex import acs, catalogue, checks, exactnum, linalg, moduli, orbits
@@ -143,7 +140,7 @@ def test_equivariance_under_automorphisms():
         aut = e.automorphisms[0]
         for _ in range(5):
             J = fam.instantiate(fam.random_admissible(rng))
-            phi = aut.instantiate_matrix(aut.random_admissible(rng))
+            phi = aut.instantiate(aut.random_admissible(rng)).m
             J2 = orbits.act(e.algebra, phi, J)
             assert is_integrable(e.algebra, J2)
             assert classify_m(e.algebra, J2) == classify_m(e.algebra, J)
@@ -206,30 +203,19 @@ def test_perturbed_map_fails_its_oracle(monkeypatch, part, row):
     else:
         (p, q, c), *rest = terms
         cmap[row] = (const, ((p, q, c + 1), *rest))
-    rows, floats = moduli.jacobian_matrix(L, J), _svd_input(L, J)
+    rows, grad = moduli.jacobian_matrix(L, J), moduli._gradient(L, J)[0]
     for reader in (acs, moduli):
         monkeypatch.setattr(reader, "constraint_map", lambda _: cmap)
-    # the values and the SVD read the map through their cached compiled code
-    # and pattern: build fresh ones
+    # the values read the map through their cached compiled code: build a fresh one
     monkeypatch.setattr(acs, "_constraint_code",
                         functools.cache(acs._constraint_code.__wrapped__))
-    monkeypatch.setattr(moduli, "_gradient_pattern",
-                        functools.cache(moduli._gradient_pattern.__wrapped__))
     assert acs.constraint_map(L) is cmap
     assert list(acs.constraint_values(L, J)) != _oracle(L, J)
-    # a constant has no derivative; a coefficient moves both Jacobian views
+    # a constant has no derivative; a coefficient moves the Jacobian and
+    # the int gradient whose rank jacobian_rank decides
     moved = part == "coefficient"
     assert (moduli.jacobian_matrix(L, J) != rows) == moved
-    assert (not np.array_equal(_svd_input(L, J), floats)) == moved
-
-
-def _svd_input(L, J):
-    """The matrix that moduli.jacobian_rank hands to its one SVD."""
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
-            contextlib.suppress(moduli.RankUnstable):
-        moduli.jacobian_rank(L, J)
-    (A,), _ = svd.call_args
-    return A
+    assert (moduli._gradient(L, J)[0] != grad) == moved
 
 
 def test_the_map_has_int_coefficients():

@@ -2,8 +2,8 @@
 
 perfbench/workloads.py drives the package through its public entry points
 and knows every verdict in advance.  One round of each in-process workload
-must pass, and so must the moduli checks at the points where the float
-rank of the constraint Jacobian falls short of the exact rank; `report`
+must pass, and so must the moduli checks at the points where a float SVD
+of the constraint Jacobian once fell short of the exact rank; `report`
 must give the sections the bench requires, in its order.
 """
 

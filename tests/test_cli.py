@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcomplex import acs, catalogue, charts, checks, cli, moduli, orbits
+from nilcomplex import acs, catalogue, charts, checks, cli, orbits
 from test_orbits import not_a_complex_structure
 
 
@@ -188,6 +189,25 @@ def test_nonexistence_check(capsys):
 def test_moduli_dim(capsys):
     code, out = run(capsys, "moduli-dim", "M18+1", "--samples", "2")
     assert code == 0 and "pass" in out
+    assert out.count("tangent dim 8 (certified by minor)") == 2
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_table_entry_off_by_one_fails_moduli_dim(monkeypatch, capsys, step, json_flag):
+    # the certified rank is measured, never read from the table: an
+    # expected_dim moved by one disagrees at every draw, and the command fails
+    e = catalogue.get("G6,8")
+    monkeypatch.setitem(catalogue._REGISTRY, e.name,
+                        dataclasses.replace(e, expected_dim=e.expected_dim + step))
+    code, out = run(capsys, "moduli-dim", "G6,8", "--samples", "2", *json_flag)
+    assert code == 1
+    if json_flag:
+        doc = json.loads(out)
+        assert doc["tangent_dims"] == [10, 10] and doc["agree"] == 0
+        assert [s["certified_by"] for s in doc["samples"]] == ["bareiss"] * 2
+    else:
+        assert f"expected {10 + step}, agree 0/2 -> FAIL" in out
 
 
 def test_chart_verify_single(capsys):
@@ -350,11 +370,8 @@ def test_counts_must_be_positive(capsys, argv):
 @pytest.mark.parametrize("tol", ["-1", "0", "0.1", "1", "inf", "-inf", "nan", "1e-9x", "",
                                  "1e-9"])
 def test_the_tolerance_must_be_finite_and_below_a_tenth(capsys, command, tol, json_flag):
-    # the rank decision has one tolerance, in (0, 0.1) so that the guard's
-    # second threshold 10*tol stays below 1; no command line sets another
-    # (it would only move draws between the SVD and the exact elimination),
-    # so --tol exits 2 whatever its value, the default's own included
-    assert 0 < moduli.DEFAULT_TOL < 0.1
+    # no rank decision takes a tolerance (every rank is decided in ints),
+    # so --tol exits 2 whatever its value, a once-valid 1e-9 included
     expected = f"unrecognized arguments: --tol {tol}"
     if json_flag:
         code, out = run(capsys, *command, "--tol", tol, *json_flag)
@@ -550,19 +567,17 @@ def test_a_failing_check_fails_report_under_python_O():
         ["family integrability sweep", "representative tables"], sections
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["report", "M14-1", "--json"], False),
-    (["chart-verify", "G6,7"], False),
-    (["report", "G6,7"], True),
-], ids=["twin-report", "chart-verify", "algebra-report"])
-def test_numpy_loads_only_for_a_rank_decision(argv, loaded):
-    # moduli imports numpy on first use: a command with no moduli section skips it
+@pytest.mark.parametrize("argv", [["report", "G6,7", "--json"], ["moduli-dim", "G6,1", "--json"]],
+                         ids=["report", "moduli-dim"])
+def test_no_command_needs_numpy(argv):
+    # every rank is decided in ints: with numpy unimportable, the commands
+    # that decide ranks still pass
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys\nfrom nilcomplex.cli import main\ncode = main(%r)\n"
-            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n" % argv)
+    code = ("import sys\nsys.modules['numpy'] = None\nfrom nilcomplex.cli import main\n"
+            "sys.exit(main(%r))\n" % argv)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
-    assert done.stderr.split()[-2:] == ["0", str(loaded)], done.stderr
+    assert done.returncode == 0 and json.loads(done.stdout), done.stderr
 
 
 def test_report_reads_the_same_under_python_O():

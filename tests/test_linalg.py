@@ -147,3 +147,26 @@ def test_a_division_by_the_wrong_pivot_raises(monkeypatch):
                         lambda rows, r, c, prev: eliminate(rows, r, c, rows[r][c]))
     with pytest.raises(ArithmeticError, match="inexact division"):
         linalg.rref(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_the_modular_pivots_name_a_nonzero_minor(rows):
+    # the named minor of the input is nonsingular over the rationals; with
+    # the entries far below 2^31 - 1 its size is the rank
+    prows, pcols = linalg.modular_pivots(rows)
+    assert len(set(prows)) == len(prows) and pcols == sorted(set(pcols))
+    minor = [[Fraction(rows[r][c]) for c in pcols] for r in prows]
+    assert oracle_rank(minor) == len(pcols) == linalg.rank(rows)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[linalg.PRIME]], ([], [])),                      # nonzero over Z, zero mod p
+    ([[2, 4], [1, 2 + linalg.PRIME]], ([0], [0])),     # rank 2 over Z, 1 mod p
+    ([[0, 0], [0, 3], [5, 1]], ([2, 1], [0, 1])),      # rows named as given
+    ([[3, 1, 2], [6, 2, 5], [1, 1, 1]], ([0, 2, 1], [0, 1, 2])),  # and after a swap
+    ([], ([], [])),
+], ids=["multiple-of-p", "rank-drop", "row-indices", "swapped-rows", "empty"])
+def test_the_modular_pivots_are_a_lower_bound(rows, expected):
+    assert linalg.modular_pivots(rows) == expected
+

@@ -5,14 +5,13 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from nilcomplex import acs, catalogue, linalg, moduli
 from nilcomplex.acs import AlmostComplexStructure
 from nilcomplex.catalogue import JFamily, ParamSpec
 from nilcomplex.liecore import DimensionMismatch, LieAlgebra
-from test_acs import ALGEBRAS, _dense, _oracle, _svd_input
+from test_acs import ALGEBRAS, _dense, _oracle
 from test_linalg import oracle_rank
 
 J0 = AlmostComplexStructure([
@@ -135,45 +134,56 @@ DEFECT_SEEDS = [("M18+1", 421811493), ("G6,4", 1267734702), ("G6,7", 2939367331)
 
 @pytest.mark.parametrize("name, seed", DEFECT_SEEDS)
 def test_m18_defect_seed_gives_the_paper_dimension(name, seed):
-    # The SVD misses rank here: it gives tangent 9 on M18+1, 12 on G6,4 and
-    # 11 on G6,7.  Exact elimination decides: fraction-free on the int
-    # gradient, as Gaussian elimination in Fractions would.
+    # A float SVD missed rank here: it gave tangent 9 on M18+1, 12 on G6,4
+    # and 11 on G6,7.  The ranks are decided in ints, and agree with
+    # fraction-free elimination and with Gaussian elimination in Fractions.
     e = catalogue.get(name)
     rep = moduli.dimension_report(e, samples=1, seed=seed)
     assert rep["tangent_dims"] == [e.expected_dim]
     assert rep["samples"][0]["family_rank"] == rep["n_free_params"]
     fam = e.families[0]
     J = fam.instantiate(fam.random_admissible(random.Random(seed)))
-    assert linalg.rank(moduli._gradient(e.algebra, J)[0]) \
+    assert rep["samples"][0]["jacobian_rank"] == moduli.jacobian_rank(e.algebra, J) \
+        == linalg.rank(moduli._gradient(e.algebra, J)[0]) \
         == oracle_rank(moduli.jacobian_matrix(e.algebra, J)) == 36 - e.expected_dim
 
 
-def _reference_ranks(rows, tol=moduli.DEFAULT_TOL):
-    """SVD ranks at tol and 10*tol of the entrywise floats of Fraction rows."""
-    s = np.linalg.svd(np.array([[float(x) for x in r] for r in rows]), compute_uv=False)
-    return tuple(int(np.sum(s > t * s[0])) for t in (tol, tol * 10))
+def _merged_gradient(L):
+    """{(row, column, source): c}: the gradient's linear map in M, read off
+    the terms of constraint_map with like (row, column, source) merged."""
+    merged = collections.Counter()
+    for r, (_, terms) in enumerate(acs.constraint_map(L)):
+        for p, q, c in terms:
+            merged[r, p, q] += c
+            merged[r, q, p] += c
+    return {k: c for k, c in merged.items() if c}
 
 
-# (algebra, over): a J at or past the int64 bound of the SVD's scatter, or
-# just under it; M18+1's cells sum at most 2|c|, G6,5's 3|c|
+def _heaviest_cell(L):
+    """The largest per-cell sum of |c| of the merged gradient, and the
+    (source, c) pairs of one cell that reaches it."""
+    cells = collections.defaultdict(list)
+    for (r, p, q), c in _merged_gradient(L).items():
+        cells[r, p].append((q, c))
+    return max((sum(abs(c) for _, c in t), t) for t in cells.values())
+
+
+# (algebra, over): a dense J whose heaviest gradient cell is at or past
+# 2^63 (over) or just below it; M18+1's cells sum at most 2|c|, G6,5's 3|c|
 BOUND_POINTS = [("M18+1", True), ("M18+1", False), ("G6,5", True), ("G6,5", False)]
 
 
 def _bound_point(name, over):
-    """A dense rational J = M/3 on the algebra whose max|M| times the
-    pattern's largest sum of |c| is the least at or past 2^63 (over) or the
-    greatest below it.  The sources of one heaviest cell are +-max|M| with
-    the signs of their c, so that cell is max|M| times the sum; every other
-    entry is past 2^53, so the cast to float rounds."""
+    """A dense rational J = M/3, off J^2 = -1, on the algebra: max|M| times
+    the merged largest per-cell sum of |c| is the least at or past 2^63
+    (over) or the greatest below it.  The sources of one heaviest cell are
+    +-max|M| with the signs of their c, so that cell is max|M| times the
+    sum; every other entry is past 2^53."""
     L = catalogue.get(name).algebra
-    (pos, src, coef), csum, _ = moduli._gradient_pattern(L)
+    csum, heaviest = _heaviest_cell(L)
     top = -(-2 ** 63 // csum) if over else (2 ** 63 - 1) // csum
     rng = random.Random(f"{name} {over}")
     M = [rng.choice((-1, 1)) * rng.randint(2 ** 53, top) for _ in range(36)]
-    cells = {}
-    for p, q, cq in zip(pos.tolist(), src.tolist(), coef.tolist()):
-        cells.setdefault(p, []).append((q, cq))
-    heaviest = next(t for t in cells.values() if sum(abs(c) for _, c in t) == csum)
     for q, c in heaviest:
         M[q] = top if c > 0 else -top
     J = AlmostComplexStructure([[Fraction(M[6 * r + col], 3) for col in range(6)]
@@ -183,17 +193,18 @@ def _bound_point(name, over):
 
 
 @pytest.mark.parametrize("name, over", BOUND_POINTS)
-def test_the_int64_scatter_stops_at_its_bound(name, over):
-    # under the bound the int64 scatter is exact and the cast rounds as the
-    # Python int rounds; at or past it, the matrix comes from the Python ints
+def test_a_point_off_the_square_takes_the_full_gradient(name, over):
+    # off J^2 = -1 the 18 + rank(T K) identity does not hold: the rank is
+    # linalg.rank of the full int gradient, entries past 2^53 and all.  It
+    # is full, 36, and the oracle finds 36 on the 36 rows of a minor
     L, J = _bound_point(name, over)
-    with mock.patch.object(moduli, "_gradient", wraps=moduli._gradient) as spy:
-        A = _svd_input(L, J)
-    assert spy.called == over
-    grad = moduli._gradient(L, J)[0]
-    B = np.array(grad, dtype=float)
-    assert A.dtype == B.dtype and A.shape == B.shape and A.tobytes() == B.tobytes()
-    assert any(int(float(v)) != v for row in grad for v in row)  # the cast rounds
+    assert not J.square_check()
+    with mock.patch.object(moduli, "_torsion_on_antilinear") as shortcut:
+        r = moduli.jacobian_rank(L, J)
+    assert not shortcut.called
+    jac = moduli.jacobian_matrix(L, J)
+    rows, _ = linalg.modular_pivots(moduli._gradient(L, J)[0])
+    assert r == 36 == oracle_rank([jac[i] for i in rows])
 
 
 def test_the_two_jacobian_views_read_one_gradient():
@@ -202,61 +213,187 @@ def test_the_two_jacobian_views_read_one_gradient():
     draws += [(catalogue.get(name).algebra, catalogue.get(name).families[0],
                random.Random(seed)) for name, seed in DEFECT_SEEDS]
     points = [(L, fam.instantiate(fam.random_admissible(r))) for L, fam, r in draws]
-    points += [_bound_point(name, over) for name, over in BOUND_POINTS]
-    for L, J in points:
+    for L, J in points + [_bound_point(name, over) for name, over in BOUND_POINTS]:
         rows = moduli.jacobian_matrix(L, J)
         E = math.lcm(*(c.denominator for out in L.table.values() for c in out.values()))
         ED = E * math.lcm(*(x.denominator for row in J.m for x in row))
-        assert np.array_equal(_svd_input(L, J), [[float(ED * x) for x in r] for r in rows])
-        r1, r2 = _reference_ranks(rows)
-        if r1 == r2:
-            assert moduli.jacobian_rank(L, J) == r1
-        else:
-            with pytest.raises(moduli.RankUnstable):
-                moduli.jacobian_rank(L, J)
+        grad, scale = moduli._gradient(L, J)
+        assert scale == ED and grad == [[ED * x for x in r] for r in rows]
+    # the modular rank against elimination over the integers, at each
+    # algebra's first draw and the defect seeds (the bound points':
+    # test_a_point_off_the_square_takes_the_full_gradient)
+    for L, J in points[:-len(DEFECT_SEEDS):10] + points[-len(DEFECT_SEEDS):]:
+        assert moduli.jacobian_rank(L, J) == linalg.rank(moduli._gradient(L, J)[0])
 
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_the_pattern_repeats_cells_so_one_unbuffered_add_sums_them(name):
-    # a buffered G[pos] += v keeps one addend per repeated cell; np.add.at
-    # adds them all, and gives _gradient's ints
+    # the terms of constraint_map reach a gradient cell more than once;
+    # _gradient's += per term sums every addend, where a buffered write
+    # (one addend per cell, the last) does not
     L = ALGEBRAS[name][0]
-    (pos, src, coef), csum, shape = moduli._gradient_pattern(L)
-    assert len(np.unique(pos)) < len(pos)
     J = _dense(random.Random(name))  # no zero entry: every addend counts
     M, _ = acs.integer_point(J, 6)
-    assert max(map(abs, M)) * csum < 2 ** 63
-    v = coef * np.array(M, dtype=np.int64)[src]
-    added, buffered = (np.zeros(shape[0] * shape[1], dtype=np.int64) for _ in range(2))
-    np.add.at(added, pos, v)
-    buffered[pos] += v
+    addends = collections.defaultdict(list)
+    for r, (_, terms) in enumerate(acs.constraint_map(L)):
+        for p, q, c in terms:
+            addends[r, p].append(c * M[q])
+            addends[r, q].append(c * M[p])
+    assert any(len(v) > 1 for v in addends.values())
+    summed, buffered = ([[0] * 36 for _ in range(126)] for _ in range(2))
+    for (r, col), v in addends.items():
+        summed[r][col], buffered[r][col] = sum(v), v[-1]
     grad = moduli._gradient(L, J)[0]
-    assert added.reshape(shape).tolist() == grad
-    assert buffered.reshape(shape).tolist() != grad
-    assert _svd_input(L, J).tobytes() == np.array(grad, dtype=float).tobytes()
+    assert grad == summed and grad != buffered
 
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_the_pattern_bound_is_the_merged_one(name):
-    # the terms of constraint_map, merged by (cell, source): the pattern is
-    # the same linear map, and its bound is the merged largest per-cell sum
-    # of |c|, so the int64 path is taken at the same points
+    # the gradient is the merged linear map of constraint_map's terms, so
+    # max|M| times the merged largest per-cell sum of |c| bounds its
+    # entries, and the cell whose sources carry the signs of c reaches it
     L = ALGEBRAS[name][0]
-    n2 = L.dim * L.dim
-    merged = collections.Counter()
-    for r, (_, terms) in enumerate(acs.constraint_map(L)):
-        for p, q, c in terms:
-            merged[r * n2 + p, q] += c
-            merged[r * n2 + q, p] += c
-    weight = collections.Counter()
-    for (cell, _), c in merged.items():
-        weight[cell] += abs(c)
-    (pos, src, coef), csum, _ = moduli._gradient_pattern(L)
-    assert type(csum) is int and csum == max(weight.values())
-    pattern = collections.Counter()
-    for cell, q, c in zip(pos.tolist(), src.tolist(), coef.tolist()):
-        pattern[cell, q] += c
-    assert {k: c for k, c in pattern.items() if c} == {k: c for k, c in merged.items() if c}
+    J = _dense(random.Random(name))
+    M, _ = acs.integer_point(J, 6)
+    grad = moduli._gradient(L, J)[0]
+    merged = collections.defaultdict(int)
+    for (r, p, q), c in _merged_gradient(L).items():
+        merged[r, p] += c * M[q]
+    assert grad == [[merged[r, p] for p in range(36)] for r in range(126)]
+    csum, heaviest = _heaviest_cell(L)
+    top = max(map(abs, M))
+    for q, c in heaviest:
+        M[q] = top if c > 0 else -top
+    J = AlmostComplexStructure([[Fraction(M[6 * r + col], 1) for col in range(6)]
+                                for r in range(6)])
+    assert max(abs(v) for row in moduli._gradient(L, J)[0] for v in row) == top * csum
+
+
+def _antilinear_oracle(L, J):
+    """T K at J = M/D from its definition, in ints: the torsion rows of the
+    int gradient times vec(A_pq), A_pq = D^2 E_pq + M E_pq M."""
+    M, D = acs.integer_point(J, 6)
+    Mm = [M[r:r + 6] for r in range(0, 36, 6)]
+    K = []
+    for p in range(6):
+        for q in range(6):
+            E = [[int((r, c) == (p, q)) for c in range(6)] for r in range(6)]
+            A = linalg.mat_mul(linalg.mat_mul(Mm, E), Mm)
+            K.append([A[r][c] + D * D * E[r][c] for r in range(6) for c in range(6)])
+    grad = moduli._gradient(L, J)[0]
+    return grad[:36], K, [[sum(g * k for g, k in zip(row, col)) for col in K]
+                          for row in grad[36:]]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalogue.entries()])
+def test_the_antilinear_maps_span_the_kernel_of_the_square_rows(name):
+    # at J^2 = -1 the 36 rows of J^2 + 1 have rank 18, the A_pq span their
+    # kernel, and T K is the torsion on that kernel: rank Jac = 18 + rank T K
+    e = catalogue.get(name)
+    fam = e.families[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(name)))
+    square, K, TK = _antilinear_oracle(e.algebra, J)
+    assert linalg.rank(square) == linalg.rank(K) == 18
+    assert all(sum(s * k for s, k in zip(row, col)) == 0 for row in square for col in K)
+    assert [[x % linalg.PRIME for x in row] for row in TK] == \
+        [[x % linalg.PRIME for x in row] for row in moduli._torsion_on_antilinear(e.algebra, J)]
+    assert 18 + linalg.rank(TK) == linalg.rank(moduli._gradient(e.algebra, J)[0]) \
+        == moduli.jacobian_rank(e.algebra, J)
+
+
+def test_a_moved_torsion_coefficient_moves_t_k(monkeypatch):
+    # the shortcut reads constraint_map's torsion rows: one coefficient
+    # moved there moves T K against its unmoved oracle
+    e = catalogue.get("G6,7")
+    fam = e.families[0]
+    J = fam.instantiate(fam.random_admissible(random.Random(8)))
+    want = [[x % linalg.PRIME for x in row] for row in _antilinear_oracle(e.algebra, J)[2]]
+    cmap = list(acs.constraint_map(e.algebra))
+    const, ((p, q, c), *rest) = cmap[40]
+    cmap[40] = (const, ((p, q, c + 1), *rest))
+    monkeypatch.setattr(moduli, "constraint_map", lambda _: cmap)
+    got = [[x % linalg.PRIME for x in row]
+           for row in moduli._torsion_on_antilinear(e.algebra, J)]
+    assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == [4]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalogue.entries()])
+def test_the_compiled_minor_is_t_k_at_its_pivots(name):
+    # the minor is chosen at the family's draw from random.Random(0); its
+    # compiled entries at any other draw are T K's entries at those pivots
+    e = catalogue.get(name)
+    fam, L = e.families[0], e.algebra
+    rows, cols = linalg.modular_pivots(moduli._torsion_on_antilinear(
+        L, fam.instantiate(fam.random_admissible(random.Random(0)))))
+    k, code = moduli._family_minor(L, fam)
+    assert k == len(cols) == 18 - e.expected_dim
+    rng = random.Random(name)
+    for _ in range(3):
+        J = fam.instantiate(fam.random_admissible(rng))
+        M, D = acs.integer_point(J, 6)
+        TK = moduli._torsion_on_antilinear(L, J)
+        assert [v % linalg.PRIME for v in code(M, D)] == \
+            [TK[t][c] % linalg.PRIME for t in rows for c in cols]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalogue.entries()])
+def test_every_certified_rank_is_the_exact_rank(name):
+    e = catalogue.get(name)
+    rep = moduli.dimension_report(e, samples=4, seed=31)
+    fam = e.families[0]
+    for s in rep["samples"]:
+        J = fam.instantiate({k: Fraction(v) for k, v in s["params"].items()})
+        assert s["jacobian_rank"] == linalg.rank(moduli._gradient(e.algebra, J)[0]) \
+            == 36 - s["tangent_dim"]
+        assert s["certified_by"] == "minor" and s["upper_bound"] == moduli.UNPROVEN
+
+
+def test_a_zero_minor_is_decided_by_the_modular_rank(monkeypatch):
+    e = catalogue.get("G6,5")
+    k, _ = moduli._family_minor(e.algebra, e.families[0])
+    monkeypatch.setattr(moduli, "_family_minor", lambda L, fam: (k, lambda M, D: (0,) * k * k))
+    rep = moduli.dimension_report(e, samples=2, seed=5)
+    assert rep["tangent_dims"] == [10, 10]
+    assert [s["certified_by"] for s in rep["samples"]] == ["modular"] * 2
+    assert {s["upper_bound"] for s in rep["samples"]} == {moduli.UNPROVEN}
+
+
+def test_a_lower_rank_point_is_decided_by_bareiss():
+    # the ninth draw at seed 9 is a special point of M10's first family
+    # (j11 = 0, j21 = -1): its minor vanishes, the modular rank gives
+    # tangent 12, and fraction-free elimination confirms it exactly
+    e = catalogue.get("M10")
+    s = moduli.dimension_report(e, samples=10, seed=9)["samples"][8]
+    assert (s["tangent_dim"], s["certified_by"], s["upper_bound"]) == (12, "bareiss", "exact")
+    J = e.families[0].instantiate({k: Fraction(v) for k, v in s["params"].items()})
+    k, code = moduli._family_minor(e.algebra, e.families[0])
+    assert len(linalg.modular_pivots([list(code(*acs.integer_point(J, 6)))[i:i + k]
+                                      for i in range(0, k * k, k)])[1]) < k
+    assert moduli.jacobian_rank(e.algebra, J) == 24 == oracle_rank(
+        moduli.jacobian_matrix(e.algebra, J))
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_a_wrong_table_entry_shows(step):
+    # the minor's size is the rank measured at its draw, not read from the
+    # table: a table entry off by one meets Bareiss at every draw and fails
+    e = catalogue.get("G6,7")
+    wrong = dataclasses.replace(e, expected_dim=e.expected_dim + step)
+    rep = moduli.dimension_report(wrong, samples=2, seed=3)
+    assert rep["tangent_dims"] == [10, 10] and rep["agree"] == 0
+    assert [s["certified_by"] for s in rep["samples"]] == ["bareiss"] * 2
+
+
+def test_a_family_whose_minor_draw_is_not_a_complex_structure_is_refused():
+    e = catalogue.get("G6,7")
+    fam = e.families[0]
+    rows = [list(r) for r in fam.entries]
+    rows[0][0] = f"2*({rows[0][0]})" if rows[0][0] != "0" else "1"
+    mutant = dataclasses.replace(fam, name="mutant", entries=tuple(map(tuple, rows)))
+    with pytest.raises(ValueError, match="mutant: its draw at seed 0"):
+        moduli._family_minor(e.algebra, mutant)
+    with pytest.raises(ValueError, match="not in the zero set"):
+        moduli.dimension_report(e, family=mutant, samples=1)
 
 
 @pytest.mark.parametrize("check", [moduli.jacobian_matrix, moduli.jacobian_rank,
@@ -305,21 +442,32 @@ def test_the_map_and_its_denominator_are_built_once():
     e = catalogue.get("G6,3")
     L = LieAlgebra(6, e.algebra.table)  # a fresh algebra: nothing built yet
     fam, rng = e.families[0], random.Random(4)
-    # the map's build reads the denominator; integrability reads the map only
-    # through its compiled code and the SVD path through the gradient
-    # pattern, and those two are asked per point, the map by them alone
-    facts = (acs.constraint_map, acs.map_denominator, acs._constraint_code,
-             moduli._gradient_pattern)
+    # the map's build reads the denominator; integrability reads the map
+    # through its compiled code, and the rank through the int gradient,
+    # each asked per point, the map built once
+    facts = (acs.constraint_map, acs.map_denominator, acs._constraint_code)
     before = [f.cache_info() for f in facts]
     for _ in range(3):
         J = fam.instantiate(fam.random_admissible(rng))
         assert acs.is_integrable(L, J)
         moduli.jacobian_rank(L, J)
     after = [f.cache_info() for f in facts]
-    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1, 1, 1]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1, 1]
     asked = [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)]
-    assert asked[0] == 2  # once by each of its two readers, never per point
-    assert asked[2] >= 3 and asked[3] >= 3  # asked at every point
+    assert asked[0] == 1 + 3  # once by the compiled code, once per gradient
+    assert asked[2] >= 3  # asked at every point
+
+
+def test_the_minor_is_derived_once_per_family():
+    e = catalogue.get("M10")
+    fam = dataclasses.replace(e.families[0], name="renamed minor")  # not seen yet
+    with mock.patch.object(linalg, "modular_pivots", wraps=linalg.modular_pivots) as spy:
+        reports = [moduli.dimension_report(e, fam, samples=2, seed=seed) for seed in range(3)]
+    # one elimination of T K chooses the minor; each draw tests it once more
+    assert spy.call_count == 1 + 6
+    assert len(spy.call_args_list[0].args[0]) == 90
+    assert all(len(c.args[0]) == 8 for c in spy.call_args_list[1:])
+    assert [r["tangent_dims"] for r in reports] == [[10, 10]] * 3
 
 
 def test_the_family_rank_is_derived_once_per_family():
@@ -334,14 +482,19 @@ def test_the_family_rank_is_derived_once_per_family():
     assert [r["samples"][0]["family_rank"] for r in reports] == [r["n_free_params"] for r in reports]
 
 
-def test_a_rank_still_unstable_after_the_last_redraw_is_decided_exactly():
+def test_the_g64_draw_that_flipped_the_svd_is_decided_without_a_redraw():
+    # a float SVD's rank flipped between two thresholds at this draw and at
+    # its redraw; in ints the first draw is decided, and nothing is redrawn
     e, seed = catalogue.get("G6,4"), 1530467268
-    fam, rng = e.families[0], random.Random(seed)
-    for _ in range(2):  # the first draw and its one redraw both flip
-        with pytest.raises(moduli.RankUnstable):
-            moduli.jacobian_rank(e.algebra, fam.instantiate(fam.random_admissible(rng)))
+    fam = e.families[0]
+    values = fam.random_admissible(random.Random(seed))
     rep = moduli.dimension_report(e, samples=1, seed=seed, max_resamples=1)
-    assert rep["resamples"] == 1 and rep["tangent_dims"] == [e.expected_dim]
+    assert rep["tangent_dims"] == [e.expected_dim] and "resamples" not in rep
+    s = rep["samples"][0]
+    assert s["params"] == {k: str(v) for k, v in sorted(values.items())}
+    assert s["certified_by"] == "minor"
+    J = fam.instantiate(values)
+    assert s["jacobian_rank"] == linalg.rank(moduli._gradient(e.algebra, J)[0])
 
 
 def test_family_rank_counts_directions_not_parameters():

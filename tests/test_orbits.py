@@ -107,7 +107,7 @@ def test_a_perturbed_automorphism_form_fails_a_known_automorphism(monkeypatch, n
     """One coefficient of acs.automorphism_forms(L) moved before compiling,
     at a term that is nonzero at phi: is_automorphism must then refuse phi."""
     L, fam = FAMILIES[name]
-    phi = fam.instantiate_matrix(fam.random_admissible(0))
+    phi = fam.instantiate(fam.random_admissible(0)).m
     assert orbits.is_automorphism(L, phi) and _oracle(L, phi)
     M, D = common_denominator([x for row in phi for x in row])
     point, forms = M + [D], list(acs.automorphism_forms(L))
@@ -139,7 +139,7 @@ STEPS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
 @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 10 ** 6), CELLS, STEPS)
 def test_the_forms_agree_with_the_oracle_on_moved_members(name, seed, cell, step):
     L, fam = FAMILIES[name]
-    phi = fam.instantiate_matrix(fam.random_admissible(seed))
+    phi = fam.instantiate(fam.random_admissible(seed)).m
     phi[cell // 6][cell % 6] += step
     assert orbits.is_automorphism(L, phi) == _oracle(L, phi)
 
@@ -169,10 +169,15 @@ def test_act_keeps_the_integer_form_of_a_member():
     J = fam.instantiate(fam.random_admissible(random.Random(6)))
     stored = J._ints
     rows = AlmostComplexStructure([[Fraction(x) for x in row] for row in J.to_json()])
-    for phi in (I6, aut.instantiate_matrix(aut.random_admissible(6))):
+    member = aut.instantiate(aut.random_admissible(6))
+    kept = member._ints
+    for phi in (I6, member):
         out = orbits.act(e.algebra, phi, J)
-        assert J._ints is stored
+        assert J._ints is stored and member._ints is kept
         assert out == orbits.act(e.algebra, phi, rows)
+    # a member acts as its Fraction rows do
+    assert orbits.act(e.algebra, member, J) == orbits.act(
+        e.algebra, [[Fraction(x) for x in row] for row in member.to_json()], J)
     assert orbits.act(e.algebra, I6, J) == J
 
 
@@ -180,7 +185,7 @@ def test_the_cli_prints_the_same_with_the_oracle(monkeypatch, capsys, tmp_path):
     e = catalogue.get("G6,3")
     J0, J1, J2 = (e.representative(r).instantiate({}) for r in ("J0", "J1", "J2"))
     aut = e.automorphisms[0]  # the first matrix the search below samples
-    found = orbits.act(e.algebra, aut.instantiate_matrix(aut.random_admissible(0)), J1)
+    found = orbits.act(e.algebra, aut.instantiate(aut.random_admissible(0)).m, J1)
 
     def strings(matrix):
         return [[str(x) for x in row] for row in matrix]
@@ -209,6 +214,46 @@ def test_the_cli_prints_the_same_with_the_oracle(monkeypatch, capsys, tmp_path):
     assert [code for code, _ in shipped] == [0, 0, 0, 0, 1, 0, 1, 1, 0]
     monkeypatch.setattr(orbits, "is_automorphism", _oracle)
     assert outputs() == shipped
+
+
+def test_the_search_acts_with_members_as_built(monkeypatch, capsys, tmp_path):
+    # the search hands act each automorphism as built, (M, D) and all;
+    # through its Fraction rows instead, verify-witness --search prints the same
+    e = catalogue.get("G6,3")
+    J0, J1 = (e.representative(r).instantiate({}) for r in ("J0", "J1"))
+    aut = e.automorphisms[0]
+    found = orbits.act(e.algebra, aut.instantiate(aut.random_admissible(0)), J1)
+    argv = [["verify-witness", _write_json(tmp_path, name, doc), "--search", "40"]
+            for name, doc in (("pair", {"algebra": "G6,3", "J1": J0.to_json(),
+                                        "J2": (-J0).to_json()}),
+                              ("found", {"algebra": "G6,3", "J1": J1.to_json(),
+                                         "J2": found.to_json()}))]
+    act, handed = orbits.act, []
+
+    def spy(L, phi, J):
+        handed.append(phi)
+        return act(L, phi, J)
+
+    def outputs():
+        return ([(cli.main(a), capsys.readouterr().out) for a in argv],
+                orbits.randomized_equivalence_search(e, J1, found, attempts=40))
+
+    monkeypatch.setattr(orbits, "act", spy)
+    shipped = outputs()
+    assert handed and all(isinstance(phi, AlmostComplexStructure) and phi._ints is not None
+                          for phi in handed)
+    assert [code for code, _ in shipped[0]] == [1, 0]
+    assert shipped[0][1][1] == "randomized search: equivalent\n"
+    assert shipped[1]["status"] == "equivalent"
+    monkeypatch.setattr(orbits, "act", lambda L, phi, J: act(
+        L, [[Fraction(x) for x in row] for row in phi.to_json()], J))
+    assert outputs() == shipped
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def test_act_examples():
@@ -252,7 +297,7 @@ def test_act_is_the_oracles_conjugation(name):
     fam = next(f for f in e.families if f.samplable)
     for seed in range(3):
         J = fam.instantiate(fam.random_admissible(random.Random(seed)))
-        phi = aut.instantiate_matrix(aut.random_admissible(random.Random(seed)))
+        phi = aut.instantiate(aut.random_admissible(random.Random(seed))).m
         want = linalg.mat_mul(oracle_inverse(phi), linalg.mat_mul(J.rows(), phi))
         assert orbits.act(e.algebra, phi, J) == AlmostComplexStructure(want), (name, seed)
 
@@ -313,8 +358,8 @@ def test_group_action_composition():
         aut = e.automorphisms[0]
         for _ in range(5):
             J = fam.instantiate(fam.random_admissible(rng))
-            p1 = aut.instantiate_matrix(aut.random_admissible(rng))
-            p2 = aut.instantiate_matrix(aut.random_admissible(rng))
+            p1 = aut.instantiate(aut.random_admissible(rng)).m
+            p2 = aut.instantiate(aut.random_admissible(rng)).m
             _agrees(e.algebra, p1, f"{name}/{_}/p1")
             _agrees(e.algebra, p2, f"{name}/{_}/p2")
             lhs = orbits.act(e.algebra, p2, orbits.act(e.algebra, p1, J))
@@ -395,7 +440,7 @@ def test_m5_complex_subgroup_fixes_canonical_structure():
         v["b64"] = v["b53"]
         v["b54"] = -v["b63"]
         try:
-            phi = aut.instantiate_matrix(v)
+            phi = aut.instantiate(v).m
         except DomainViolation:
             continue
         assert orbits.act(e.algebra, phi, J0) == J0

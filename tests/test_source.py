@@ -9,8 +9,8 @@ check is an assert, which python -O strips.  Only exactnum takes an lcm or
 a gcd: every other module puts rationals over one denominator through it.  Only
 exactnum (integer code) and expr (formula code) generate code, only expr
 reads formula text (with ast.parse), and only exactnum sums the quadratic
-forms of the constraint map and of the automorphism map.  Only moduli
-imports numpy, for its one SVD.  The package reads no `.m`: that accessor
+forms of the constraint map and of the automorphism map.  No module
+imports numpy: every rank is decided in ints.  The package reads no `.m`: that accessor
 of AlmostComplexStructure hands out mutable rows and drops a member's
 integer form, so the package reads `rows()`.  Only linalg eliminates rows
 (no other module swaps rows or subtracts a multiple of one row from
@@ -398,9 +398,6 @@ def test_the_form_rule_accepts():
     assert form_sum_offenders("moduli", ast.parse(source)) == []
 
 
-NUMPY_MODULES = {Path("moduli.py")}
-
-
 def numpy_offenders(module: str, tree: ast.AST) -> list:
     """Every import of numpy or of a numpy submodule in one module, named
     module:line."""
@@ -411,11 +408,10 @@ def numpy_offenders(module: str, tree: ast.AST) -> list:
             and (node.module or "").split(".")[0] == "numpy"]
 
 
-def test_only_moduli_imports_numpy():
+def test_no_module_imports_numpy():
     offenders = []
     for path, tree in _trees(PACKAGE):
-        if path.relative_to(PACKAGE) not in NUMPY_MODULES:
-            offenders += numpy_offenders(path.relative_to(PACKAGE).as_posix(), tree)
+        offenders += numpy_offenders(path.relative_to(PACKAGE).as_posix(), tree)
     assert offenders == []
 
 
@@ -430,7 +426,7 @@ def test_the_numpy_rule_refuses(source):
 
 
 def test_the_numpy_rule_accepts():
-    source = ('"""No numpy: import numpy is for moduli."""\nfrom . import linalg\n'
+    source = ('"""No numpy: import numpy is for no module."""\nfrom . import linalg\n'
               "import numbers\nfrom .numpy_free import np\nnumpy = linalg.rank\n")
     assert numpy_offenders("linalg", ast.parse(source)) == []
 
